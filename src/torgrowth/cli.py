@@ -26,8 +26,7 @@ from .presmod import (
     parse_presentation,
     rank,
 )
-from .torsion import betti as betti_of
-from .torsion import torsion_order
+from .torsion import torsion_and_betti
 
 
 def _read_poly(text: str, nvars: int | None) -> LaurentPoly:
@@ -57,7 +56,7 @@ def _subgroup_from_args(args, nvars: int) -> Subgroup:
     chosen = [
         name
         for name in ("cyclic", "diagonal", "gamma")
-        if getattr(args, name, None) not in (None, False)
+        if getattr(args, name, None) is not None
     ]
     if len(chosen) != 1:
         raise ValueError("choose exactly one of --cyclic, --diagonal, --gamma")
@@ -135,8 +134,7 @@ def cmd_mahler(args) -> int:
 def cmd_torsion(args) -> int:
     mod = _load_module(args)
     gamma = _subgroup_from_args(args, mod.nvars)
-    tor = torsion_order(mod, gamma)
-    b = betti_of(mod, gamma)
+    tor, b = torsion_and_betti(mod, gamma)
     print(json.dumps({"torsion_order": str(tor), "betti": b}, indent=2))
     return 0
 

@@ -51,6 +51,13 @@ class SizeGuardExceeded(RuntimeError):
     """A subgroup would expand past the SNF size guard (use force=True)."""
 
 
+def _required(spec: dict, key: str, kind: str):
+    """A mandatory field of a sequence spec, or a ConfigError naming it."""
+    if key not in spec:
+        raise ConfigError(f"the {kind!r} sequence needs {key!r}")
+    return spec[key]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description: one module source, one sequence."""
@@ -102,10 +109,12 @@ class ExperimentConfig:
             raise ConfigError("config needs exactly one sequence spec")
         kind, spec = next(iter(seq.items()))
         subgroups: list[tuple[str, Subgroup]] = []
+        if not isinstance(spec, dict):
+            raise ConfigError(f"the {kind!r} sequence spec must be an object")
         if kind == "cyclic":
             if mod.nvars != 1:
                 raise ConfigError("cyclic sequences need a one-variable module")
-            start, stop = int(spec.get("start", 1)), int(spec["stop"])
+            start, stop = int(spec.get("start", 1)), int(_required(spec, "stop", kind))
             step = int(spec.get("step", 1))
             for ell in range(start, stop + 1, step):
                 subgroups.append((f"cyclic:{ell}", Subgroup.cyclic(ell)))
@@ -113,15 +122,15 @@ class ExperimentConfig:
             if "ds" in spec:
                 ds = [int(d) for d in spec["ds"]]
             else:
-                ds = list(range(int(spec.get("start", 1)), int(spec["stop"]) + 1,
-                                int(spec.get("step", 1))))
+                stop = int(_required(spec, "stop", kind))
+                ds = list(range(int(spec.get("start", 1)), stop + 1, int(spec.get("step", 1))))
             for d in ds:
                 subgroups.append((f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)))
         elif kind == "gamma_sj":
-            kappa = Direction.from_vector([float(x) for x in spec["kappa"]])
+            kappa = Direction.from_vector([float(x) for x in _required(spec, "kappa", kind)])
             if len(kappa.coords) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
-            js = [int(j) for j in spec["js"]]
+            js = [int(j) for j in _required(spec, "js", kind)]
             s_start = int(spec.get("s_start", 1))
             for offset, j in enumerate(js):
                 s = s_start + offset
@@ -244,12 +253,12 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         schedule=config.mahler_schedule,
     )
     t_target = time.perf_counter()
-    tasks = [(mod.to_json(), gamma.to_json(), desc) for desc, gamma in config.sequence]
     if config.jobs > 1:
+        tasks = [(mod.to_json(), gamma.to_json(), desc) for desc, gamma in config.sequence]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             samples = list(pool.map(_sample_task, tasks))
     else:
-        samples = [_sample_task(t) for t in tasks]
+        samples = [growth_sample(mod, gamma, desc) for desc, gamma in config.sequence]
     samples.sort(key=lambda s: (s.index, s.gamma))
     final_gap = abs(samples[-1].growth_stat - target.value)
     t_end = time.perf_counter()

@@ -3,9 +3,16 @@
 Smith normal form (plain and with unimodular transforms), canonical
 row-style Hermite bases, integer kernels, fraction-free determinants, and
 small helpers for arbitrary-precision bookkeeping.  Matrices are plain
-nested lists of Python ints at the API boundary; the SNF hot loop runs on
-numpy object arrays so row operations execute in C while coefficients stay
-arbitrary precision.
+nested lists of Python ints at the API boundary.
+
+`snf_diagonal` runs in two phases.  Phase 1 eliminates on ±1 pivots over
+sparse `{column: value}` rows, choosing the pivot in the shortest row that
+has one (approximate Markowitz pivoting, as in Dumas, Saunders and Villard,
+J. Symbolic Comput. 32, 2001); each such pivot is one invariant factor 1.
+Phase 2 finishes the small dense remainder with `_diagonalize`, which runs
+on numpy object arrays so row operations execute in C while coefficients
+stay arbitrary precision.  `snf_with_transforms` and `kernel_basis` use the
+dense path alone.
 """
 
 from __future__ import annotations
@@ -158,16 +165,94 @@ def _chain_normalize(diag: list[int]) -> list[int]:
     return nz + [0] * zeros
 
 
+def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
+    """Rows of an integer matrix as {column: nonzero entry} dicts, and the width."""
+    n = len(mat[0]) if len(mat) else 0
+    rows = []
+    for row in mat:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+        rows.append({j: int(v) for j, v in enumerate(row) if v})
+    return rows, n
+
+
+def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
+    """Phase 1 of `snf_diagonal`: sparse elimination on ±1 pivots, in place.
+
+    Each step takes a ±1 entry in the shortest live row that has one (the
+    search stops at a row of length <= 2: approximate Markowitz pivoting),
+    clears its column with row operations, and deletes the pivot row and
+    column.  A unit pivot clears its own row by column operations that touch
+    nothing else, so each step contributes one invariant factor 1.  Returns
+    the number of steps; the rows left nonempty hold the remaining block.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    live = {i for i, r in enumerate(rows) if r}
+    ones = 0
+    while True:
+        pivot, best = None, 0
+        for i in live:
+            r = rows[i]
+            if pivot is not None and len(r) >= best:
+                continue
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    pivot, best = (i, j), len(r)
+                    break
+            if pivot is not None and best <= 2:
+                break
+        if pivot is None:
+            return ones
+        p, c = pivot
+        prow = rows[p]
+        u = prow[c]
+        for i in cols.pop(c):
+            if i == p:
+                continue
+            r = rows[i]
+            f = r[c] * u
+            for j, v in prow.items():
+                x = r.get(j, 0) - f * v
+                if x:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = x
+                else:
+                    del r[j]
+                    if j != c:
+                        cols[j].discard(i)
+            if not r:
+                live.discard(i)
+        for j in prow:
+            if j != c:
+                cols[j].discard(p)
+        rows[p] = {}
+        live.discard(p)
+        ones += 1
+
+
 def snf_diagonal(mat) -> list[int]:
     """Invariant factors of an integer matrix, length min(m, n).
 
     Nonzero entries form a divisibility chain d1 | d2 | ...; zeros trail.
+    Two phases: sparse elimination on ±1 pivots (`_eliminate_unit_pivots`),
+    then `_diagonalize` on the dense block of the rows and columns that are
+    still nonzero.
     """
-    A = to_object_array(mat)
-    if A.size == 0:
+    rows, n = _sparse_rows(mat)
+    k = min(len(rows), n)
+    if k == 0:
         return []
+    ones = _eliminate_unit_pivots(rows)
+    tail = [r for r in rows if r]
+    cols = sorted({j for r in tail for j in r})
+    A = to_object_array([[r.get(j, 0) for j in cols] for r in tail])
     _diagonalize(A)
-    return _chain_normalize([A[i, i] for i in range(min(A.shape))])
+    diag = [1] * ones + [A[i, i] for i in range(min(A.shape))]
+    return _chain_normalize(diag + [0] * (k - len(diag)))
 
 
 def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

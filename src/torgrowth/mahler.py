@@ -138,10 +138,11 @@ def mahler_univariate(f: LaurentPoly, tol: float = 1e-9) -> MahlerEstimate:
         err = 0.0
         for z, b in zip(roots, bounds):
             r = abs(z)
-            value += math.log(max(1.0, r))
-            if math.isinf(b):
+            # an overflowed iteration leaves NaN, which max(1.0, nan) would hide
+            if not (math.isfinite(r) and math.isfinite(b)):
                 err = math.inf
                 break
+            value += math.log(max(1.0, r))
             hi = math.log(max(1.0, r + b))
             lo = math.log(max(1.0, max(r - b, 1e-300)))
             err += hi - lo
@@ -246,6 +247,8 @@ def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0,
     """
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")
+    if samples < 1:
+        raise ValueError("quadrature needs at least one sample")
     if samples < shards:
         shards = max(1, samples)
     per_shard = samples // shards

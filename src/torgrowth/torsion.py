@@ -96,21 +96,23 @@ def expand(matrix, gamma, nvars: int | None = None) -> list[list[int]]:
     return out
 
 
-def torsion_order(mod: PresentedModule, gamma) -> int:
-    """|Tor_Z(M ⊗ Z[A_Gamma])|: product of the nonzero invariant factors."""
+def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
+    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, from one SNF."""
     group = _resolve_group(gamma)
     if not mod.matrix:
-        return 1
-    return snf(expand(mod, group)).torsion_order()
+        return 1, mod.m0 * group.order
+    res = snf(expand(mod, group))
+    return res.torsion_order(), mod.m0 * group.order - res.rank
+
+
+def torsion_order(mod: PresentedModule, gamma) -> int:
+    """|Tor_Z(M ⊗ Z[A_Gamma])|: product of the nonzero invariant factors."""
+    return torsion_and_betti(mod, gamma)[0]
 
 
 def betti(mod: PresentedModule, gamma) -> int:
     """Free rank of M ⊗ Z[A_Gamma] over Z."""
-    group = _resolve_group(gamma)
-    if not mod.matrix:
-        return mod.m0 * group.order
-    res = snf(expand(mod, group))
-    return mod.m0 * group.order - res.rank
+    return torsion_and_betti(mod, gamma)[1]
 
 
 def fixed_components(mod: PresentedModule, gamma) -> int:
@@ -172,12 +174,7 @@ class GrowthSample:
 def growth_sample(mod: PresentedModule, gamma: Subgroup, descriptor: str | None = None) -> GrowthSample:
     """Torsion order, Betti number, and growth statistic for one subgroup."""
     group = quotient(gamma)
-    if mod.matrix:
-        res = snf(expand(mod, group))
-        tor = res.torsion_order()
-        b = mod.m0 * group.order - res.rank
-    else:
-        tor, b = 1, mod.m0 * group.order
+    tor, b = torsion_and_betti(mod, group)
     return GrowthSample(
         gamma=descriptor if descriptor is not None else str(gamma.to_json()),
         index=group.order,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from torgrowth import torsion
 from torgrowth.cli import main as cli_main
 from torgrowth.growthlab import (
     ConfigError,
@@ -78,6 +79,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("sequence", [
+        {"cyclic": {"start": 1}},
+        {"diagonal": {"start": 1}},
+        {"gamma_sj": {"js": [1, 2]}},
+        {"cyclic": 5},
+    ])
+    def test_malformed_sequence_is_config_error(self, sequence):
+        cfg = config_dict(sequence=sequence)
+        if "cyclic" not in sequence:
+            cfg["module"] = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(cfg)
+
 
 class TestRun:
     def test_geometric_growth_module(self, tmp_path):
@@ -141,13 +155,17 @@ class TestRun:
         assert config.force
 
     def test_parallel_matches_serial(self):
+        # jobs=1 runs in process without the JSON round trip the pool needs;
+        # both must write the same report apart from the timings
         cfg = config_dict()
-        cfg["sequence"] = {"cyclic": {"start": 1, "stop": 6}}
-        serial = run(ExperimentConfig.from_dict(cfg, jobs=1))
-        parallel = run(ExperimentConfig.from_dict(cfg, jobs=2))
-        assert [s.torsion_order for s in serial.samples] == [
-            s.torsion_order for s in parallel.samples
-        ]
+        cfg["module"] = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
+        cfg["sequence"] = {"diagonal": {"ds": [3, 1, 2, 4]}}
+        reports = []
+        for jobs in (1, 2):
+            blob = run(ExperimentConfig.from_dict(cfg, jobs=jobs)).to_json_dict()
+            del blob["metadata"]["timings"]
+            reports.append(json.dumps(blob, sort_keys=True))
+        assert reports[0] == reports[1]
 
     def test_figure_eight_branched_sweep(self, tmp_path, fig8_text):
         (tmp_path / "fig8.txt").write_text(fig8_text)
@@ -258,6 +276,43 @@ class TestCli:
         assert cli_main(["torsion", "--matrix", str(missing), "--cyclic", "2"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    def test_torsion_runs_one_snf(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = torsion.snf_diagonal
+
+        def counting(mat):
+            calls.append(len(mat))
+            return original(mat)
+
+        monkeypatch.setattr(torsion, "snf_diagonal", counting)
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(T_MINUS_2))
+        assert cli_main(["torsion", "--matrix", str(p), "--cyclic", "4"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"torsion_order": "15", "betti": 0}
+        assert calls == [4]
+
+    def test_torsion_diagonal_zero_reports_infinite_quotient(self, capsys, tmp_path):
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps({"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}))
+        assert cli_main(["torsion", "--matrix", str(p), "--diagonal", "0"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "quotient is infinite" in err["message"]
+
+    def test_growth_config_without_stop_is_json_error(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(sequence={"cyclic": {"start": 1}})))
+        assert cli_main(["growth", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "'stop'" in err["message"]
+
+    def test_mahler_quadrature_zero_samples_is_json_error(self, capsys):
+        assert cli_main([
+            "mahler", "--poly", "3 + t1 + t2", "--nvars", "2",
+            "--method", "quadrature", "--samples", "0",
+        ]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     def test_torsion_needs_exactly_one_subgroup(self, capsys, tmp_path):
         p = tmp_path / "mod.json"

@@ -59,6 +59,37 @@ def test_snf_against_minor_gcds():
             assert b % a == 0
 
 
+def random_sparse_matrix(rng: random.Random) -> list[list[int]]:
+    """Mostly ±1 entries, with zero rows and columns and dependent rows."""
+    m, n = rng.randint(1, 40), rng.randint(1, 60)
+    if rng.random() < 0.5:
+        m, n = n, m
+    density = rng.choice([0.05, 0.1, 0.2, 0.5])
+    M = [
+        [rng.choice([1, -1, 1, -1, 2, -3, 5]) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+    for _ in range(rng.randint(0, 3)):
+        M[rng.randrange(m)] = [0] * n
+    for _ in range(rng.randint(0, 3)):
+        j = rng.randrange(n)
+        for row in M:
+            row[j] = 0
+    for _ in range(rng.randint(0, m // 2)):
+        a, b = rng.randrange(m), rng.randrange(m)
+        c = rng.choice([1, -1, 2])
+        M[rng.randrange(m)] = [x + c * y for x, y in zip(M[a], M[b])]
+    return M
+
+
+def test_snf_sparse_phase_matches_dense_path():
+    rng = random.Random(14)
+    for _ in range(200):
+        M = random_sparse_matrix(rng)
+        D, _, _ = snf_with_transforms(M)
+        assert snf_diagonal(M) == [int(D[i, i]) for i in range(min(len(M), len(M[0])))]
+
+
 def test_snf_transforms_unimodular():
     rng = random.Random(11)
     for _ in range(150):

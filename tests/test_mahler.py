@@ -7,6 +7,7 @@ from conftest import random_nonzero_laurent
 from torgrowth.laurent import LaurentPoly, parse_poly, variables
 from torgrowth.mahler import (
     MahlerEstimate,
+    NonconvergenceError,
     default_lawton_schedule,
     is_kronecker,
     mahler_lawton,
@@ -45,6 +46,12 @@ class TestJensen:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mahler_univariate(LaurentPoly.zero(1))
+
+    def test_overflowed_roots_are_not_certified(self):
+        # the Aberth start radius is ~1e30, the iteration overflows to NaN;
+        # the true value is 30*log(10), never the 0.0 a NaN root would give
+        with pytest.raises(NonconvergenceError):
+            mahler_univariate(t ** 40 - 10 ** 30 * t + 1)
 
     def test_unit_invariance_exact(self):
         rng = random.Random(60)
@@ -129,6 +136,10 @@ class TestQuadrature:
         est = mahler_quadrature(LaurentPoly.constant(1, 5), samples=4000, seed=3)
         assert est.value == pytest.approx(math.log(5), abs=1e-12)
         assert est.error_bound <= 1e-12
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError):
+            mahler_quadrature(t - 2, samples=0)
 
     def test_linear_agrees_with_jensen(self):
         est = mahler_quadrature(t - 2, samples=10 ** 6, seed=0)

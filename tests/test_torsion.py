@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,28 @@ class TestTorsionOrder:
         gamma = Subgroup.diagonal(2, 2)
         assert torsion_order(M, gamma) == 45
         assert character_product(3 + t1 + t2, gamma) == 45
+
+    @pytest.mark.parametrize("f", [3 + t1 + t2, 1 + t1 + t2], ids=["3+t1+t2", "1+t1+t2"])
+    def test_snf_matches_character_product(self, f):
+        # 1+t1+t2 vanishes at (omega, omega^2), a character exactly when 3 | d
+        M = PresentedModule.quotient_by_ideal(2, [f])
+        for d in range(1, 13):
+            gamma = Subgroup.diagonal(2, d)
+            res = snf(expand(M, gamma))
+            if f == 1 + t1 + t2 and d % 3 == 0:
+                assert res.rank < d * d
+                continue
+            assert res.rank == d * d
+            assert res.torsion_order() == character_product(f, gamma)
+
+    def test_snf_time_budget_at_index_1024(self):
+        M = PresentedModule.quotient_by_ideal(2, [3 + t1 + t2])
+        start = time.perf_counter()
+        res = snf(expand(M, Subgroup.diagonal(2, 32)))
+        elapsed = time.perf_counter() - start
+        assert res.rank == 1024
+        assert max(res.invariant_factors).bit_length() == 706
+        assert elapsed < 5.0
 
     def test_fixed_components_alias(self):
         M = PresentedModule(1, ((t - 2,),))
