@@ -58,7 +58,6 @@ from .torsion import (
     chain_torsion,
     cyclic_branched_oracle,
     expand,
-    fixed_components,
     growth_sample,
     snf,
     torsion_order,
@@ -83,7 +82,7 @@ __all__ = [
     "alexander_complex", "alexander_module", "branched_module", "delta",
     "fox_derivative", "is_pseudo_zero_torsion", "parse_presentation", "rank",
     "GrowthSample", "SnfResult", "betti", "chain_torsion",
-    "cyclic_branched_oracle", "expand", "fixed_components", "growth_sample",
+    "cyclic_branched_oracle", "expand", "growth_sample",
     "snf", "torsion_order",
     "MahlerEstimate", "is_kronecker", "mahler_lawton", "mahler_quadrature",
     "mahler_univariate",

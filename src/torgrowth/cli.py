@@ -15,7 +15,6 @@ import sys
 from . import growthlab
 from .laurent import LaurentPoly, parse_poly, poly_from_json, poly_to_json
 from .lattices import Subgroup
-from .mahler import mahler_lawton, mahler_quadrature, mahler_univariate
 from .presmod import (
     PresentedModule,
     alexander_complex,
@@ -120,13 +119,8 @@ def cmd_branched(args) -> int:
 
 def cmd_mahler(args) -> int:
     f = _read_poly(args.poly, args.nvars)
-    if args.method == "jensen" or (args.method == "auto" and f.nvars == 1):
-        est = mahler_univariate(f)
-    elif args.method == "quadrature":
-        est = mahler_quadrature(f, samples=args.samples, seed=args.seed)
-    else:
-        schedule = json.loads(args.schedule) if args.schedule else None
-        est = mahler_lawton(f, schedule)
+    schedule = json.loads(args.schedule) if args.schedule else None
+    est = growthlab.mahler_target(f, args.method, args.samples, args.seed, schedule)
     print(json.dumps(est.to_json(), indent=2))
     return 0
 

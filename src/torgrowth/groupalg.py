@@ -1,11 +1,14 @@
 """The integer group algebra Z[A] of a finite abelian group.
 
-Regular-representation matrices, characters with exact rational rotation
-numbers, the complementary ideals attached to a subgroup B (the principal
-ideal of the norm element u_B = sum of B, and the augmentation-style ideal
-generated by 1-b), lattice volumes, and quotient orders.  These furnish the
-exact order identities |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|) used as a
-test surface by the growth experiments.
+Multiplication by a group element is one primitive, the translation table
+`FinAbGroup.translation`; regular-representation matrices, products and the
+subgroup ideals are all built on it.  Also here: characters with exact
+rational rotation numbers, the complementary ideals attached to a subgroup
+B (the principal ideal of the norm element u_B = sum of B, and the
+augmentation-style ideal generated by 1-b), lattice volumes, and quotient
+orders.  These furnish the exact order identities
+|Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|) used as a test surface by the
+growth experiments.
 """
 
 from __future__ import annotations
@@ -64,10 +67,8 @@ class GroupAlgElem:
         out = [0] * A.order
         for i, a in enumerate(self.coeffs):
             if a:
-                ei = elems[i]
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[A.index_of(A.add(ei, elems[j]))] += a * b
+                for j, k in enumerate(A.translation(elems[i])):
+                    out[k] += a * other.coeffs[j]
         return GroupAlgElem(A, tuple(out))
 
     def is_zero(self) -> bool:
@@ -100,11 +101,10 @@ def mult_matrix(a: GroupAlgElem) -> list[list[int]]:
     n = A.order
     elems = A.elements()
     out = [[0] * n for _ in range(n)]
-    support = [(elems[i], c) for i, c in enumerate(a.coeffs) if c]
-    for j in range(n):
-        gj = elems[j]
-        for h, c in support:
-            out[A.index_of(A.add(h, gj))][j] += c
+    for i, c in enumerate(a.coeffs):
+        if c:
+            for j, k in enumerate(A.translation(elems[i])):
+                out[k][j] += c
     return out
 
 
@@ -153,21 +153,11 @@ def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> 
 def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice:
     """The principal ideal (u_B) of Z[A] as a sublattice of Z^|A|.
 
-    Spanned by {g * u_B : g in A}; its Z-rank is |A|/|B|.
+    Spanned by {g * u_B : g in A}, the distinct columns of the matrix of
+    u_B; its Z-rank is |A|/|B|.
     """
     B = group.subgroup_closure(b_gens)
-    vecs = []
-    seen: set[int] = set()
-    for g in group.elements():
-        gi = group.index_of(g)
-        if gi in seen:
-            continue
-        v = [0] * group.order
-        for b in B:
-            idx = group.index_of(group.add(g, b))
-            v[idx] += 1
-            seen.add(idx)
-        vecs.append(v)
+    vecs = list(dict.fromkeys(zip(*mult_matrix(norm_element(group, B)))))
     lat = SubLattice.from_generators(group.order, vecs)
     assert lat.rank == group.order // len(B)
     return lat
@@ -176,18 +166,15 @@ def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattic
 def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice:
     """The ideal of Z[A] generated by {1 - b : b in B}, as a sublattice.
 
-    Spanned by {g*(1-b)}; the kernel lattice of Z[A] -> Z[A/B].
+    Spanned by {g*(1-b)}, the columns of the matrices of the 1 - b; the
+    kernel lattice of Z[A] -> Z[A/B].
     """
-    elems = group.elements()
+    one = GroupAlgElem.identity(group)
     vecs = []
-    for g in elems:
-        gi = group.index_of(g)
-        for b in b_gens:
-            v = [0] * group.order
-            v[gi] += 1
-            v[group.index_of(group.add(g, tuple(b)))] -= 1
-            if any(v):
-                vecs.append(v)
+    for b in b_gens:
+        b = group.add(group.identity(), b)  # generators may be unreduced digits
+        cols = zip(*mult_matrix(one - GroupAlgElem.basis_element(group, b)))
+        vecs.extend(v for v in cols if any(v))
     return SubLattice.from_generators(group.order, vecs)
 
 

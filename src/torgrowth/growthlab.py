@@ -19,6 +19,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from . import __version__
 from .groupalg import (
     SubLattice,
@@ -28,6 +29,7 @@ from .groupalg import (
     quotient_order,
     sum_ideals,
 )
+from .intlinalg import lattice_index
 from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
@@ -140,6 +142,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sequence kind {kind!r}")
         if not subgroups:
             raise ConfigError("empty subgroup sequence")
+        for desc, gamma in subgroups:
+            if lattice_index(gamma.gens, gamma.nvars) == 0:
+                raise ConfigError(f"{desc}: subgroup is not of full rank; quotient is infinite")
         msettings = data.get("mahler", {})
         method = msettings.get("method", "auto")
         if method not in ("auto", "jensen", "lawton", "quadrature"):
@@ -223,22 +228,13 @@ def mahler_target(poly: LaurentPoly, method: str = "auto", samples: int = 1_000_
     return mahler_quadrature(poly, samples=samples, seed=seed)
 
 
-def _sample_task(args) -> GrowthSample:
-    mod_json, gens, descriptor = args
-    mod = PresentedModule.from_json(mod_json)
-    return growth_sample(mod, Subgroup.from_json(gens), descriptor)
-
-
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Execute a growth experiment; write samples.csv and report.json when
     an output directory is given."""
     t_start = time.perf_counter()
     mod = config.module
     for _, gamma in config.sequence:
-        order = 1
-        for row in gamma.basis():
-            j = next(i for i, x in enumerate(row) if x)
-            order *= abs(row[j])
+        order = lattice_index(gamma.gens, gamma.nvars)
         if order * mod.m0 > SIZE_GUARD and not config.force:
             raise SizeGuardExceeded(
                 f"|A|*m0 = {order * mod.m0} exceeds {SIZE_GUARD}; pass force to override"
@@ -254,9 +250,9 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     )
     t_target = time.perf_counter()
     if config.jobs > 1:
-        tasks = [(mod.to_json(), gamma.to_json(), desc) for desc, gamma in config.sequence]
+        descs, gammas = zip(*config.sequence)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            samples = list(pool.map(_sample_task, tasks))
+            samples = list(pool.map(growth_sample, repeat(mod), gammas, descs))
     else:
         samples = [growth_sample(mod, gamma, desc) for desc, gamma in config.sequence]
     samples.sort(key=lambda s: (s.index, s.gamma))

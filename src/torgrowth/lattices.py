@@ -134,6 +134,16 @@ class FinAbGroup:
             self._index = {a: i for i, a in enumerate(self.elements())}
         return self._index[e]
 
+    def translation(self, h: Sequence[int]) -> list[int]:
+        """Index of h + g for every element g, in element order.
+
+        Mixed-radix arithmetic over the invariant factors, no lookups.
+        """
+        idx = [0]
+        for d, x in zip(self.invariant_factors, h):
+            idx = [i * d + (k + x) % d for i in idx for k in range(d)]
+        return idx
+
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
 

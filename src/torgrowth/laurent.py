@@ -51,6 +51,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return (LaurentPoly, (self.nvars, self._terms))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -106,32 +106,37 @@ class PresentedModule:
         return cls(nvars, rows, int(data.get("m0", -1)))
 
 
-def _poly_det(rows: list[list[LaurentPoly]], nvars: int) -> LaurentPoly:
-    """Fraction-free (Bareiss) determinant over the Laurent ring."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one(nvars)
-    a = [list(r) for r in rows]
+def _eliminate(rows: Sequence[Sequence[LaurentPoly]], ncols: int,
+               nvars: int) -> tuple[int, LaurentPoly]:
+    """Fraction-free (Bareiss) elimination over the Laurent ring.
+
+    Returns the rank and the last pivot, signed by the row swaps.  For a
+    k x k matrix the determinant is that pivot when the rank is k, else 0.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
     sign = 1
     prev = LaurentPoly.one(nvars)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return LaurentPoly.zero(nvars)
-            a[k], a[swap] = a[swap], a[k]
+    row = 0
+    for col in range(ncols):
+        if row == m:
+            break
+        piv = next((i for i in range(row, m) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
             sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pk * a[i][j] - a[i][k] * a[k][j]
-                q = div_exact(num, prev)
+        pk = rows[row][col]
+        for i in range(row + 1, m):
+            for j in range(col + 1, ncols):
+                q = div_exact(pk * rows[i][j] - rows[i][col] * rows[row][j], prev)
                 assert q is not None, "Bareiss division failed"
-                a[i][j] = q
-            a[i][k] = LaurentPoly.zero(nvars)
+                rows[i][j] = q
+            rows[i][col] = LaurentPoly.zero(nvars)
         prev = pk
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+        row += 1
+    return row, -prev if sign < 0 else prev
 
 
 def rank(mod: PresentedModule) -> int:
@@ -139,31 +144,7 @@ def rank(mod: PresentedModule) -> int:
 
     Exact fraction-free elimination; no probabilistic evaluation.
     """
-    rows = [list(r) for r in mod.matrix]
-    if not rows:
-        return mod.m0
-    nvars = mod.nvars
-    m, n = len(rows), mod.m0
-    prev = LaurentPoly.one(nvars)
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pk = rows[row][col]
-        for i in range(row + 1, m):
-            for j in range(col + 1, n):
-                num = pk * rows[i][j] - rows[i][col] * rows[row][j]
-                q = div_exact(num, prev)
-                assert q is not None
-                rows[i][j] = q
-            rows[i][col] = LaurentPoly.zero(nvars)
-        prev = pk
-        row += 1
-        if row == m:
-            break
-    return mod.m0 - row
+    return mod.m0 - _eliminate(mod.matrix, mod.m0, mod.nvars)[0]
 
 
 def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
@@ -183,7 +164,9 @@ def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
     for rows_idx in itertools.combinations(range(mod.m1), k):
         for cols_idx in itertools.combinations(range(mod.m0), k):
             sub = [[mod.matrix[i][c] for c in cols_idx] for i in rows_idx]
-            acc = (gcd_list([acc, _poly_det(sub, mod.nvars)], mod.nvars)).poly
+            r, pivot = _eliminate(sub, k, mod.nvars)
+            minor = pivot if r == k else LaurentPoly.zero(mod.nvars)
+            acc = (gcd_list([acc, minor], mod.nvars)).poly
             if acc.is_one():
                 return normalize_unit(acc)
     return normalize_unit(acc)

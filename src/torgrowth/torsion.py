@@ -86,13 +86,8 @@ def expand(matrix, gamma, nvars: int | None = None) -> list[list[int]]:
             if entry.is_zero():
                 continue
             block = mult_matrix(project_poly(entry, group))
-            for a in range(N):
-                target = out[i * N + a]
-                src = block[a]
-                base = j * N
-                for b in range(N):
-                    if src[b]:
-                        target[base + b] = src[b]
+            for a, src in enumerate(block):
+                out[i * N + a][j * N:(j + 1) * N] = src
     return out
 
 
@@ -113,12 +108,6 @@ def torsion_order(mod: PresentedModule, gamma) -> int:
 def betti(mod: PresentedModule, gamma) -> int:
     """Free rank of M ⊗ Z[A_Gamma] over Z."""
     return torsion_and_betti(mod, gamma)[1]
-
-
-def fixed_components(mod: PresentedModule, gamma) -> int:
-    """Number of connected components of the Gamma-fixed subgroup of the
-    dual dynamical system; definitionally the torsion order."""
-    return torsion_order(mod, gamma)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,47 @@ Z4 = FinAbGroup.from_invariant_factors([4])
 Z22 = FinAbGroup.from_invariant_factors([2, 2])
 
 
+def random_groups(seed: int, count: int = 30) -> list[FinAbGroup]:
+    """Random divisibility chains of order <= 48, led by two trivial groups."""
+    rng = random.Random(seed)
+    groups = [FinAbGroup.from_invariant_factors([]), quotient(Subgroup.diagonal(2, 1))]
+    while len(groups) < count:
+        factors = [rng.choice([2, 3, 4, 5, 6])]
+        for _ in range(rng.randint(0, 2)):
+            factors.append(factors[-1] * rng.choice([1, 2]))
+        if math.prod(factors) <= 48:
+            groups.append(FinAbGroup.from_invariant_factors(factors))
+    return groups
+
+
+def random_elem(rng: random.Random, A: FinAbGroup) -> GroupAlgElem:
+    return GroupAlgElem(A, tuple(rng.choice([0, 0, -2, -1, 1, 3]) for _ in range(A.order)))
+
+
+class TestTranslation:
+    def test_matches_element_addition(self):
+        for A in random_groups(50):
+            elems = A.elements()
+            for h in elems:
+                assert A.translation(h) == [A.index_of(A.add(h, g)) for g in elems]
+
+    def test_product_is_matrix_times_vector(self):
+        rng = random.Random(51)
+        for A in random_groups(51):
+            a, b = random_elem(rng, A), random_elem(rng, A)
+            m = mult_matrix(a)
+            assert (a * b).coeffs == tuple(
+                sum(x * y for x, y in zip(row, b.coeffs)) for row in m
+            )
+
+    def test_commutative_and_associative(self):
+        rng = random.Random(52)
+        for A in random_groups(52):
+            a, b, c = (random_elem(rng, A) for _ in range(3))
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+
+
 class TestProjectPoly:
     def test_linear(self):
         assert project_poly(t - 2, Z3).coeffs == (-2, 1, 0)
@@ -104,6 +145,7 @@ class TestIdeals:
     def test_half_subgroup_of_z4(self):
         assert alpha_ideal(Z4, [(2,)]).rank == 2
         assert beta_ideal(Z4, [(2,)]).rank == 2
+        assert beta_ideal(Z4, [(6,)]) == beta_ideal(Z4, [(2,)])
 
     def test_norm_element(self):
         u = norm_element(Z4, Z4.subgroup_closure([(2,)]))

@@ -92,6 +92,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("sequence, descriptor", [
+        ({"diagonal": {"ds": [8, 16, 0]}}, "diagonal:0"),
+        ({"cyclic": {"start": 0, "stop": 3}}, "cyclic:0"),
+    ])
+    def test_rank_deficient_subgroup_is_config_error(self, sequence, descriptor):
+        cfg = config_dict(sequence=sequence)
+        if "diagonal" in sequence:
+            cfg["module"] = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
+        with pytest.raises(ConfigError, match=f"^{descriptor}: .*quotient is infinite"):
+            ExperimentConfig.from_dict(cfg)
+
 
 class TestRun:
     def test_geometric_growth_module(self, tmp_path):
@@ -313,6 +324,16 @@ class TestCli:
             "--method", "quadrature", "--samples", "0",
         ]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_mahler_lawton_on_univariate_is_jensen(self, capsys):
+        assert cli_main(["mahler", "--poly", "t^2 - 3*t + 1", "--method", "lawton"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "jensen"
+
+    def test_mahler_jensen_on_two_variables_is_json_error(self, capsys):
+        assert cli_main([
+            "mahler", "--poly", "3 + t1 + t2", "--nvars", "2", "--method", "jensen",
+        ]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_torsion_needs_exactly_one_subgroup(self, capsys, tmp_path):
         p = tmp_path / "mod.json"

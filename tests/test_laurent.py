@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -259,6 +260,13 @@ class TestParseAndJson:
             f = random_laurent(rng, nv)
             blob = json.dumps(poly_to_json(f))
             assert poly_from_json(json.loads(blob), nv) == f
+
+    def test_pickle_roundtrip(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            f = random_laurent(rng, rng.choice([1, 2, 3]))
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and g.nvars == f.nvars and hash(g) == hash(f)
 
     def test_json_deterministic(self):
         f = t1 * t2 - 3 * t1 + 1

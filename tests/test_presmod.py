@@ -1,12 +1,14 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laurent
+from conftest import random_laurent, random_nonzero_laurent
 from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
+    _eliminate,
     ChainComplex,
     GroupPresentation,
     PresentedModule,
@@ -48,6 +50,46 @@ class TestRank:
     def test_trefoil_relation_module(self):
         f = TREFOIL_DELTA
         assert rank(PresentedModule(1, ((f, -f),))) == 1
+
+
+def laplace_det(a, nvars: int) -> LaurentPoly:
+    """Determinant by cofactor expansion along the first row."""
+    if not a:
+        return LaurentPoly.one(nvars)
+    total = LaurentPoly.zero(nvars)
+    for j, entry in enumerate(a[0]):
+        term = entry * laplace_det([row[:j] + row[j + 1:] for row in a[1:]], nvars)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+class TestEliminate:
+    def test_determinant_matches_laplace(self):
+        rng = random.Random(20)
+        singular = 0
+        for _ in range(80):
+            nvars, k = rng.randint(1, 2), rng.randint(1, 3)
+            a = [[random_laurent(rng, nvars, max_terms=2, exp_range=(-1, 2), coeff_max=2)
+                  for _ in range(k)] for _ in range(k)]
+            r, pivot = _eliminate(a, k, nvars)
+            det = laplace_det(a, nvars)
+            assert (pivot if r == k else LaurentPoly.zero(nvars)) == det
+            singular += r < k
+        assert 0 < singular < 80
+
+    def test_rank_of_stacked_dependent_rows(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            while True:
+                r1 = [random_laurent(rng, 2, max_terms=2, exp_range=(-1, 1)) for _ in range(3)]
+                r2 = [random_laurent(rng, 2, max_terms=2, exp_range=(-1, 1)) for _ in range(3)]
+                if not laplace_det([r1[:2], r2[:2]], 2).is_zero():
+                    break
+            f, g = random_nonzero_laurent(rng, 2), random_nonzero_laurent(rng, 2)
+            combo = [f * x + g * y for x, y in zip(r1, r2)]
+            diff = [x - y for x, y in zip(r1, r2)]
+            mod = PresentedModule(2, (tuple(combo), tuple(r1), tuple(diff), tuple(r2)))
+            assert rank(mod) == 1
 
 
 class TestAlexander:
@@ -279,6 +321,15 @@ def test_module_json_roundtrip():
         assert PresentedModule.from_json(M.to_json()) == M
     F = PresentedModule.free(2, 3)
     assert PresentedModule.from_json(F.to_json()) == F
+
+
+def test_module_pickle_roundtrip():
+    rng = random.Random(45)
+    for _ in range(20):
+        M = random_presentation(rng, rng.choice([1, 2]))
+        assert pickle.loads(pickle.dumps(M)) == M
+    F = PresentedModule.free(2, 3)
+    assert pickle.loads(pickle.dumps(F)) == F
 
 
 def test_direct_sum_block_structure():

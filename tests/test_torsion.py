@@ -26,7 +26,6 @@ from torgrowth.torsion import (
     character_product,
     cyclic_branched_oracle,
     expand,
-    fixed_components,
     growth_sample,
     koszul_orders,
     snf,
@@ -109,10 +108,6 @@ class TestTorsionOrder:
         assert res.rank == 1024
         assert max(res.invariant_factors).bit_length() == 706
         assert elapsed < 5.0
-
-    def test_fixed_components_alias(self):
-        M = PresentedModule(1, ((t - 2,),))
-        assert fixed_components(M, Subgroup.cyclic(4)) == torsion_order(M, Subgroup.cyclic(4)) == 15
 
     def test_torsion_free_module_negligible(self):
         # the ideal (t1-1, t2-1) as a module: rank one, torsion-free,
