@@ -132,13 +132,28 @@ class FinAbGroup:
         e = tuple(elem)
         if self._index is None:
             self._index = {a: i for i, a in enumerate(self.elements())}
-        return self._index[e]
+        try:
+            return self._index[e]
+        except KeyError:
+            raise ValueError(
+                f"{e} is not a reduced element of a group with invariant factors "
+                f"{self.invariant_factors}"
+            ) from None
+
+    def _check_rank(self, *elems: Sequence[int]) -> None:
+        rank = len(self.invariant_factors)
+        for e in elems:
+            if len(e) != rank:
+                raise ValueError(
+                    f"element {tuple(e)} has {len(e)} digits; the group has rank {rank}"
+                )
 
     def translation(self, h: Sequence[int]) -> list[int]:
         """Index of h + g for every element g, in element order.
 
         Mixed-radix arithmetic over the invariant factors, no lookups.
         """
+        self._check_rank(h)
         idx = [0]
         for d, x in zip(self.invariant_factors, h):
             idx = [i * d + (k + x) % d for i in idx for k in range(d)]
@@ -148,9 +163,11 @@ class FinAbGroup:
         return (0,) * self.rank
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        self._check_rank(a, b)
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
     def neg(self, a: Sequence[int]) -> tuple[int, ...]:
+        self._check_rank(a)
         return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:

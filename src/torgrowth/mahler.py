@@ -1,10 +1,13 @@
 """Numerical Mahler measure on the additive (log) scale.
 
 Univariate values come from Jensen's formula over certified roots of the
-polynomial; multivariate values come either from the one-variable
-specializations t^m -> t^(m·k) along a schedule of directions k with growing
-orthogonal defect (Lawton's limit), or from seeded median-of-means Monte
-Carlo integration of log|f| over the unit torus.
+polynomial.  The roots come from a vectorized Aberth sweep in numpy that
+moves every root at once, started from the Newton polygon of the
+coefficients (one circle per hull edge, Bini 1996).  Multivariate values
+come either from the one-variable specializations t^m -> t^(m·k) along a
+schedule of directions k with growing orthogonal defect (Lawton's limit),
+or from seeded median-of-means Monte Carlo integration of log|f| over the
+unit torus.
 
 All estimates carry a method tag and an explicit error bound; the additive
 measure of a nonzero integer polynomial is nonnegative, and is 0 exactly for
@@ -61,63 +64,96 @@ def _poly_coeffs(f: LaurentPoly) -> list[int]:
     return out
 
 
-def _aberth_roots(coeffs: Sequence[float], max_iter: int = 400) -> tuple[list[complex], list[float]]:
+def _float_coeffs(coeffs: Sequence[int]) -> np.ndarray:
+    """The coefficients as complex floats; ValueError beyond the float range."""
+    try:
+        return np.array([float(c) for c in coeffs], dtype=np.complex128)
+    except OverflowError:
+        bits = max(abs(c).bit_length() for c in coeffs)
+        raise ValueError(
+            f"a coefficient has {bits} bits (about 10^{int(bits * math.log10(2))}), "
+            "beyond the float range of the root finder"
+        ) from None
+
+
+def _start_points(coeffs: Sequence[int]) -> list[complex]:
+    """Aberth start points from the Newton polygon (Bini, Numer. Algorithms
+    13, 1996): each edge of the upper convex hull of (i, log|a_i|), of
+    length m and slope s, puts m points on the circle of radius exp(-s),
+    where m roots of that modulus lie.  Coefficients are low->high, ends
+    nonzero.
+    """
+    deg = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        y = math.log(abs(c))
+        while len(hull) >= 2:
+            (i0, y0), (i1, y1) = hull[-2], hull[-1]
+            if (i1 - i0) * (y - y0) < (y1 - y0) * (i - i0):
+                break
+            hull.pop()
+        hull.append((i, y))
+    points = []
+    for (i0, y0), (i1, y1) in zip(hull, hull[1:]):
+        m = i1 - i0
+        r = math.exp((y0 - y1) / m)
+        points.extend(
+            cmath.rect(r, 2 * math.pi * (k / m + i0 / deg) + 0.7) for k in range(m)
+        )
+    return points
+
+
+def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[complex], list[float]]:
     """All roots of a polynomial (coeffs low->high, ends nonzero) plus
     per-root inclusion radii d*|p(z)|/|p'(z)| (each disk contains a root).
+
+    Every sweep updates all roots at once (Ehrlich-Aberth in numpy):
+    one Horner loop gives p and p' on the root vector, and the Aberth sum
+    over the other roots is a loop of vector operations, so no deg x deg
+    array is built.  A root with p(z) = 0 is held; one with p'(z) = 0 is
+    perturbed.  A non-finite step ends the iteration early, since further
+    sweeps cannot repair the root it leaves.
     """
     deg = len(coeffs) - 1
     if deg == 0:
         return [], []
-    c = [complex(x) for x in coeffs]
-    dcoef = [i * c[i] for i in range(1, deg + 1)]
+    c = _float_coeffs(coeffs)
+    z = np.array(_start_points(coeffs))
+    radius = float(np.abs(z).max())
 
-    def horner(cs, z):
-        acc = 0j
-        for a in reversed(cs):
-            acc = acc * z + a
-        return acc
+    def horner(z):
+        pv = np.full(deg, c[-1])
+        dv = np.zeros(deg, dtype=np.complex128)
+        for a in c[-2::-1]:
+            dv = dv * z + pv
+            pv = pv * z + a
+        return pv, dv
 
-    lead = abs(c[-1])
-    radius = 1.0 + max(abs(a) / lead for a in c[:-1])
-    roots = [
-        radius * cmath.exp(2j * cmath.pi * (k + 0.354) / deg) * (1 + 1e-3 * k / max(deg, 1))
-        for k in range(deg)
-    ]
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(deg):
-            zi = roots[i]
-            pv = horner(c, zi)
-            dv = horner(dcoef, zi)
-            if pv == 0:
-                continue
-            if dv == 0:
-                roots[i] = zi * (1 + 1e-8) + 1e-8
-                moved = math.inf
-                continue
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            pv, dv = horner(z)
             newton = pv / dv
-            s = 0j
+            s = np.zeros(deg, dtype=np.complex128)
             for j in range(deg):
-                if j != i:
-                    diff = zi - roots[j]
-                    if diff == 0:
-                        diff = 1e-20
-                    s += 1.0 / diff
+                diff = z - z[j]
+                diff[diff == 0] = 1e-20
+                diff[j] = np.inf
+                s += 1.0 / diff
             denom = 1.0 - newton * s
-            step = newton / denom if denom != 0 else newton
-            roots[i] = zi - step
-            moved = max(moved, abs(step))
-        if moved < 1e-14 * max(1.0, radius):
-            break
-    bounds = []
-    for z in roots:
-        pv = horner(c, z)
-        dv = horner(dcoef, z)
-        if dv == 0:
-            bounds.append(math.inf)
-        else:
-            bounds.append(deg * abs(pv) / abs(dv))
-    return roots, bounds
+            step = np.where(denom != 0, newton / denom, newton)
+            step[pv == 0] = 0
+            flat = (dv == 0) & (pv != 0)
+            z = np.where(flat, z * (1 + 1e-8) + 1e-8, z - step)
+            if flat.any():
+                continue
+            moved = float(np.abs(step).max())
+            if moved < 1e-14 * max(1.0, radius) or not math.isfinite(moved):
+                break
+        pv, dv = horner(z)
+        bounds = np.where(dv == 0, np.inf, deg * np.abs(pv) / np.abs(dv))
+    return z.tolist(), bounds.tolist()
 
 
 def mahler_univariate(f: LaurentPoly, tol: float = 1e-9) -> MahlerEstimate:
@@ -174,7 +210,8 @@ def is_kronecker(f: LaurentPoly, tol: float = 1e-8) -> bool:
         return True
     roots, bounds = _aberth_roots(coeffs)
     for z, b in zip(roots, bounds):
-        if math.isinf(b):
+        # a NaN root would pass the comparison below and read as cyclotomic
+        if not (math.isfinite(abs(z)) and math.isfinite(b)):
             raise NonconvergenceError("root bounds did not converge")
         if abs(abs(z) - 1.0) > b + tol:
             return False
@@ -192,8 +229,9 @@ def mahler_lawton(f: LaurentPoly, schedule: Sequence[Sequence[int]] | None = Non
 
     The schedule must have strictly increasing orthogonal defect <k> (the
     shortest nonzero vector of k's orthogonal lattice); the limit over
-    <k> -> infinity is the multivariate measure.  The reported error bound is
-    the largest pairwise gap among the last three schedule values.
+    <k> -> infinity is the multivariate measure.  The reported error_bound
+    is the largest pairwise gap among the last three schedule values: a
+    convergence heuristic, not a bound on the distance to the limit.
     """
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")

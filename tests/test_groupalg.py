@@ -66,6 +66,20 @@ class TestTranslation:
                 sum(x * y for x, y in zip(row, b.coeffs)) for row in m
             )
 
+    def test_wrong_length_element_is_rejected(self):
+        for call in (
+            lambda: Z22.translation((1,)),
+            lambda: Z22.add((1,), (1, 1)),
+            lambda: Z22.neg((1, 0, 1)),
+        ):
+            with pytest.raises(ValueError, match="rank 2"):
+                call()
+
+    def test_basis_element_rejects_unreduced_or_wrong_length(self):
+        for elem in ((2, 0), (1,), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                GroupAlgElem.basis_element(Z22, elem)
+
     def test_commutative_and_associative(self):
         rng = random.Random(52)
         for A in random_groups(52):

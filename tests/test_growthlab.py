@@ -325,6 +325,11 @@ class TestCli:
         ]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
+    def test_mahler_coefficient_beyond_float_range_is_json_error(self, capsys):
+        assert cli_main(["mahler", "--poly", f"t^2 - {10 ** 400}*t + 1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "1329 bits" in err["message"]
+
     def test_mahler_lawton_on_univariate_is_jensen(self, capsys):
         assert cli_main(["mahler", "--poly", "t^2 - 3*t + 1", "--method", "lawton"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "jensen"

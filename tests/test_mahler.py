@@ -1,9 +1,12 @@
 import math
 import random
+import time
 
+import mpmath
 import pytest
 
 from conftest import random_nonzero_laurent
+from torgrowth import mahler
 from torgrowth.laurent import LaurentPoly, parse_poly, variables
 from torgrowth.mahler import (
     MahlerEstimate,
@@ -19,6 +22,12 @@ t, = variables(1)
 t1, t2 = variables(2)
 
 LOG_GOLDEN_SQ = math.log((3 + math.sqrt(5)) / 2)
+
+
+def nan_root_finder(coeffs, max_iter=400):
+    """An Aberth result that overflowed: one root is NaN, every bound is 0."""
+    deg = len(coeffs) - 1
+    return [complex("nan")] + [1j] * (deg - 1), [0.0] * deg
 
 
 class TestJensen:
@@ -47,11 +56,48 @@ class TestJensen:
         with pytest.raises(ValueError):
             mahler_univariate(LaurentPoly.zero(1))
 
-    def test_overflowed_roots_are_not_certified(self):
-        # the Aberth start radius is ~1e30, the iteration overflows to NaN;
-        # the true value is 30*log(10), never the 0.0 a NaN root would give
+    def test_overflowed_roots_are_not_certified(self, monkeypatch):
+        # max(1.0, nan) is 1.0, so a NaN root would add 0 with no error
+        monkeypatch.setattr(mahler, "_aberth_roots", nan_root_finder)
         with pytest.raises(NonconvergenceError):
             mahler_univariate(t ** 40 - 10 ** 30 * t + 1)
+
+    def test_wide_coefficient_range_certifies(self):
+        # one root of modulus 1e-30 and 39 of modulus ~5.9: the Aberth start
+        # points must follow both circles, or the iteration overflows
+        est = mahler_univariate(t ** 40 - 10 ** 30 * t + 1)
+        assert est.value == pytest.approx(30 * math.log(10), abs=1e-9)  # 69.0775527898
+        assert est.error_bound <= 1e-9
+
+    def test_agrees_with_mpmath_polyroots(self):
+        rng = random.Random(64)
+        for _ in range(40):
+            deg = rng.randint(1, 30)
+            coeffs = [rng.choice([0, rng.randint(-10, 10)]) for _ in range(deg + 1)]
+            coeffs[0] = coeffs[0] or 1
+            coeffs[-1] = coeffs[-1] or -1
+            est = mahler_univariate(
+                LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+            )
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=20)
+            ref = math.log(abs(coeffs[-1])) + sum(
+                math.log(max(1.0, float(abs(r)))) for r in roots
+            )
+            assert abs(est.value - ref) <= est.error_bound + 1e-9, (coeffs, est.value, ref)
+
+    def test_lawton_images_of_1_t1_t2_t3(self):
+        f = 1 + sum(variables(3))
+        expected = {
+            (1, 4, 16): 0.4249349003800582,
+            (1, 8, 64): 0.4267157715999306,
+            (1, 16, 256): 0.42646092499659366,
+        }
+        for k, value in expected.items():
+            assert mahler_univariate(f.tau(k)).value == pytest.approx(value, abs=1e-9)
+        t0 = time.perf_counter()
+        est = mahler_univariate(f.tau((1, 32, 1024)))
+        assert time.perf_counter() - t0 < 2.0
+        assert est.error_bound <= 1e-9
 
     def test_unit_invariance_exact(self):
         rng = random.Random(60)
@@ -86,6 +132,14 @@ class TestKronecker:
         assert is_kronecker(t ** 2 - 3 * t + 1) is False
         assert is_kronecker(2 * t - 1) is False
         assert is_kronecker(t - 2) is False
+
+    def test_wide_coefficient_range_is_not_kronecker(self):
+        assert is_kronecker(t ** 40 - 10 ** 30 * t + 1) is False
+
+    def test_nonfinite_root_raises(self, monkeypatch):
+        monkeypatch.setattr(mahler, "_aberth_roots", nan_root_finder)
+        with pytest.raises(NonconvergenceError):
+            is_kronecker(t ** 4 + 1)
 
     def test_kronecker_implies_zero_measure(self):
         for f in (t ** 2 - t + 1, t ** 4 + t ** 3 + t ** 2 + t + 1, (t - 1) * (t + 1)):
