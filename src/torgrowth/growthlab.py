@@ -313,7 +313,10 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
     Per case: the exact order |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|),
     the rank |A|/|B| of alpha, mutual annihilation of the two ideals, and
     the multi-subgroup order bound.  Returns one result dict per check.
+    The random groups have order at least 2, so `max_order` must be too.
     """
+    if max_order < 2:
+        raise ValueError(f"max_order must be at least 2, got {max_order}")
     rng = random.Random(seed)
     results = []
     for case in range(cases):

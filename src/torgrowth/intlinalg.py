@@ -146,23 +146,29 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | Non
         s += 1
 
 
-def _chain_normalize(diag: list[int]) -> list[int]:
-    """Turn a diagonal multiset into the divisibility-chain invariant factors."""
-    d = [abs(x) for x in diag]
-    nz = [x for x in d if x]
-    zeros = len(d) - len(nz)
-    nz.sort()
-    for i in range(len(nz)):
-        if nz[i] == 1:
-            continue
-        for j in range(i + 1, len(nz)):
-            if nz[j] % nz[i]:
-                g = math.gcd(nz[i], nz[j])
-                nz[i], nz[j] = g, nz[i] // g * nz[j]
-        # keep the tail sorted so later steps see small entries first
-        tail = sorted(nz[i + 1 :])
-        nz[i + 1 :] = tail
-    return nz + [0] * zeros
+def _repair_chain(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | None = None) -> None:
+    """Turn the diagonal left by `_diagonalize` into a divisibility chain, in place.
+
+    The nonzero entries lead and are positive.  A pair (a, b) with b mod a
+    != 0 becomes (g, a*b/g), g = gcd(a, b) = x*a + y*b, by the row move
+    [[x, y], [-b/g, a/g]] and the column move [[1, -y*b/g], [1, x*a/g]];
+    both have determinant 1, and U and V record them as `_diagonalize` does.
+    """
+    k = 0
+    while k < min(A.shape) and A[k, k]:
+        k += 1
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = A[i, i], A[j, j]
+            if b % a:
+                x, y, g = xgcd(a, b)
+                A[i, i], A[j, j] = g, a // g * b
+                if U is not None:
+                    ui, uj = U[i], U[j]
+                    U[i], U[j] = x * ui + y * uj, a // g * uj - b // g * ui
+                if V is not None:
+                    vi, vj = V[:, i], V[:, j]
+                    V[:, i], V[:, j] = vi + vj, x * (a // g) * vj - y * (b // g) * vi
 
 
 def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
@@ -251,8 +257,9 @@ def snf_diagonal(mat) -> list[int]:
     cols = sorted({j for r in tail for j in r})
     A = to_object_array([[r.get(j, 0) for j in cols] for r in tail])
     _diagonalize(A)
+    _repair_chain(A)
     diag = [1] * ones + [A[i, i] for i in range(min(A.shape))]
-    return _chain_normalize(diag + [0] * (k - len(diag)))
+    return diag + [0] * (k - len(diag))
 
 
 def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,28 +277,7 @@ def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(n):
         V[j, j] = 1
     _diagonalize(A, U, V)
-    # repair the divisibility chain with explicit unimodular moves
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = A[i, i], A[j, j]
-                if a and b and b % a:
-                    # fold row j into row i, then re-clear the 2x2 block
-                    A[i] += A[j]
-                    U[i] += U[j]
-                    _diagonalize(A, U, V)
-                    changed = True
-                    break
-            if changed:
-                break
-    # sort zero rows last happens naturally; normalize signs
-    for i in range(k):
-        if A[i, i] < 0:
-            A[i] = -A[i]
-            U[i] = -U[i]
+    _repair_chain(A, U, V)
     return A, U, V
 
 

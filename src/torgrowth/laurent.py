@@ -634,7 +634,6 @@ def gcd_list(polys: Iterable[LaurentPoly], nvars: int) -> UnitNormalForm:
 # Parsing and JSON serialization
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*([^+-]+(?:\^\s*-\d+)?(?:[^+-]*(?:\^\s*-\d+)?)*)")
 _FACTOR_RE = re.compile(r"(\d+)|t(\d*)(?:\^(-?\d+))?")
 
 
@@ -647,24 +646,22 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")
-    # tokenize into signed terms, honoring '^-' exponents
+    # tokenize into signed terms, honoring '^-' exponents; every sign but a
+    # leading one must follow a term, and every sign must be followed by one
     pieces: list[tuple[int, str]] = []
-    i, sign = 0, 1
-    cur = []
-    while i < len(text):
-        ch = text[i]
+    sign, cur = 1, ""
+    for i, ch in enumerate(text):
         if ch in "+-" and (i == 0 or text[i - 1] != "^"):
-            if "".join(cur).strip():
-                pieces.append((sign, "".join(cur)))
-            sign = 1 if ch == "+" else -1
-            cur = []
+            if cur.strip():
+                pieces.append((sign, cur))
+            elif i:
+                raise ValueError(f"sign without a term in {text!r}")
+            sign, cur = (1 if ch == "+" else -1), ""
         else:
-            cur.append(ch)
-        i += 1
-    if "".join(cur).strip():
-        pieces.append((sign, "".join(cur)))
-    if not pieces:
-        raise ValueError(f"cannot parse polynomial: {text!r}")
+            cur += ch
+    if not cur.strip():
+        raise ValueError(f"sign without a term in {text!r}")
+    pieces.append((sign, cur))
 
     parsed: list[tuple[int, dict[int, int]]] = []
     maxvar = 0

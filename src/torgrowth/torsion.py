@@ -6,19 +6,21 @@ Z[A_Gamma]; Smith normal form of that matrix gives the torsion order (product
 of the nonzero invariant factors), the Betti number of the cokernel, and the
 growth statistic log|Tor| / |A_Gamma|.
 
-The classical product over roots of unity of the Alexander polynomial serves
-as an independent oracle for cyclic branched covers of knots.
+Two exact oracles check the SNF route with no floating point: the product of
+f over the characters of A_Gamma (`character_product`) and Fox's product for
+cyclic branched covers of knots (`cyclic_branched_oracle`).  Both multiply
+cyclotomic norms, one integer resultant Res(Phi_d, g) per Galois orbit of
+characters of order d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import mpmath
-
-from .groupalg import mult_matrix, project_poly
+from .groupalg import characters, mult_matrix, project_poly
 from .intlinalg import (
     bareiss_det,
     int_log,
@@ -188,7 +190,7 @@ def chain_torsion(cx: ChainComplex, i: int, gamma) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Classical cross-validation oracle for cyclic branched covers of knots
+# Exact products over characters: cyclotomic norms
 # ---------------------------------------------------------------------------
 
 
@@ -205,21 +207,58 @@ def _cyclotomic(k: int) -> LaurentPoly:
     return f
 
 
-def vanishes_at_root_of_unity(delta_poly: LaurentPoly, ell: int) -> bool:
-    """Exact check: does delta vanish at some primitive k-th root, k | ell, k > 1?"""
-    for k in range(2, ell + 1):
-        if ell % k == 0 and div_exact(delta_poly, _cyclotomic(k)) is not None:
-            return True
-    return False
+def _cyclotomic_norm(g: list[int], d: int) -> int:
+    """Res(Phi_d, g) for g = sum g[i] t^i: det of x -> g*x on Z[t]/(Phi_d).
+
+    Phi_d is monic of degree n, so t^n = -(phi[0] + ... + phi[n-1] t^(n-1));
+    the columns g, t*g, ..., t^(n-1)*g are reduced by that rule.
+    """
+    coeffs = {e: c for (e,), c in _cyclotomic(d).terms}
+    n = max(coeffs)
+    phi = [coeffs.get(i, 0) for i in range(n)]
+    col = list(g)
+    while len(col) > n:
+        c = col.pop()
+        for i, p in enumerate(phi):
+            col[len(col) - n + i] -= c * p
+    cols = [col]
+    for _ in range(n - 1):
+        c = col[-1]
+        col = [-c * phi[0]] + [a - c * p for a, p in zip(col, phi[1:])]
+        cols.append(col)
+    return bareiss_det(cols)
+
+
+def _orbit_norms(f: LaurentPoly, group: FinAbGroup):
+    """Yield (d, prod of f over the orbit) for each Galois orbit of characters.
+
+    On the orbit {chi^k : gcd(k, d) = 1} of a character chi of order d with
+    rotation numbers q, f(chi^k) = g(zeta_d^k) for
+    g(t) = sum c * t^(<e, q>*d mod d), so the orbit's product is the integer
+    Res(Phi_d, g).
+    """
+    if f.nvars != group.nvars:
+        raise ValueError("dimension mismatch between polynomial and group")
+    seen = set()
+    for ch in characters(group):
+        d = math.lcm(*(q.denominator for q in ch.rotations))
+        w = [int(q * d) for q in ch.rotations]
+        if (d, tuple(w)) in seen:
+            continue
+        seen.update((d, tuple(k * x % d for x in w)) for k in range(1, d + 1) if math.gcd(k, d) == 1)
+        g = [0] * d
+        for exp, c in f.terms:
+            g[sum(e * x for e, x in zip(exp, w)) % d] += c
+        yield d, _cyclotomic_norm(g, d)
 
 
 def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:
-    """Product over j = 1..ell-1 of |Delta(zeta_ell^j)|, rounded exactly.
+    """Product over j = 1..ell-1 of |Delta(zeta_ell^j)|, exactly.
 
     The classical torsion count for the ell-fold cyclic branched cover of a
-    knot; requires Delta not to vanish at any ell-th root of unity.  The
-    working precision is chosen so the accumulated error is below 0.25, which
-    certifies the nearest-integer rounding.
+    knot (Fox's formula |Res(Delta, (t^ell - 1)/(t - 1))|): the product of
+    the cyclotomic norms Res(Phi_d, Delta) over d | ell, d > 1.  Raises
+    OracleDegenerateError when one of them is 0.
     """
     if delta_poly.nvars != 1:
         raise ValueError("the oracle takes a univariate Alexander polynomial")
@@ -227,56 +266,27 @@ def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:
         raise ValueError("zero polynomial")
     if ell < 1:
         raise ValueError("ell must be positive")
-    if ell == 1:
-        return 1
-    if vanishes_at_root_of_unity(delta_poly, ell):
-        raise OracleDegenerateError(
-            f"Delta vanishes at an {ell}-th root of unity; product formula degenerate"
-        )
-    digits = 30 + int(ell * max(1.0, mpmath.log10(delta_poly.one_norm() + 1)))
-    for attempt in range(3):
-        with mpmath.workdps(digits):
-            prod = mpmath.mpf(1)
-            for j in range(1, ell):
-                z = mpmath.e ** (2j * mpmath.pi * j / ell)
-                acc = mpmath.mpc(0)
-                for exp, c in delta_poly.terms:
-                    acc += c * z ** exp[0]
-                prod *= abs(acc)
-            nearest = int(mpmath.nint(prod))
-            if abs(prod - nearest) < 0.25:
-                return nearest
-        digits *= 2
-    raise ArithmeticError("could not certify the oracle product rounding")
+    out = 1
+    for d, norm in _orbit_norms(delta_poly, quotient(Subgroup.cyclic(ell))):
+        if d > 1:
+            if norm == 0:
+                raise OracleDegenerateError(
+                    f"Delta vanishes at an {ell}-th root of unity; product formula degenerate"
+                )
+            out *= abs(norm)
+    return out
 
 
 def character_product(f: LaurentPoly, gamma) -> int:
-    """|prod over characters of f(z)| as a certified integer.
+    """|prod over characters of f(z)| as an exact integer.
 
     For a 1 x 1 presentation this is the determinant of the expanded matrix,
-    hence the torsion order when f vanishes at no character.
+    hence the torsion order when f vanishes at no character (0 otherwise).
     """
-    from .groupalg import characters
-
-    group = _resolve_group(gamma)
-    chs = characters(group)
-    digits = 30 + int(group.order * max(1.0, mpmath.log10(f.one_norm() + 1)))
-    with mpmath.workdps(digits):
-        prod = mpmath.mpf(1)
-        for ch in chs:
-            z = [mpmath.e ** (2j * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator) for q in ch.rotations]
-            acc = mpmath.mpc(0)
-            for exp, c in f.terms:
-                term = mpmath.mpc(c)
-                for zi, e in zip(z, exp):
-                    if e:
-                        term *= zi ** e
-                acc += term
-            prod *= abs(acc)
-        nearest = int(mpmath.nint(prod))
-        if abs(prod - nearest) >= 0.25:
-            raise ArithmeticError("could not certify the character product rounding")
-    return nearest
+    out = 1
+    for _, norm in _orbit_norms(f, _resolve_group(gamma)):
+        out *= abs(norm)
+    return out
 
 
 # ---------------------------------------------------------------------------

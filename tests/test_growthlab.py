@@ -222,6 +222,12 @@ class TestGroupalgSuite:
         b = groupalg_identity_suite(cases=4, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("max_order", [1, 0, -3])
+    def test_rejects_max_order_below_two(self, max_order):
+        # no random group has order below 2; the search would never end
+        with pytest.raises(ValueError, match="max_order"):
+            groupalg_identity_suite(cases=1, max_order=max_order)
+
 
 class TestCli:
     def test_alexander(self, capsys, tmp_path, trefoil_text):
@@ -259,6 +265,13 @@ class TestCli:
         assert out["method"] == "jensen"
         assert abs(out["value"] - 0.9624236501) < 1e-8
 
+    def test_mahler_rejects_dangling_sign(self, capsys):
+        assert cli_main(["mahler", "--poly", "t + + 1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "sign without a term" in err["message"]
+
     def test_mahler_quadrature(self, capsys):
         assert cli_main([
             "mahler", "--poly", "3 + t1 + t2", "--nvars", "2",
@@ -281,6 +294,11 @@ class TestCli:
         assert cli_main(["groupalg-check", "--cases", "5", "--max-order", "30"]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
+
+    def test_groupalg_check_rejects_max_order_one(self, capsys):
+        assert cli_main(["groupalg-check", "--cases", "2", "--max-order", "1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "max_order" in err["message"]
 
     def test_error_is_machine_readable(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"

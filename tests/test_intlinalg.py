@@ -105,6 +105,27 @@ def test_snf_transforms_unimodular():
         assert [int(D[i, i]) for i in range(min(m, n))] == snf_diagonal(M)
 
 
+def test_snf_transforms_repair_divisibility_chain():
+    # diagonal entries with no divisibility chain, e.g. (6, 4, 10) -> (2, 2, 60)
+    D, U, V = snf_with_transforms([[6, 0, 0], [0, 4, 0], [0, 0, 10]])
+    assert [D[i, i] for i in range(3)] == [2, 2, 60]
+    rng = random.Random(15)
+    for _ in range(120):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        M = [[rng.choice([0, 2, 3, 4, 6, 9, 10, 15]) if i == j else 0 for j in range(n)]
+             for i in range(m)]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(range(m), 2)
+            M[a] = [x - y for x, y in zip(M[a], M[b])]
+        D, U, V = snf_with_transforms(M)
+        UMV = matmul(matmul([list(r) for r in U], M), [list(r) for r in V])
+        assert all(UMV[i][j] == D[i, j] for i in range(m) for j in range(n))
+        assert abs(bareiss_det([list(map(int, r)) for r in U])) == 1
+        assert abs(bareiss_det([list(map(int, r)) for r in V])) == 1
+        diag = [int(D[i, i]) for i in range(min(m, n))]
+        assert diag == brute_invariant_factors(M) == snf_diagonal(M)
+
+
 def test_kernel_basis_spans_kernel():
     rng = random.Random(12)
     for _ in range(150):

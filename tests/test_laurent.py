@@ -246,12 +246,19 @@ class TestParseAndJson:
         assert parse_poly("t1*t2 - 1", 2) == t1 * t2 - 1
         assert parse_poly("-2*t1^-1 + t2", 2) == -2 * t1 ** -1 + t2
         assert parse_poly("5") == LaurentPoly.constant(1, 5)
+        assert parse_poly("+t") == t
+        assert parse_poly("- t^-1 - 1") == -t ** -1 - 1
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             parse_poly("t1 + spam", 2)
         with pytest.raises(ValueError):
             parse_poly("")
+
+    @pytest.mark.parametrize("text", ["t1+", "t + + 1", "t - -1", "+", "-"])
+    def test_parse_rejects_dangling_sign(self, text):
+        with pytest.raises(ValueError, match="sign without a term"):
+            parse_poly(text)
 
     def test_json_roundtrip(self):
         rng = random.Random(8)

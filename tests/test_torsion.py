@@ -1,12 +1,16 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from conftest import random_laurent
 from torgrowth.groupalg import mult_matrix, project_poly
-from torgrowth.lattices import FinAbGroup, Subgroup
+from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj
 from torgrowth.laurent import LaurentPoly, variables
 from torgrowth.presmod import (
     ChainComplex,
@@ -29,8 +33,8 @@ from torgrowth.torsion import (
     growth_sample,
     koszul_orders,
     snf,
+    torsion_and_betti,
     torsion_order,
-    vanishes_at_root_of_unity,
 )
 
 t, = variables(1)
@@ -171,22 +175,96 @@ class TestOracle:
 
     def test_degenerate(self, trefoil_text):
         dpoly = delta(alexander_module(parse_presentation(trefoil_text))).poly
-        assert vanishes_at_root_of_unity(dpoly, 6)
-        assert not vanishes_at_root_of_unity(dpoly, 5)
         with pytest.raises(OracleDegenerateError):
             cyclic_branched_oracle(dpoly, 6)
+        assert cyclic_branched_oracle(dpoly, 5) == 1  # the Poincare sphere
 
     def test_rejects_multivariate(self):
         with pytest.raises(ValueError):
             cyclic_branched_oracle(t1 + t2, 3)
 
     def test_big_precision(self):
-        # large coefficients force the certified-precision path
+        # large coefficients: the product is a 394-bit integer, computed exactly
         f = 991 * t - 993
         val = cyclic_branched_oracle(f, 40)
         # product over 40th roots: |Res(t^40-1, f)| / |f(1)|
         res = 993 ** 40 - 991 ** 40
         assert val == res // (993 - 991)
+
+
+class TestExactProductDifferential:
+    """The cyclotomic-norm products against SNF, an independent exact route."""
+
+    @staticmethod
+    def _random_subgroup(rng):
+        kind = rng.choice(["diagonal", "cyclic", "gamma_sj"])
+        if kind == "diagonal":
+            return Subgroup.diagonal(2, rng.randint(1, 12))
+        if kind == "cyclic":
+            return Subgroup.cyclic(rng.randint(1, 144))
+        k = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (3, 2), (2, -3), (1, -4)])
+        return gamma_sj(k, rng.randint(1, 144 // (k[0] ** 2 + k[1] ** 2)))
+
+    def test_character_product_matches_snf(self):
+        rng = random.Random(505)
+        kinds = set()
+        for _ in range(60):
+            gamma = self._random_subgroup(rng)
+            f = random_laurent(rng, gamma.nvars, max_terms=4, coeff_max=4)
+            if f.is_zero():
+                continue
+            res = snf(expand(PresentedModule.quotient_by_ideal(gamma.nvars, [f]), gamma))
+            order = len(res.invariant_factors)
+            assert order <= 144
+            if res.rank == order:
+                assert character_product(f, gamma) == res.torsion_order()
+                kinds.add("full rank")
+            else:
+                assert character_product(f, gamma) == 0
+                kinds.add("rank short")
+        assert kinds == {"full rank", "rank short"}
+
+    def test_branched_oracle_is_fox_formula(self):
+        # Z[t]/(Delta, 1 + t + ... + t^(l-1)) over Z/l has order |Res(Delta, N_l)|
+        rng = random.Random(506)
+        kinds = set()
+        for _ in range(80):
+            dpoly = random_laurent(rng, 1, max_terms=4, exp_range=(-2, 3), coeff_max=4)
+            if dpoly.is_zero():
+                continue
+            ell = rng.randint(1, 12)
+            norm = sum((t ** i for i in range(ell)), LaurentPoly.zero(1))
+            mod = PresentedModule.quotient_by_ideal(1, [dpoly, norm])
+            tor, b = torsion_and_betti(mod, Subgroup.cyclic(ell))
+            if b:
+                with pytest.raises(OracleDegenerateError):
+                    cyclic_branched_oracle(dpoly, ell)
+                kinds.add("degenerate")
+            else:
+                assert cyclic_branched_oracle(dpoly, ell) == tor
+                kinds.add("finite")
+        assert kinds == {"degenerate", "finite"}
+
+    def test_character_product_budget_at_index_1024(self):
+        gamma = Subgroup.diagonal(2, 32)
+        want = torsion_order(PresentedModule.quotient_by_ideal(2, [3 + t1 + t2]), gamma)
+        start = time.perf_counter()
+        got = character_product(3 + t1 + t2, gamma)
+        assert time.perf_counter() - start < 1.0
+        assert got == want
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            character_product(3 + t1 + t2, Subgroup.cyclic(4))
+
+    def test_import_leaves_mpmath_unloaded(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import torgrowth, sys; print('mpmath' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestOracleEquivalence:
