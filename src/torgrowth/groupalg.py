@@ -280,9 +280,6 @@ class Character:
         """The complex point (z_1, ..., z_n) on the torus."""
         return tuple(cmath.exp(2j * cmath.pi * float(q)) for q in self.rotations)
 
-    def eval_poly(self, f: LaurentPoly) -> complex:
-        return f.evaluate(self.point())
-
 
 def characters(group: FinAbGroup) -> list[Character]:
     """All |A| characters, ordered like the element enumeration."""

@@ -408,17 +408,7 @@ def hnf_coordinates(basis_rows, target) -> list[int] | None:
 
 def lattice_contains(vectors, target) -> bool:
     """Whether `target` lies in the lattice spanned by `vectors`."""
-    basis = hnf_rows(vectors)
-    v = [int(x) for x in target]
-    for row in basis:
-        j = next(i for i, x in enumerate(row) if x)
-        if v[j] % row[j] == 0:
-            q = v[j] // row[j]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        elif v[j]:
-            return False
-    return all(x == 0 for x in v)
+    return hnf_coordinates(hnf_rows(vectors), target) is not None
 
 
 def solve_rational(A, b) -> list[Fraction] | None:

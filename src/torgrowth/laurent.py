@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class LaurentPoly:
@@ -386,219 +386,89 @@ def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
 # GCD via content / primitive-part recursion with subresultant sequences
 # ---------------------------------------------------------------------------
 #
-# Internal recursive-sparse form: a polynomial in L variables is a dict
-# {exponent of the first variable: polynomial in the remaining L-1 variables},
-# and an integer at L = 0.  All divisions below are exact by construction.
+# At level i the main variable is t_i and each coefficient of a power of t_i
+# is a LaurentPoly free of t_0..t_i; every division is exact.
 
 
-def _r_zero(L):
-    return 0 if L == 0 else {}
+def _deg(f: LaurentPoly, i: int) -> int:
+    return max(e[i] for e in f._terms)
 
 
-def _r_is_zero(p, L):
-    return p == 0 if L == 0 else not p
+def _coeff_in(f: LaurentPoly, i: int, d: int) -> LaurentPoly:
+    """The coefficient of t_i^d."""
+    return LaurentPoly(
+        f.nvars, {e[:i] + (0,) + e[i + 1:]: c for e, c in f._terms.items() if e[i] == d}
+    )
 
 
-def _r_one(L):
-    return 1 if L == 0 else {0: _r_one(L - 1)}
-
-
-def _r_is_one(p, L):
-    if L == 0:
-        return p == 1
-    return len(p) == 1 and 0 in p and _r_is_one(p[0], L - 1)
-
-
-def _r_neg(p, L):
-    if L == 0:
-        return -p
-    return {e: _r_neg(c, L - 1) for e, c in p.items()}
-
-
-def _r_add(a, b, L):
-    if L == 0:
-        return a + b
-    out = dict(a)
-    for e, c in b.items():
-        s = _r_add(out.get(e, _r_zero(L - 1)), c, L - 1)
-        if _r_is_zero(s, L - 1):
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _r_sub(a, b, L):
-    return _r_add(a, _r_neg(b, L), L)
-
-
-def _r_mul(a, b, L):
-    if L == 0:
-        return a * b
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = _r_mul(c1, c2, L - 1)
-            if e in out:
-                s = _r_add(out[e], s, L - 1)
-            if _r_is_zero(s, L - 1):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _r_mul_coeff(p, c, L):
-    """Multiply a level-L polynomial by a level-(L-1) coefficient."""
-    if _r_is_zero(c, L - 1):
-        return _r_zero(L)
-    return {e: _r_mul(v, c, L - 1) for e, v in p.items()}
-
-
-def _r_pow(p, n, L):
-    out = _r_one(L)
-    for _ in range(n):
-        out = _r_mul(out, p, L)
-    return out
-
-
-def _r_div_exact(a, b, L):
-    """Exact division at level L; returns None when not divisible."""
-    if L == 0:
-        if b == 0:
-            return None
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-    if not a:
-        return {}
-    if not b:
-        return None
-    db = max(b)
-    lcb = b[db]
-    r = dict(a)
-    q = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            return None
-        qc = _r_div_exact(r[dr], lcb, L - 1)
-        if qc is None:
-            return None
-        q[dr - db] = qc
-        for e, c in b.items():
-            t = dr - db + e
-            s = _r_sub(r.get(t, _r_zero(L - 1)), _r_mul(qc, c, L - 1), L - 1)
-            if _r_is_zero(s, L - 1):
-                r.pop(t, None)
-            else:
-                r[t] = s
+def _div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    q = div_exact(f, g)
+    assert q is not None, "inexact division in a subresultant sequence"
     return q
 
 
-def _r_lead_sign(p, L):
-    if L == 0:
-        return (p > 0) - (p < 0)
-    if not p:
-        return 0
-    return _r_lead_sign(p[max(p)], L - 1)
+def _sign_norm(f: LaurentPoly) -> LaurentPoly:
+    """Flip f so its lexicographically greatest term is positive."""
+    return -f if f and f._terms[max(f._terms)] < 0 else f
 
 
-def _r_sign_norm(p, L):
-    return _r_neg(p, L) if _r_lead_sign(p, L) < 0 else p
-
-
-def _r_content(p, L):
-    """GCD of the coefficients, a sign-normalized level-(L-1) polynomial."""
-    c = _r_zero(L - 1)
-    for v in p.values():
-        c = _r_gcd(c, v, L - 1)
-        if _r_is_one(c, L - 1):
+def _content(f: LaurentPoly, i: int) -> LaurentPoly:
+    """GCD of the coefficients in t_i, sign-normalized."""
+    c = LaurentPoly.zero(f.nvars)
+    for d in sorted({e[i] for e in f._terms}):
+        c = _poly_gcd(c, _coeff_in(f, i, d), i + 1)
+        if c.is_one():
             break
     return c
 
 
-def _r_prem(f, g, L):
-    """Pseudo-remainder of f by g in the top variable (deg f >= deg g)."""
-    dg = max(g)
-    lcg = g[dg]
-    n = max(f) - dg + 1
-    r = dict(f)
-    while r and (dr := max(r)) >= dg:
-        lcr = r[dr]
+def _prem(f: LaurentPoly, g: LaurentPoly, i: int) -> LaurentPoly:
+    """Pseudo-remainder of f by g in t_i (deg f >= deg g)."""
+    dg = _deg(g, i)
+    lcg = _coeff_in(g, i, dg)
+    n = _deg(f, i) - dg + 1
+    r = f
+    while r and (dr := _deg(r, i)) >= dg:
+        step = [0] * f.nvars
+        step[i] = dr - dg
+        r = r * lcg - _coeff_in(r, i, dr) * g.shift(step)
         n -= 1
-        new = {}
-        for e, c in r.items():
-            new[e] = _r_mul(c, lcg, L - 1)
-        for e, c in g.items():
-            t = dr - dg + e
-            s = _r_sub(new.get(t, _r_zero(L - 1)), _r_mul(lcr, c, L - 1), L - 1)
-            if _r_is_zero(s, L - 1):
-                new.pop(t, None)
-            else:
-                new[t] = s
-        r = new
-    if n > 0:
-        scale = _r_pow(lcg, n, L - 1)
-        r = _r_mul_coeff(r, scale, L)
-    return r
+    return r * lcg ** n if n > 0 else r
 
 
-def _r_gcd(f, g, L):
-    if L == 0:
-        return math.gcd(f, g)
-    if _r_is_zero(f, L):
-        return _r_sign_norm(g, L)
-    if _r_is_zero(g, L):
-        return _r_sign_norm(f, L)
-    cf, cg = _r_content(f, L), _r_content(g, L)
-    c = _r_gcd(cf, cg, L - 1)
-    pf = {e: _r_div_exact(v, cf, L - 1) for e, v in f.items()}
-    pg = {e: _r_div_exact(v, cg, L - 1) for e, v in g.items()}
-    if max(pf) < max(pg):
+def _poly_gcd(f: LaurentPoly, g: LaurentPoly, i: int) -> LaurentPoly:
+    """Sign-normalized GCD of polynomials free of t_0..t_(i-1)."""
+    n = f.nvars
+    if i == n:
+        zero = (0,) * n
+        return LaurentPoly.constant(n, math.gcd(f.coeff(zero), g.coeff(zero)))
+    if not f or not g:
+        return _sign_norm(f or g)
+    cf, cg = _content(f, i), _content(g, i)
+    c = _poly_gcd(cf, cg, i + 1)
+    pf, pg = _div(f, cf), _div(g, cg)
+    if _deg(pf, i) < _deg(pg, i):
         pf, pg = pg, pf
-    # subresultant remainder sequence on the primitive parts
-    if max(pg) == 0:
-        result = _r_one(L)
-    else:
-        g_, h_ = _r_one(L - 1), _r_one(L - 1)
+    one = LaurentPoly.one(n)
+    result = one
+    if _deg(pg, i) > 0:
+        # subresultant remainder sequence on the primitive parts
+        g_ = h_ = one
         while True:
-            delta = max(pf) - max(pg)
-            r = _r_prem(pf, pg, L)
-            if _r_is_zero(r, L):
-                cont = _r_content(pg, L)
-                result = {e: _r_div_exact(v, cont, L - 1) for e, v in pg.items()}
+            delta = _deg(pf, i) - _deg(pg, i)
+            r = _prem(pf, pg, i)
+            if not r:
+                result = _div(pg, _content(pg, i))
                 break
-            if max(r) == 0:
-                result = _r_one(L)
+            if _deg(r, i) == 0:
                 break
-            denom = _r_mul(g_, _r_pow(h_, delta, L - 1), L - 1)
-            pf, pg = pg, {e: _r_div_exact(v, denom, L - 1) for e, v in r.items()}
-            g_ = pf[max(pf)]
+            pf, pg = pg, _div(r, g_ * h_ ** delta)
+            g_ = _coeff_in(pf, i, _deg(pf, i))
             if delta == 1:
                 h_ = g_
             elif delta > 1:
-                h_ = _r_div_exact(_r_pow(g_, delta, L - 1), _r_pow(h_, delta - 1, L - 1), L - 1)
-    result = _r_mul_coeff(result, c, L) if not _r_is_one(c, L - 1) else result
-    return _r_sign_norm(result, L)
-
-
-def _to_recursive(terms: Mapping[tuple, int], L: int):
-    if L == 0:
-        return terms.get((), 0)
-    split: dict[int, dict] = {}
-    for exp, c in terms.items():
-        split.setdefault(exp[0], {})[exp[1:]] = c
-    return {e: _to_recursive(sub, L - 1) for e, sub in split.items()}
-
-
-def _from_recursive(p, L: int, prefix=()):
-    if L == 0:
-        return {prefix: p} if p else {}
-    out = {}
-    for e, sub in p.items():
-        out.update(_from_recursive(sub, L - 1, prefix + (e,)))
-    return out
+                h_ = _div(g_ ** delta, h_ ** (delta - 1))
+    return _sign_norm(result * c)
 
 
 def gcd(f: LaurentPoly, g: LaurentPoly) -> UnitNormalForm:
@@ -613,11 +483,7 @@ def gcd(f: LaurentPoly, g: LaurentPoly) -> UnitNormalForm:
         return normalize_unit(g)
     if g.is_zero():
         return normalize_unit(f)
-    fn = normalize_unit(f).poly
-    gn = normalize_unit(g).poly
-    L = f.nvars
-    h = _r_gcd(_to_recursive(fn._terms, L), _to_recursive(gn._terms, L), L)
-    return normalize_unit(LaurentPoly(L, _from_recursive(h, L)))
+    return normalize_unit(_poly_gcd(normalize_unit(f).poly, normalize_unit(g).poly, 0))
 
 
 def gcd_list(polys: Iterable[LaurentPoly], nvars: int) -> UnitNormalForm:
@@ -668,9 +534,10 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     for sign, chunk in pieces:
         coeff = sign
         exps: dict[int, int] = {}
-        body = chunk.replace("*", " ").strip()
-        if not body:
-            raise ValueError(f"cannot parse term in {text!r}")
+        factors = chunk.split("*")
+        if not all(f.strip() for f in factors):
+            raise ValueError(f"empty factor around '*' in {text!r}")
+        body = " ".join(factors).strip()
         pos = 0
         for m in _FACTOR_RE.finditer(body):
             if m.start() < pos:

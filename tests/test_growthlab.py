@@ -272,6 +272,13 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and "sign without a term" in err["message"]
 
+    def test_mahler_rejects_empty_factor(self, capsys):
+        assert cli_main(["mahler", "--poly", "t**2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "empty factor" in err["message"]
+
     def test_mahler_quadrature(self, capsys):
         assert cli_main([
             "mahler", "--poly", "3 + t1 + t2", "--nvars", "2",

@@ -134,6 +134,23 @@ class TestGcd:
             if not g.is_zero():
                 assert divides(d, g)
 
+    def test_three_variables(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            f, g = random_laurent(rng, 3), random_laurent(rng, 3)
+            h = random_nonzero_laurent(rng, 3)
+            d = gcd(f, g).poly
+            assert gcd(g, f).poly == d
+            if not d.is_zero():
+                assert divides(d, f) and divides(d, g)
+            assert gcd(f * h, g * h).poly == normalize_unit(d * h).poly
+
+    def test_three_variable_known_answers(self):
+        s1, s2, s3 = variables(3)
+        common = 1 + s1 + s2 + s3
+        assert gcd(common * (s1 - s2), common * (s3 + 2)).poly == common
+        assert gcd(2 * s3 * (s1 + s2), 4 * (s1 + s2)).poly == 2 * (s1 + s2)
+
     def test_gcd_list_short_circuit(self):
         polys = [t - 1, t + 1, LaurentPoly.constant(1, 7)]
         assert gcd_list(polys, 1).poly.is_one()
@@ -248,6 +265,7 @@ class TestParseAndJson:
         assert parse_poly("5") == LaurentPoly.constant(1, 5)
         assert parse_poly("+t") == t
         assert parse_poly("- t^-1 - 1") == -t ** -1 - 1
+        assert parse_poly("2t") == parse_poly("2 t") == 2 * t
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -255,9 +273,11 @@ class TestParseAndJson:
         with pytest.raises(ValueError):
             parse_poly("")
 
-    @pytest.mark.parametrize("text", ["t1+", "t + + 1", "t - -1", "+", "-"])
+    @pytest.mark.parametrize("text", ["t1+", "t + + 1", "t - -1", "+", "-",
+                                      "3*-t", "t**2", "3*", "*t", "*"])
     def test_parse_rejects_dangling_sign(self, text):
-        with pytest.raises(ValueError, match="sign without a term"):
+        message = "empty factor" if "*" in text else "sign without a term"
+        with pytest.raises(ValueError, match=message):
             parse_poly(text)
 
     def test_json_roundtrip(self):
