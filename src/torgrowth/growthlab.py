@@ -39,6 +39,7 @@ from .presmod import (
     branched_module,
     delta,
     parse_presentation,
+    reduce_presentation,
 )
 from .torsion import GrowthSample, growth_sample
 
@@ -58,6 +59,14 @@ def _required(spec: dict, key: str, kind: str):
     if key not in spec:
         raise ConfigError(f"the {kind!r} sequence needs {key!r}")
     return spec[key]
+
+
+def _spec_range(spec: dict, kind: str) -> range:
+    """start..stop inclusive by step, from a cyclic or diagonal spec."""
+    step = int(spec.get("step", 1))
+    if step == 0:
+        raise ConfigError(f"the {kind!r} sequence needs a nonzero 'step'")
+    return range(int(spec.get("start", 1)), int(_required(spec, "stop", kind)) + 1, step)
 
 
 @dataclass(frozen=True)
@@ -116,16 +125,10 @@ class ExperimentConfig:
         if kind == "cyclic":
             if mod.nvars != 1:
                 raise ConfigError("cyclic sequences need a one-variable module")
-            start, stop = int(spec.get("start", 1)), int(_required(spec, "stop", kind))
-            step = int(spec.get("step", 1))
-            for ell in range(start, stop + 1, step):
+            for ell in _spec_range(spec, kind):
                 subgroups.append((f"cyclic:{ell}", Subgroup.cyclic(ell)))
         elif kind == "diagonal":
-            if "ds" in spec:
-                ds = [int(d) for d in spec["ds"]]
-            else:
-                stop = int(_required(spec, "stop", kind))
-                ds = list(range(int(spec.get("start", 1)), stop + 1, int(spec.get("step", 1))))
+            ds = [int(d) for d in spec["ds"]] if "ds" in spec else _spec_range(spec, kind)
             for d in ds:
                 subgroups.append((f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)))
         elif kind == "gamma_sj":
@@ -249,12 +252,13 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         schedule=config.mahler_schedule,
     )
     t_target = time.perf_counter()
+    reduced = reduce_presentation(mod)
     if config.jobs > 1:
         descs, gammas = zip(*config.sequence)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            samples = list(pool.map(growth_sample, repeat(mod), gammas, descs))
+            samples = list(pool.map(growth_sample, repeat(reduced), gammas, descs))
     else:
-        samples = [growth_sample(mod, gamma, desc) for desc, gamma in config.sequence]
+        samples = [growth_sample(reduced, gamma, desc) for desc, gamma in config.sequence]
     samples.sort(key=lambda s: (s.index, s.gamma))
     final_gap = abs(samples[-1].growth_stat - target.value)
     t_end = time.perf_counter()

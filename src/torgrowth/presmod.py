@@ -5,6 +5,11 @@ presenting R^m1 -> R^m0 -> M -> 0.  The j-th Alexander polynomial is the
 GCD of all (m0-j)-minors, with the degenerate conventions: nothing left to
 take (m0-j <= 0) gives 1, minors larger than the matrix (m0-j > m1) give 0.
 
+`reduce_presentation` shrinks a presentation by invertible row and column
+moves, so the module, its Fitting ideals (Eisenbud, Commutative Algebra,
+20.2) and every M ⊗ Z[A] stay the same; `alexander` never reduces, so the
+two check each other.
+
 Also here: Fox calculus for group presentations, the chain complex of the
 universal abelian cover of the associated 2-complex, and the block
 presentation of the branched-cover module.
@@ -104,6 +109,47 @@ class PresentedModule:
             tuple(poly_from_json(e, nvars) for e in row) for row in data["matrix"]
         )
         return cls(nvars, rows, int(data.get("m0", -1)))
+
+
+def reduce_presentation(mod: PresentedModule) -> PresentedModule:
+    """An isomorphic, usually smaller presentation of the same module.
+
+    1. Unit pivots (Tietze moves): while an entry u = ±t^k exists, take the
+       one with the least (row nonzeros - 1) * (column nonzeros - 1), ties
+       by (row, column); clear its column with row moves by entry * u^-1,
+       then drop its row and column.
+    2. Singleton columns: if e is the only nonzero entry of its column, in
+       row i, zero each other entry a of row i with e | a exactly (the
+       column move col_j -= (a / e) * col_e changes row i only).
+    3. Zero rows go; zero columns stay, as free generators.
+    """
+    rows = [list(r) for r in mod.matrix]
+    m0 = mod.m0
+    while True:
+        col_nnz = [sum(1 for r in rows if r[j]) for j in range(m0)]
+        pivots = [
+            ((sum(1 for a in r if a) - 1) * (col_nnz[j] - 1), i, j)
+            for i, r in enumerate(rows) for j, e in enumerate(r) if e.is_unit()
+        ]
+        if not pivots:
+            break
+        _, p, c = min(pivots)
+        prow = rows.pop(p)
+        inv = prow[c] ** -1
+        for r in rows:
+            if r[c]:
+                f = r[c] * inv
+                r[:] = [a - f * b if b else a for a, b in zip(r, prow)]
+            del r[c]
+        m0 -= 1
+    for c in range(m0):
+        live = [r for r in rows if r[c]]
+        if len(live) == 1:
+            row = live[0]
+            for j, a in enumerate(row):
+                if j != c and a and div_exact(a, row[c]) is not None:
+                    row[j] = LaurentPoly.zero(mod.nvars)
+    return PresentedModule(mod.nvars, tuple(tuple(r) for r in rows if any(r)), m0)
 
 
 def _eliminate(rows: Sequence[Sequence[LaurentPoly]], ncols: int,

@@ -6,6 +6,10 @@ Z[A_Gamma]; Smith normal form of that matrix gives the torsion order (product
 of the nonzero invariant factors), the Betti number of the cokernel, and the
 growth statistic log|Tor| / |A_Gamma|.
 
+Every torsion query runs `presmod.reduce_presentation` first: its moves stay
+invertible over Z[A_Gamma], so the cokernel is unchanged, but a unit of R is
+no longer |A_Gamma| unit pivots for SNF to find again.
+
 Two exact oracles check the SNF route with no floating point: the product of
 f over the characters of A_Gamma (`character_product`) and Fox's product for
 cyclic branched covers of knots (`cyclic_branched_oracle`).  Both multiply
@@ -30,7 +34,7 @@ from .intlinalg import (
 )
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient
 from .laurent import LaurentPoly, div_exact
-from .presmod import ChainComplex, PresentedModule
+from .presmod import ChainComplex, PresentedModule, reduce_presentation
 
 
 class OracleDegenerateError(ValueError):
@@ -94,11 +98,17 @@ def expand(matrix, gamma, nvars: int | None = None) -> list[list[int]]:
 
 
 def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
-    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, from one SNF."""
+    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, from one SNF.
+
+    Only the nonzero columns of the reduced presentation are expanded; each
+    zero column is a free generator and adds |A| to the Betti number.
+    """
     group = _resolve_group(gamma)
+    mod = reduce_presentation(mod)
     if not mod.matrix:
         return 1, mod.m0 * group.order
-    res = snf(expand(mod, group))
+    live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
+    res = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
     return res.torsion_order(), mod.m0 * group.order - res.rank
 
 

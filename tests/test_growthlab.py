@@ -92,6 +92,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("kind", ["cyclic", "diagonal"])
+    def test_zero_step_is_config_error(self, kind):
+        cfg = config_dict(sequence={kind: {"start": 1, "stop": 4, "step": 0}})
+        if kind == "diagonal":
+            cfg["module"] = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
+        with pytest.raises(ConfigError, match="'step'"):
+            ExperimentConfig.from_dict(cfg)
+
     @pytest.mark.parametrize("sequence, descriptor", [
         ({"diagonal": {"ds": [8, 16, 0]}}, "diagonal:0"),
         ({"cyclic": {"start": 0, "stop": 3}}, "cyclic:0"),
@@ -327,6 +335,22 @@ class TestCli:
         assert cli_main(["torsion", "--matrix", str(p), "--cyclic", "4"]) == 0
         assert json.loads(capsys.readouterr().out) == {"torsion_order": "15", "betti": 0}
         assert calls == [4]
+
+    def test_torsion_reduces_branched_presentation(self, capsys, fig8_text, tmp_path, monkeypatch):
+        # the 2 x 3 branched presentation reduces to one row over one live column
+        calls = []
+        original = torsion.snf_diagonal
+
+        def counting(mat):
+            calls.append(len(mat))
+            return original(mat)
+
+        monkeypatch.setattr(torsion, "snf_diagonal", counting)
+        p = tmp_path / "fig8.txt"
+        p.write_text(fig8_text)
+        assert cli_main(["torsion", "--presentation", str(p), "--branched", "--cyclic", "5"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"torsion_order": "121", "betti": 5}
+        assert calls == [5]
 
     def test_torsion_diagonal_zero_reports_infinite_quotient(self, capsys, tmp_path):
         p = tmp_path / "mod.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_laurent, random_nonzero_laurent
+from conftest import planted_presentations, random_laurent, random_nonzero_laurent
 from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
     _eliminate,
@@ -22,6 +22,7 @@ from torgrowth.presmod import (
     is_pseudo_zero_torsion,
     parse_presentation,
     rank,
+    reduce_presentation,
 )
 
 t, = variables(1)
@@ -279,6 +280,27 @@ class TestBranchedModule:
             branched_module(mod, 2)
         with pytest.raises(ValueError):
             branched_module(PresentedModule(1, ((t, t), (t, t))), 1)
+
+
+class TestReducePresentation:
+    def test_fig8_branched_is_one_delta_row(self, fig8_text):
+        bm = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
+        red = reduce_presentation(bm)
+        assert (red.m1, red.m0) == (1, 2)
+        assert associates(red.matrix[0][0], FIG8_DELTA)
+        assert red.matrix[0][1].is_zero()
+
+    def test_unit_ideal_leaves_no_generator(self):
+        red = reduce_presentation(PresentedModule.quotient_by_ideal(1, [t ** 2, t - 2]))
+        assert (red.m1, red.m0) == (0, 0)
+
+    def test_fitting_ideals_unchanged(self, hopf_text):
+        hopf = alexander_module(parse_presentation(hopf_text))
+        mods = [hopf, branched_module(hopf, 2), *planted_presentations()]
+        for mod in mods:
+            red = reduce_presentation(mod)
+            for j in range(mod.m0 + 1):
+                assert alexander(red, j) == alexander(mod, j)
 
 
 class TestParsePresentation:

@@ -8,9 +8,9 @@ import time
 
 import pytest
 
-from conftest import random_laurent
+from conftest import planted_presentations, random_laurent
 from torgrowth.groupalg import mult_matrix, project_poly
-from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj
+from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
 from torgrowth.laurent import LaurentPoly, variables
 from torgrowth.presmod import (
     ChainComplex,
@@ -20,6 +20,7 @@ from torgrowth.presmod import (
     branched_module,
     delta,
     parse_presentation,
+    reduce_presentation,
 )
 from torgrowth.torsion import (
     GrowthSample,
@@ -190,6 +191,51 @@ class TestOracle:
         # product over 40th roots: |Res(t^40-1, f)| / |f(1)|
         res = 993 ** 40 - 991 ** 40
         assert val == res // (993 - 991)
+
+
+class TestReducedPresentation:
+    """torsion_and_betti reduces over R first; SNF of the unreduced expansion
+    is the independent reference."""
+
+    def test_matches_unreduced_snf(self):
+        rng = random.Random(808)
+        fired = {"unit pivot": 0, "singleton column": 0, "zero row": 0}
+        def nnz(m):
+            return sum(1 for r in m.matrix for e in r if e)
+
+        for mod in planted_presentations():
+            red = reduce_presentation(mod)
+            # each unit pivot drops one row and one column; any further row
+            # was zero, and without units only rule 2 can remove entries
+            fired["unit pivot"] += red.m0 < mod.m0
+            fired["zero row"] += red.m1 < mod.m1 - (mod.m0 - red.m0)
+            fired["singleton column"] += (
+                nnz(red) < nnz(mod) and not any(e.is_unit() for r in mod.matrix for e in r)
+            )
+            if mod.nvars == 1:
+                gamma = Subgroup.cyclic(rng.randint(1, 64))
+            elif rng.random() < 0.5:
+                gamma = Subgroup.diagonal(2, rng.randint(1, 8))
+            else:
+                k = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (3, 2), (2, -3), (1, -4)])
+                gamma = gamma_sj(k, rng.randint(1, 64 // (k[0] ** 2 + k[1] ** 2)))
+            order = quotient(gamma).order
+            assert order <= 64
+            res = snf(expand(mod, gamma))
+            assert torsion_and_betti(mod, gamma) == (res.torsion_order(), mod.m0 * order - res.rank)
+        assert min(fired.values()) >= 20, fired
+
+    def test_known_answers(self, fig8_text):
+        fig8 = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
+        for ell in (1, 5, 12):
+            assert torsion_and_betti(fig8, Subgroup.cyclic(ell)) == torsion_and_betti(
+                PresentedModule(1, ((t ** 2 - 3 * t + 1,),)), Subgroup.cyclic(ell)
+            )[:1] + (ell,)
+        unknot = branched_module(PresentedModule.free(1, 1), 1)
+        for ell in (1, 4, 9):
+            assert torsion_and_betti(unknot, Subgroup.cyclic(ell)) == (1, ell)
+        t_squared = PresentedModule.quotient_by_ideal(1, [t ** 2])
+        assert torsion_and_betti(t_squared, Subgroup.cyclic(6)) == (1, 0)
 
 
 class TestExactProductDifferential:
