@@ -41,14 +41,13 @@ def _read_poly(text: str, nvars: int | None) -> LaurentPoly:
 
 
 def _load_module(args) -> PresentedModule:
-    if getattr(args, "matrix", None):
-        data = json.loads(pathlib.Path(args.matrix).read_text())
-        return PresentedModule.from_json(data)
-    pres = parse_presentation(pathlib.Path(args.presentation).read_text())
-    mod = alexander_module(pres)
-    if getattr(args, "branched", False):
-        mod = branched_module(mod, pres.nvars)
-    return mod
+    """The module of --matrix (a JSON file) or --presentation [--branched]."""
+    spec = json.loads(pathlib.Path(args.matrix).read_text()) if args.matrix else {}
+    if isinstance(spec, dict):
+        spec = dict(spec, branched=args.branched)
+        if args.presentation:
+            spec["presentation"] = args.presentation
+    return growthlab.load_module(spec)[0]
 
 
 def _subgroup_from_args(args, nvars: int) -> Subgroup:

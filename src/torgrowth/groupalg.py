@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import intlinalg
-from .intlinalg import bareiss_det, hnf_rows, kernel_basis
+from .intlinalg import bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul
 from .lattices import FinAbGroup
 from .laurent import LaurentPoly
 
@@ -139,7 +138,7 @@ class SubLattice:
         return len(self.vectors)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return intlinalg.lattice_contains(self.vectors, vec) if self.vectors else not any(vec)
+        return hnf_coordinates(self.vectors, vec) is not None
 
 
 def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> GroupAlgElem:
@@ -180,12 +179,7 @@ def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice
 
 def gram_det(lat: SubLattice) -> int:
     """Exact Gram determinant det(<v_i, v_j>) of the stored basis."""
-    r = lat.rank
-    gram = [
-        [sum(a * b for a, b in zip(lat.vectors[i], lat.vectors[j])) for j in range(r)]
-        for i in range(r)
-    ]
-    return bareiss_det(gram)
+    return bareiss_det(matmul(lat.vectors, list(zip(*lat.vectors))))
 
 
 def vol(lat: SubLattice) -> float:
@@ -201,7 +195,7 @@ def quotient_order(outer: SubLattice, inner: SubLattice) -> int:
         raise ValueError("quotient_order requires equal ranks (finite index)")
     coords = []
     for v in inner.vectors:
-        x = intlinalg.hnf_coordinates(outer.vectors, v)
+        x = hnf_coordinates(outer.vectors, v)
         if x is None:
             raise ValueError("inner lattice is not contained in outer lattice")
         coords.append(x)

@@ -69,6 +69,34 @@ def _spec_range(spec: dict, kind: str) -> range:
     return range(int(spec.get("start", 1)), int(_required(spec, "stop", kind)) + 1, step)
 
 
+def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str]:
+    """The module a config's 'module' object names, and a label for its source.
+
+    Exactly one source: an inline 'matrix' (with 'nvars', optionally 'm0')
+    or a 'presentation' file read relative to `base_dir`; 'branched' takes
+    the branched-cover module and needs a presentation.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError("config needs a 'module' object")
+    sources = [k for k in ("matrix", "presentation") if k in spec]
+    if len(sources) != 1:
+        raise ConfigError("module must have exactly one source: 'matrix' or 'presentation'")
+    branched = bool(spec.get("branched", False))
+    if sources[0] == "matrix":
+        if "nvars" not in spec:
+            raise ConfigError("inline matrix module needs 'nvars'")
+        if branched:
+            raise ConfigError("branched mode needs a group presentation source")
+        return PresentedModule.from_json(spec), "inline-matrix"
+    path = pathlib.Path(base_dir) / spec["presentation"]
+    try:
+        pres = parse_presentation(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read presentation file: {exc}") from exc
+    mod = alexander_module(pres)
+    return (branched_module(mod, pres.nvars) if branched else mod), str(path)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description: one module source, one sequence."""
@@ -88,33 +116,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, base_dir: str | pathlib.Path = ".",
                   seed: int | None = None, jobs: int | None = None,
                   force: bool = False) -> "ExperimentConfig":
-        base = pathlib.Path(base_dir)
-        msrc = data.get("module")
-        if not isinstance(msrc, dict):
-            raise ConfigError("config needs a 'module' object")
-        sources = [k for k in ("matrix", "presentation") if k in msrc]
-        if len(sources) != 1:
-            raise ConfigError("module must have exactly one source: 'matrix' or 'presentation'")
-        branched = bool(msrc.get("branched", False))
-        if sources[0] == "matrix":
-            if "nvars" not in msrc:
-                raise ConfigError("inline matrix module needs 'nvars'")
-            mod = PresentedModule.from_json(
-                {"nvars": msrc["nvars"], "matrix": msrc["matrix"], "m0": msrc.get("m0", -1)}
-            )
-            source = "inline-matrix"
-            if branched:
-                raise ConfigError("branched mode needs a group presentation source")
-        else:
-            path = base / msrc["presentation"]
-            try:
-                pres = parse_presentation(path.read_text())
-            except OSError as exc:
-                raise ConfigError(f"cannot read presentation file: {exc}") from exc
-            mod = alexander_module(pres)
-            source = str(path)
-            if branched:
-                mod = branched_module(mod, pres.nvars)
+        mod, source = load_module(data.get("module"), base_dir)
         seq = data.get("sequence")
         if not isinstance(seq, dict) or len(seq) != 1:
             raise ConfigError("config needs exactly one sequence spec")
@@ -158,7 +160,7 @@ class ExperimentConfig:
         return cls(
             module=mod,
             module_source=source,
-            branched=branched,
+            branched=bool(data["module"].get("branched", False)),
             sequence=tuple(subgroups),
             mahler_method=method,
             mahler_samples=int(msettings.get("samples", 1_000_000)),

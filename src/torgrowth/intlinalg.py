@@ -1,9 +1,15 @@
 """Exact integer-matrix primitives shared across the package.
 
 Smith normal form (plain and with unimodular transforms), canonical
-row-style Hermite bases, integer kernels, fraction-free determinants, and
-small helpers for arbitrary-precision bookkeeping.  Matrices are plain
-nested lists of Python ints at the API boundary.
+row-style Hermite bases, integer kernels, and small helpers for
+arbitrary-precision bookkeeping.  Matrices are plain nested lists of Python
+ints at the API boundary.
+
+`eliminate` is the package's one exact elimination: fraction-free Bareiss
+steps that run unchanged over Z and over R = Z[t1^±1, ..., tn^±1]
+(`presmod` takes ranks and minors of presentations with it).  Determinants
+are its last pivot, and inverses are `adjugate` (det(M)·M^-1, minors by
+`bareiss_det`), so no rational arithmetic is needed anywhere.
 
 `snf_diagonal` runs in two phases.  Phase 1 eliminates on ±1 pivots over
 sparse `{column: value}` rows, choosing the pivot in the shortest row that
@@ -18,7 +24,6 @@ dense path alone.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -295,35 +300,62 @@ def kernel_basis(mat) -> list[list[int]]:
     return [[int(V[i, j]) for i in range(n)] for j in cols]
 
 
+def eliminate(rows, ncols: int):
+    """Fraction-free (Bareiss) elimination over Z or R = Z[t^±], on a copy.
+
+    Returns the rank and the last pivot, signed by the row swaps.  For a
+    k x k matrix the determinant is that pivot when the rank is k, else 0.
+    Entries need only ring arithmetic, truthiness for zero and an exact
+    `//`: each pivot divides the next step's 2 x 2 minors (Bareiss, Math.
+    Comp. 22, 1968), so `int` and `LaurentPoly` run the same loop.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    sign, prev, row = 1, 1, 0
+    for col in range(ncols):
+        if row == m:
+            break
+        piv = next((i for i in range(row, m) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+            sign = -sign
+        pk, rk = rows[row][col], rows[row]
+        for ri in rows[row + 1:]:
+            rik = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
+        prev = pk
+        row += 1
+    return row, -prev if sign < 0 else prev
+
+
 def bareiss_det(mat) -> int:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant of a square integer matrix by `eliminate`."""
     rows = [list(map(int, r)) for r in mat]
     n = len(rows)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            ri = rows[i]
-            rk = rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * rows[n - 1][n - 1]
+    rank, pivot = eliminate(rows, n)
+    return pivot if rank == n else 0
+
+
+def adjugate(mat) -> list[list[int]]:
+    """The classical adjoint: adjugate(M)·M = M·adjugate(M) = det(M)·I.
+
+    Entry (i, j) is (-1)^(i+j) times the minor without row j and column i.
+    For unimodular M, det(M)·adjugate(M) is the exact inverse.
+    """
+    rows = [list(map(int, r)) for r in mat]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("adjugate of a non-square matrix")
+    return [
+        [(-1) ** (i + j) * bareiss_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def hnf_rows(vectors) -> list[list[int]]:
@@ -411,66 +443,8 @@ def lattice_contains(vectors, target) -> bool:
     return hnf_coordinates(hnf_rows(vectors), target) is not None
 
 
-def solve_rational(A, b) -> list[Fraction] | None:
-    """Solve A x = b exactly over Q; None when inconsistent.
-
-    A is m x n with full column rank (independent columns); a unique
-    solution is returned if one exists.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [[Fraction(x) for x in r] + [Fraction(bx)] for r, bx in zip(A, b)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(piv_cols) < n:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(r, m):
-        if rows[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][n]
-    return x
-
-
-def solve_integer(A, b) -> list[int] | None:
-    """Integer solution of A x = b when columns of A are independent."""
-    x = solve_rational(A, b)
-    if x is None or any(v.denominator != 1 for v in x):
-        return None
-    return [int(v) for v in x]
-
-
-def invert_unimodular(U) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_integer([list(map(int, row)) for row in U], e)
-        if x is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def matmul(A, B) -> list[list[int]]:
-    """Plain integer matrix product on nested lists."""
+def matmul(A, B) -> list[list]:
+    """Plain matrix product on nested lists, over any ring."""
     if not A or not B:
         return []
     n_inner = len(B)

@@ -4,6 +4,10 @@ Covers the quotient decomposition A = Z^n/Gamma with working projection and
 section maps, exact shortest-vector norms by bounded enumeration, coordinate
 orders, orthogonal-complement lattices, and the explicit converging families
 Gamma_{s,j} = (k)^perp + j*k used by the growth experiments.
+
+Both inverses needed here are integer adjugates (`intlinalg.adjugate`): the
+section matrix is det(U)·adj(U) for the unimodular projection U, and the
+enumeration box reads R^2·adj(G)_ii / det(G) off the Gram matrix G.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from . import intlinalg
-from .intlinalg import hnf_rows, invert_unimodular, kernel_basis, nearest_div, snf_with_transforms
+from .intlinalg import (
+    adjugate, bareiss_det, hnf_rows, kernel_basis, lattice_contains, matmul, nearest_div,
+    snf_with_transforms,
+)
 
 MIN_NORM_MAX_DIM = 4
 _ENUM_BUDGET = 2_000_000
@@ -64,17 +69,21 @@ class Subgroup:
         return len(self.basis())
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return intlinalg.lattice_contains(self.gens, vec)
+        return lattice_contains(self.gens, vec)
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.gens]
 
     @classmethod
     def from_json(cls, data) -> "Subgroup":
-        gens = [tuple(int(x) for x in g) for g in data]
-        if not gens:
+        """Generators from a JSON list of integer lists."""
+        if not isinstance(data, list) or not all(
+            isinstance(g, list) and all(isinstance(x, int) for x in g) for g in data
+        ):
+            raise ValueError("generators must be a JSON list of integer lists")
+        if not data:
             raise ValueError("empty generator list")
-        return cls(len(gens[0]), tuple(gens))
+        return cls(len(data[0]), tuple(map(tuple, data)))
 
 
 class FinAbGroup:
@@ -228,8 +237,9 @@ def quotient(gamma: Subgroup) -> FinAbGroup:
     diag = [int(D[i, i]) for i in range(min(n, len(gamma.gens)))]
     if len(diag) < n or any(d == 0 for d in diag):
         raise ValueError("subgroup is not of full rank; quotient is infinite")
-    Uint = [list(map(int, row)) for row in U]
-    return FinAbGroup(n, diag, Uint, invert_unimodular(Uint))
+    # U is unimodular: its inverse, the section matrix, is det(U)·adjugate(U)
+    det = bareiss_det(U)
+    return FinAbGroup(n, diag, U, [[det * x for x in row] for row in adjugate(U)])
 
 
 def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
@@ -271,19 +281,12 @@ def min_norm_sq(gamma: Subgroup) -> int:
         raise ValueError("zero lattice has no shortest vector")
     basis = _size_reduce(basis)
     r = len(basis)
-    gram = [[sum(a * b for a, b in zip(basis[i], basis[j])) for j in range(r)] for i in range(r)]
+    gram = matmul(basis, [list(c) for c in zip(*basis)])
     radius2 = min(gram[i][i] for i in range(r))
     # coefficient box from the inverse Gram: c^T G c <= R^2 implies
-    # c_i^2 <= R^2 * (G^-1)_ii
-    ginv_diag = []
-    for i in range(r):
-        e = [Fraction(1) if k == i else Fraction(0) for k in range(r)]
-        col = intlinalg.solve_rational(gram, e)
-        ginv_diag.append(col[i])
-    bounds = []
-    for i in range(r):
-        b2 = Fraction(radius2) * ginv_diag[i]
-        bounds.append(math.isqrt(b2.numerator // b2.denominator) + 1)
+    # c_i^2 <= R^2 * (G^-1)_ii = R^2 * adj(G)_ii / det G
+    det, adj = bareiss_det(gram), adjugate(gram)
+    bounds = [math.isqrt(radius2 * adj[i][i] // det) + 1 for i in range(r)]
     total = math.prod(2 * b + 1 for b in bounds)
     if total > _ENUM_BUDGET:
         raise SearchBudgetExceeded(

@@ -98,9 +98,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._terms == {(0,) * self.nvars: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def is_unit(self) -> bool:
         """True for ±t^k, the units of the Laurent ring."""
         return len(self._terms) == 1 and abs(next(iter(self._terms.values()))) == 1
@@ -168,6 +165,13 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> "LaurentPoly":
+        """Exact quotient by `div_exact`; ArithmeticError when it does not divide."""
+        q = div_exact(self, self._coerce(other))
+        if q is None:
+            raise ArithmeticError("inexact division in the Laurent ring")
+        return q
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -401,12 +405,6 @@ def _coeff_in(f: LaurentPoly, i: int, d: int) -> LaurentPoly:
     )
 
 
-def _div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    q = div_exact(f, g)
-    assert q is not None, "inexact division in a subresultant sequence"
-    return q
-
-
 def _sign_norm(f: LaurentPoly) -> LaurentPoly:
     """Flip f so its lexicographically greatest term is positive."""
     return -f if f and f._terms[max(f._terms)] < 0 else f
@@ -446,7 +444,7 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, i: int) -> LaurentPoly:
         return _sign_norm(f or g)
     cf, cg = _content(f, i), _content(g, i)
     c = _poly_gcd(cf, cg, i + 1)
-    pf, pg = _div(f, cf), _div(g, cg)
+    pf, pg = f // cf, g // cg
     if _deg(pf, i) < _deg(pg, i):
         pf, pg = pg, pf
     one = LaurentPoly.one(n)
@@ -458,16 +456,16 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, i: int) -> LaurentPoly:
             delta = _deg(pf, i) - _deg(pg, i)
             r = _prem(pf, pg, i)
             if not r:
-                result = _div(pg, _content(pg, i))
+                result = pg // _content(pg, i)
                 break
             if _deg(r, i) == 0:
                 break
-            pf, pg = pg, _div(r, g_ * h_ ** delta)
+            pf, pg = pg, r // (g_ * h_ ** delta)
             g_ = _coeff_in(pf, i, _deg(pf, i))
             if delta == 1:
                 h_ = g_
             elif delta > 1:
-                h_ = _div(g_ ** delta, h_ ** (delta - 1))
+                h_ = g_ ** delta // h_ ** (delta - 1)
     return _sign_norm(result * c)
 
 

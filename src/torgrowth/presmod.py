@@ -5,6 +5,10 @@ presenting R^m1 -> R^m0 -> M -> 0.  The j-th Alexander polynomial is the
 GCD of all (m0-j)-minors, with the degenerate conventions: nothing left to
 take (m0-j <= 0) gives 1, minors larger than the matrix (m0-j > m1) give 0.
 
+Ranks and minors come from `intlinalg.eliminate`, the same fraction-free
+elimination that computes integer determinants: over R its Bareiss
+divisions are exact `LaurentPoly` quotients.
+
 `reduce_presentation` shrinks a presentation by invertible row and column
 moves, so the module, its Fitting ideals (Eisenbud, Commutative Algebra,
 20.2) and every M ⊗ Z[A] stay the same; `alexander` never reduces, so the
@@ -22,6 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .intlinalg import eliminate, matmul
 from .laurent import (
     LaurentPoly,
     UnitNormalForm,
@@ -152,45 +157,12 @@ def reduce_presentation(mod: PresentedModule) -> PresentedModule:
     return PresentedModule(mod.nvars, tuple(tuple(r) for r in rows if any(r)), m0)
 
 
-def _eliminate(rows: Sequence[Sequence[LaurentPoly]], ncols: int,
-               nvars: int) -> tuple[int, LaurentPoly]:
-    """Fraction-free (Bareiss) elimination over the Laurent ring.
-
-    Returns the rank and the last pivot, signed by the row swaps.  For a
-    k x k matrix the determinant is that pivot when the rank is k, else 0.
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    sign = 1
-    prev = LaurentPoly.one(nvars)
-    row = 0
-    for col in range(ncols):
-        if row == m:
-            break
-        piv = next((i for i in range(row, m) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
-            sign = -sign
-        pk = rows[row][col]
-        for i in range(row + 1, m):
-            for j in range(col + 1, ncols):
-                q = div_exact(pk * rows[i][j] - rows[i][col] * rows[row][j], prev)
-                assert q is not None, "Bareiss division failed"
-                rows[i][j] = q
-            rows[i][col] = LaurentPoly.zero(nvars)
-        prev = pk
-        row += 1
-    return row, -prev if sign < 0 else prev
-
-
 def rank(mod: PresentedModule) -> int:
     """Rank of M over the fraction field: m0 minus the matrix rank.
 
     Exact fraction-free elimination; no probabilistic evaluation.
     """
-    return mod.m0 - _eliminate(mod.matrix, mod.m0, mod.nvars)[0]
+    return mod.m0 - eliminate(mod.matrix, mod.m0)[0]
 
 
 def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
@@ -210,7 +182,7 @@ def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
     for rows_idx in itertools.combinations(range(mod.m1), k):
         for cols_idx in itertools.combinations(range(mod.m0), k):
             sub = [[mod.matrix[i][c] for c in cols_idx] for i in rows_idx]
-            r, pivot = _eliminate(sub, k, mod.nvars)
+            r, pivot = eliminate(sub, k)
             minor = pivot if r == k else LaurentPoly.zero(mod.nvars)
             acc = (gcd_list([acc, minor], mod.nvars)).poly
             if acc.is_one():
@@ -355,13 +327,8 @@ class ChainComplex:
             if mat and len(mat[0]) != self.ranks[i]:
                 raise ValueError(f"boundary {i + 1} has wrong column count")
         for up, down in zip(diffs[1:], diffs):
-            for i in range(len(up)):
-                for j in range(len(down[0]) if down else 0):
-                    s = LaurentPoly.zero(self.nvars)
-                    for k in range(len(down)):
-                        s = s + up[i][k] * down[k][j]
-                    if not s.is_zero():
-                        raise ValueError("boundary composition is nonzero")
+            if any(any(row) for row in matmul(up, down)):
+                raise ValueError("boundary composition is nonzero")
 
     @property
     def top_degree(self) -> int:

@@ -27,10 +27,12 @@ from typing import Sequence
 from .groupalg import characters, mult_matrix, project_poly
 from .intlinalg import (
     bareiss_det,
+    hnf_coordinates,
+    hnf_rows,
     int_log,
     kernel_basis,
+    matmul,
     snf_diagonal,
-    solve_integer,
 )
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient
 from .laurent import LaurentPoly, div_exact
@@ -314,12 +316,8 @@ def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tup
     r = len(P)
     if any(len(row) != r for row in P) or len(Q) != r or any(len(row) != r for row in Q):
         raise ValueError("P and Q must be square of equal size")
-    for i in range(r):
-        for j in range(r):
-            pq = sum(P[i][k] * Q[k][j] for k in range(r))
-            qp = sum(Q[i][k] * P[k][j] for k in range(r))
-            if pq != qp:
-                raise ValueError("operators do not commute")
+    if matmul(P, Q) != matmul(Q, P):
+        raise ValueError("operators do not commute")
     if bareiss_det(P) == 0:
         raise ValueError("P must be injective")
     d1 = [list(P[i]) + list(Q[i]) for i in range(r)]
@@ -327,12 +325,11 @@ def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tup
     if res.rank < r:
         raise ValueError("homology is infinite (d1 not of full rank)")
     h0 = res.torsion_order()
-    ker = kernel_basis(d1)
-    d2_cols = [[-Q[i][j] for i in range(r)] + [P[i][j] for i in range(r)] for j in range(r)]
-    K = [[ker[c][i] for c in range(len(ker))] for i in range(2 * r)]
+    # |det| of the coordinates does not depend on the basis of ker(d1)
+    basis = hnf_rows(kernel_basis(d1))
     coords = []
-    for col in d2_cols:
-        x = solve_integer(K, col)
+    for j in range(r):
+        x = hnf_coordinates(basis, [-Q[i][j] for i in range(r)] + [P[i][j] for i in range(r)])
         if x is None:
             raise ArithmeticError("image of d2 not inside ker(d1)")
         coords.append(x)

@@ -394,3 +394,41 @@ class TestCli:
         p.write_text(json.dumps(T_MINUS_2))
         assert cli_main(["torsion", "--matrix", str(p)]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_torsion_needs_a_module_source(self, capsys):
+        assert cli_main(["torsion", "--cyclic", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "exactly one source" in err["message"]
+
+    def test_torsion_branched_matrix_is_config_error(self, capsys, tmp_path):
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(T_MINUS_2))
+        assert cli_main(["torsion", "--matrix", str(p), "--branched", "--cyclic", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "presentation source" in err["message"]
+
+    def test_torsion_rejects_two_module_sources(self, capsys, tmp_path, fig8_text):
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(T_MINUS_2))
+        q = tmp_path / "fig8.txt"
+        q.write_text(fig8_text)
+        assert cli_main(["torsion", "--matrix", str(p), "--presentation", str(q),
+                         "--cyclic", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "exactly one source" in err["message"]
+
+    @pytest.mark.parametrize("gamma", ["[1]", "[[1], 2]", '[["a"]]', "5", "[[null]]"])
+    def test_torsion_malformed_gamma_is_json_error(self, capsys, tmp_path, gamma):
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(T_MINUS_2))
+        assert cli_main(["torsion", "--matrix", str(p), "--gamma", gamma]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "integer lists" in err["message"]

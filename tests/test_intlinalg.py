@@ -5,11 +5,11 @@ import random
 import pytest
 
 from torgrowth.intlinalg import (
+    adjugate,
     bareiss_det,
     hnf_coordinates,
     hnf_rows,
     int_log,
-    invert_unimodular,
     kernel_basis,
     lattice_contains,
     lattice_index,
@@ -17,7 +17,6 @@ from torgrowth.intlinalg import (
     nearest_div,
     snf_diagonal,
     snf_with_transforms,
-    solve_integer,
     xgcd,
 )
 
@@ -180,11 +179,32 @@ def test_det_and_solve():
     assert bareiss_det([[1, 2], [3, 4]]) == -2
     assert bareiss_det([[2]]) == 2
     assert bareiss_det([]) == 1
-    assert solve_integer([[2, 0], [0, 2]], [4, 6]) == [2, 3]
-    assert solve_integer([[2]], [3]) is None
-    assert invert_unimodular([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
+    # A x = b has the solution adj(A)·b / det(A), integral iff det(A) divides it
+    assert matmul(adjugate([[2, 0], [0, 2]]), [[4], [6]]) == [[8], [12]]
+    assert bareiss_det([[2, 0], [0, 2]]) == 4
+    assert matmul(adjugate([[2]]), [[3]]) == [[3]] and 3 % bareiss_det([[2]])
+    # a unimodular inverse is det·adj; a determinant other than ±1 has none
+    assert adjugate([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
+    assert bareiss_det([[1, 1], [0, 1]]) == 1
+    assert bareiss_det([[2, 0], [0, 1]]) == 2
     with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
+        adjugate([[2, 0, 1], [0, 1, 0]])
+
+
+def test_adjugate_is_det_times_inverse():
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            M[-1] = [a - 2 * b for a, b in zip(M[0], M[-2])]
+        d = bareiss_det(M)
+        adj = adjugate(M)
+        dI = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        assert matmul(adj, M) == matmul(M, adj) == dI
+        singular += d == 0
+    assert 0 < singular < 100
 
 
 def test_small_helpers():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -88,6 +89,12 @@ class TestMinNorm:
         assert min_norm_sq(Subgroup(2, ((2, 1), (1, 2)))) == 2
 
     def test_bounded_by_generators(self):
+        def brute(n, gens, box):
+            return min(
+                q for c in itertools.product(range(-box, box + 1), repeat=len(gens))
+                if (q := sum(sum(ci * g[i] for ci, g in zip(c, gens)) ** 2 for i in range(n)))
+            )
+
         rng = random.Random(22)
         for _ in range(80):
             n = rng.choice([1, 2, 3])
@@ -96,6 +103,17 @@ class TestMinNorm:
                 continue
             v = min_norm_sq(Subgroup(n, gens))
             assert v <= min(sum(x * x for x in g) for g in gens if any(g))
+            assert v == brute(n, gens, 8)
+        # size-reduced bases that hold no shortest vector (squared norms 21,
+        # 25, 6, 4 against 25, 32, 10, 10 for the shortest basis vector): only
+        # a large enough coefficient box finds the minimum
+        for gens in [((-4, 0, 3), (-4, 1, -3), (1, 3, 4)),
+                     ((-4, -4, 0), (-1, -3, -5), (1, -4, 5)),
+                     ((-2, 1, 1, 2), (0, -1, 0, 3), (1, 0, -3, 1), (-3, 1, -2, -1)),
+                     ((2, 1, 1, 2), (-1, 0, -1, 3), (-1, 0, 3, -1), (-3, 1, 1, 1))]:
+            n = len(gens[0])
+            v = min_norm_sq(Subgroup(n, gens))
+            assert v == brute(n, gens, 3) < min(sum(x * x for x in g) for g in gens)
 
     def test_zero_lattice(self):
         with pytest.raises(ValueError):

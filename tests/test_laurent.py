@@ -183,6 +183,25 @@ class TestDivision:
             q = div_exact(f * g, g)
             assert q == f
 
+    def test_floordiv_is_exact_division(self):
+        rng = random.Random(6)
+        inexact = 0
+        for _ in range(150):
+            nv = rng.choice([1, 2])
+            f = random_nonzero_laurent(rng, nv)
+            g = random_nonzero_laurent(rng, nv)
+            assert (f * g) // g == div_exact(f * g, g) == f
+            if div_exact(f + 1, g) is None:
+                inexact += 1
+                with pytest.raises(ArithmeticError):
+                    (f + 1) // g
+            else:
+                assert (f + 1) // g == div_exact(f + 1, g)
+        assert inexact > 100
+        assert (6 * t - 4) // 2 == 3 * t - 2
+        with pytest.raises(ArithmeticError):
+            (2 * t + 1) // 2
+
 
 class TestTau:
     def test_direct_substitution(self):

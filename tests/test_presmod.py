@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import planted_presentations, random_laurent, random_nonzero_laurent
+from torgrowth.intlinalg import eliminate
 from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
-    _eliminate,
     ChainComplex,
     GroupPresentation,
     PresentedModule,
@@ -72,9 +72,19 @@ class TestEliminate:
             nvars, k = rng.randint(1, 2), rng.randint(1, 3)
             a = [[random_laurent(rng, nvars, max_terms=2, exp_range=(-1, 2), coeff_max=2)
                   for _ in range(k)] for _ in range(k)]
-            r, pivot = _eliminate(a, k, nvars)
+            r, pivot = eliminate(a, k)
             det = laplace_det(a, nvars)
             assert (pivot if r == k else LaurentPoly.zero(nvars)) == det
+            singular += r < k
+        assert 0 < singular < 80
+        # the same loop over Z: integer entries, integer pivots
+        singular = 0
+        for _ in range(80):
+            k = rng.randint(1, 4)
+            a = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            r, pivot = eliminate(a, k)
+            assert isinstance(pivot, int)
+            assert (pivot if r == k else 0) == laplace_det(a, 1)
             singular += r < k
         assert 0 < singular < 80
 
