@@ -31,12 +31,7 @@ from .torsion import torsion_and_betti
 def _read_poly(text: str, nvars: int | None) -> LaurentPoly:
     text = text.strip()
     if text.startswith("["):
-        data = json.loads(text)
-        if nvars is None:
-            if not data:
-                raise ValueError("JSON polynomial needs --nvars when empty")
-            nvars = len(data[0][0])
-        return poly_from_json(data, nvars)
+        return poly_from_json(json.loads(text), nvars)
     return parse_poly(text, nvars)
 
 

@@ -8,7 +8,8 @@ B (the principal ideal of the norm element u_B = sum of B, and the
 augmentation-style ideal generated by 1-b), lattice volumes, and quotient
 orders.  These furnish the exact order identities
 |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|) used as a test surface by the
-growth experiments.
+growth experiments.  Ideals are sublattices in canonical Hermite form, and
+sums, intersections and orthogonal complements all come from `hnf_rows`.
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ class SubLattice:
 
     @classmethod
     def from_generators(cls, ambient: int, vecs: Sequence[Sequence[int]]) -> "SubLattice":
-        basis = hnf_rows(vecs) if vecs else []
-        return cls(ambient, tuple(tuple(v) for v in basis))
+        return cls(ambient, tuple(hnf_rows(vecs)))
 
     @classmethod
     def standard(cls, ambient: int) -> "SubLattice":
@@ -216,7 +216,9 @@ def sum_ideals(lats: Sequence[SubLattice]) -> SubLattice:
 
 
 def intersect_ideals(lats: Sequence[SubLattice]) -> SubLattice:
-    """Lattice intersection via integer kernels, pairwise."""
+    """Pairwise lattice intersection: the rows (x, x) for x in acc and (y, 0)
+    for y in lat span {(a + b, a)}, so the Hermite rows whose first block is
+    zero carry a canonical basis of acc ∩ lat in their second block."""
     if not lats:
         raise ValueError("empty intersection")
     ambient = lats[0].ambient
@@ -224,23 +226,9 @@ def intersect_ideals(lats: Sequence[SubLattice]) -> SubLattice:
     for lat in lats[1:]:
         if lat.ambient != ambient:
             raise ValueError("ambient rank mismatch")
-        if acc.rank == 0 or lat.rank == 0:
-            acc = SubLattice.from_generators(ambient, [])
-            continue
-        # columns: acc basis then lat basis; kernel rows give x with
-        # sum x_i acc_i = sum y_j lat_j
-        cols = [list(v) for v in acc.vectors] + [list(v) for v in lat.vectors]
-        mat = [[cols[k][i] for k in range(len(cols))] for i in range(ambient)]
-        ker = kernel_basis(mat)
-        vecs = []
-        for kv in ker:
-            x = kv[: acc.rank]
-            vec = [
-                sum(x[i] * acc.vectors[i][c] for i in range(acc.rank))
-                for c in range(ambient)
-            ]
-            vecs.append(vec)
-        acc = SubLattice.from_generators(ambient, vecs)
+        rows = [x + x for x in acc.vectors] + [y + (0,) * ambient for y in lat.vectors]
+        basis = [r[ambient:] for r in hnf_rows(rows) if not any(r[:ambient])]
+        acc = SubLattice(ambient, tuple(basis))
     return acc
 
 
@@ -248,8 +236,7 @@ def orthogonal_complement(lat: SubLattice) -> SubLattice:
     """{x in Z^ambient : <x, v> = 0 for all v in the lattice} (primitive)."""
     if lat.rank == 0:
         return SubLattice.standard(lat.ambient)
-    ker = kernel_basis([list(v) for v in lat.vectors])
-    return SubLattice.from_generators(lat.ambient, [list(c) for c in ker])
+    return SubLattice(lat.ambient, tuple(kernel_basis(lat.vectors)))
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,16 @@ def _required(spec: dict, key: str, kind: str):
     return spec[key]
 
 
+def _json_list(value, expected: str, cast=int) -> list:
+    """[cast(x) for x in value] for a JSON list, else a ConfigError."""
+    if isinstance(value, list):
+        try:
+            return [cast(x) for x in value]
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{expected}, not {value!r}")
+
+
 def _spec_range(spec: dict, kind: str) -> range:
     """start..stop inclusive by step, from a cyclic or diagonal spec."""
     step = int(spec.get("step", 1))
@@ -116,6 +126,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, base_dir: str | pathlib.Path = ".",
                   seed: int | None = None, jobs: int | None = None,
                   force: bool = False) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         mod, source = load_module(data.get("module"), base_dir)
         seq = data.get("sequence")
         if not isinstance(seq, dict) or len(seq) != 1:
@@ -130,14 +142,16 @@ class ExperimentConfig:
             for ell in _spec_range(spec, kind):
                 subgroups.append((f"cyclic:{ell}", Subgroup.cyclic(ell)))
         elif kind == "diagonal":
-            ds = [int(d) for d in spec["ds"]] if "ds" in spec else _spec_range(spec, kind)
+            ds = (_json_list(spec["ds"], "'ds' must be a list of integers") if "ds" in spec
+                  else _spec_range(spec, kind))
             for d in ds:
                 subgroups.append((f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)))
         elif kind == "gamma_sj":
-            kappa = Direction.from_vector([float(x) for x in _required(spec, "kappa", kind)])
+            kappa = Direction.from_vector(_json_list(
+                _required(spec, "kappa", kind), "'kappa' must be a list of numbers", float))
             if len(kappa.coords) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
-            js = [int(j) for j in _required(spec, "js", kind)]
+            js = _json_list(_required(spec, "js", kind), "'js' must be a list of integers")
             s_start = int(spec.get("s_start", 1))
             for offset, j in enumerate(js):
                 s = s_start + offset
@@ -151,12 +165,15 @@ class ExperimentConfig:
             if lattice_index(gamma.gens, gamma.nvars) == 0:
                 raise ConfigError(f"{desc}: subgroup is not of full rank; quotient is infinite")
         msettings = data.get("mahler", {})
+        if not isinstance(msettings, dict):
+            raise ConfigError("'mahler' must be an object")
         method = msettings.get("method", "auto")
         if method not in ("auto", "jensen", "lawton", "quadrature"):
             raise ConfigError(f"unknown mahler method {method!r}")
         schedule = msettings.get("schedule")
         if schedule is not None:
-            schedule = tuple(tuple(int(x) for x in k) for k in schedule)
+            schedule = tuple(_json_list(schedule, "'schedule' must be a list of integer lists",
+                                        lambda k: tuple(map(int, k))))
         return cls(
             module=mod,
             module_source=source,

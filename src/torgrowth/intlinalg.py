@@ -1,9 +1,10 @@
 """Exact integer-matrix primitives shared across the package.
 
-Smith normal form (plain and with unimodular transforms), canonical
-row-style Hermite bases, integer kernels, and small helpers for
+Smith normal form (plain, and with the row transform that quotient maps
+need), canonical row-style Hermite bases, and small helpers for
 arbitrary-precision bookkeeping.  Matrices are plain nested lists of Python
-ints at the API boundary.
+ints at the API boundary.  Hermite form is the one lattice normal form:
+bases, containment, indices and integer kernels all come from `hnf_rows`.
 
 `eliminate` is the package's one exact elimination: fraction-free Bareiss
 steps that run unchanged over Z and over R = Z[t1^±1, ..., tn^±1]
@@ -17,8 +18,7 @@ has one (approximate Markowitz pivoting, as in Dumas, Saunders and Villard,
 J. Symbolic Comput. 32, 2001); each such pivot is one invariant factor 1.
 Phase 2 finishes the small dense remainder with `_diagonalize`, which runs
 on numpy object arrays so row operations execute in C while coefficients
-stay arbitrary precision.  `snf_with_transforms` and `kernel_basis` use the
-dense path alone.
+stay arbitrary precision.  `snf_with_transforms` uses the dense path alone.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ def nearest_div(a: int, b: int) -> int:
 
 
 def to_object_array(rows) -> np.ndarray:
-    """Copy nested lists (or an object array) into a 2-D object ndarray."""
-    if isinstance(rows, np.ndarray) and rows.dtype == object:
-        return rows.copy()
+    """Copy nested lists into a 2-D object ndarray of Python ints."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     arr = np.empty((m, n), dtype=object)
@@ -83,14 +81,14 @@ def _min_abs_position(arr: np.ndarray) -> tuple[int, int] | None:
     return int(ri[k]), int(ci[k])
 
 
-def _diagonalize(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | None = None) -> None:
+def _diagonalize(A: np.ndarray, U: np.ndarray | None = None) -> None:
     """Reduce A in place to diagonal form by unimodular row/column moves.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     trailing block; rows and columns are cleared with nearest-multiple
     reductions, re-pivoting on remainders, which keeps coefficient growth
-    close to the minor bound.  When given, U and V accumulate the row and
-    column operations (U·A_in·V = A_out).
+    close to the minor bound.  When given, U accumulates the row operations
+    (U·A_in = A_out·W for some unimodular W).
     """
     m, n = A.shape
     s = 0
@@ -105,8 +103,6 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | Non
                 U[[s, r]] = U[[r, s]]
         if c != s:
             A[s:, [s, c]] = A[s:, [c, s]]
-            if V is not None:
-                V[:, [s, c]] = V[:, [c, s]]
         while True:
             if A[s, s] < 0:
                 A[s, s:] = -A[s, s:]
@@ -138,12 +134,8 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | Non
                     q = nearest_div(a, p)
                     r2 = a - q * p
                     A[s, j] = r2
-                    if V is not None:
-                        V[:, j] -= q * V[:, s]
                     if r2:
                         A[s:, [s, j]] = A[s:, [j, s]]
-                        if V is not None:
-                            V[:, [s, j]] = V[:, [j, s]]
                         dirty = True
                         break
             if not dirty:
@@ -151,13 +143,13 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | Non
         s += 1
 
 
-def _repair_chain(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | None = None) -> None:
+def _repair_chain(A: np.ndarray, U: np.ndarray | None = None) -> None:
     """Turn the diagonal left by `_diagonalize` into a divisibility chain, in place.
 
     The nonzero entries lead and are positive.  A pair (a, b) with b mod a
     != 0 becomes (g, a*b/g), g = gcd(a, b) = x*a + y*b, by the row move
-    [[x, y], [-b/g, a/g]] and the column move [[1, -y*b/g], [1, x*a/g]];
-    both have determinant 1, and U and V record them as `_diagonalize` does.
+    [[x, y], [-b/g, a/g]] and a column move of determinant 1; U records
+    the row move as `_diagonalize` does.
     """
     k = 0
     while k < min(A.shape) and A[k, k]:
@@ -171,9 +163,6 @@ def _repair_chain(A: np.ndarray, U: np.ndarray | None = None, V: np.ndarray | No
                 if U is not None:
                     ui, uj = U[i], U[j]
                     U[i], U[j] = x * ui + y * uj, a // g * uj - b // g * ui
-                if V is not None:
-                    vi, vj = V[:, i], V[:, j]
-                    V[:, i], V[:, j] = vi + vj, x * (a // g) * vj - y * (b // g) * vi
 
 
 def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
@@ -267,37 +256,26 @@ def snf_diagonal(mat) -> list[int]:
     return diag + [0] * (k - len(diag))
 
 
-def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (D, U, V) with U·mat·V = D diagonal, U and V unimodular.
-
-    D's diagonal is in divisibility-chain order.  Intended for small
-    matrices (transform tracking doubles the work).
-    """
+def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray]:
+    """(D, U): D diagonal with the invariant factors of mat as a divisibility
+    chain, U unimodular, and row i of U·mat d_i times an integer row (zero
+    past the rank), so v -> (U·v mod d_i) maps Z^m onto Z^m / mat·Z^n.
+    Dense: intended for small matrices."""
     A = to_object_array(mat)
-    m, n = A.shape
-    U = np.zeros((m, m), dtype=object)
-    V = np.zeros((n, n), dtype=object)
-    for i in range(m):
-        U[i, i] = 1
-    for j in range(n):
-        V[j, j] = 1
-    _diagonalize(A, U, V)
-    _repair_chain(A, U, V)
-    return A, U, V
+    U = np.identity(A.shape[0], dtype=object)
+    _diagonalize(A, U)
+    _repair_chain(A, U)
+    return A, U
 
 
 def kernel_basis(mat) -> list[list[int]]:
-    """Basis of {x : mat @ x = 0} as a list of column vectors (saturated)."""
-    A = to_object_array(mat)
-    m, n = A.shape
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    D, _, V = snf_with_transforms(A)
-    k = min(m, n)
-    cols = [j for j in range(n) if j >= k or D[j, j] == 0]
-    return [[int(V[i, j]) for i in range(n)] for j in cols]
+    """Saturated basis of {x : mat @ x = 0} in canonical Hermite form: the
+    Hermite rows of [matᵀ | I] whose first block is zero (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.3)."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    rows = [[r[j] for r in mat] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [r[m:] for r in hnf_rows(rows) if not any(r[:m])]
 
 
 def eliminate(rows, ncols: int):

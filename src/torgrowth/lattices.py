@@ -1,13 +1,13 @@
 """Finite-index subgroups of Z^n and their finite abelian quotients.
 
-Covers the quotient decomposition A = Z^n/Gamma with working projection and
-section maps, exact shortest-vector norms by bounded enumeration, coordinate
-orders, orthogonal-complement lattices, and the explicit converging families
+Covers the quotient decomposition A = Z^n/Gamma with its projection map
+(the row transform of a Smith form), exact shortest-vector norms by bounded
+enumeration, coordinate orders, orthogonal-complement lattices (integer
+kernels, from Hermite form), and the explicit converging families
 Gamma_{s,j} = (k)^perp + j*k used by the growth experiments.
 
-Both inverses needed here are integer adjugates (`intlinalg.adjugate`): the
-section matrix is det(U)·adj(U) for the unimodular projection U, and the
-enumeration box reads R^2·adj(G)_ii / det(G) off the Gram matrix G.
+The one inverse needed here is an integer adjugate (`intlinalg.adjugate`):
+the enumeration box reads R^2·adj(G)_ii / det(G) off the Gram matrix G.
 """
 
 from __future__ import annotations
@@ -91,16 +91,15 @@ class FinAbGroup:
 
     Elements are digit tuples over the invariant factors d1 | d2 | ... (all
     >= 2), enumerated lexicographically; the stored unimodular change of
-    basis realizes the projection Z^n -> A and an integer section.
+    basis U realizes the projection Z^n -> A, v -> (U·v mod d_i).
     """
 
-    def __init__(self, nvars: int, dfull: Sequence[int], U, Uinv):
+    def __init__(self, nvars: int, dfull: Sequence[int], U):
         self.nvars = nvars
         self._dfull = tuple(int(d) for d in dfull)
         if any(d == 0 for d in self._dfull) or len(self._dfull) < nvars:
             raise ValueError("quotient is infinite: subgroup not of full rank")
         self._U = [list(map(int, row)) for row in U]
-        self._Uinv = [list(map(int, row)) for row in Uinv]
         self._keep = tuple(i for i, d in enumerate(self._dfull) if d > 1)
         self.invariant_factors = tuple(self._dfull[i] for i in self._keep)
         self.order = math.prod(self.invariant_factors)
@@ -118,7 +117,7 @@ class FinAbGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         n = len(factors)
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(n, factors, eye, eye)
+        return cls(n, factors, eye)
 
     @property
     def rank(self) -> int:
@@ -189,16 +188,6 @@ class FinAbGroup:
         ]
         return tuple(coords[i] % self._dfull[i] for i in self._keep)
 
-    def section(self, elem: Sequence[int]) -> tuple[int, ...]:
-        """An integer preimage of an element (project(section(a)) == a)."""
-        lift = [0] * self.nvars
-        for pos, i in enumerate(self._keep):
-            lift[i] = int(elem[pos])
-        return tuple(
-            sum(self._Uinv[i][j] * lift[j] for j in range(self.nvars))
-            for i in range(self.nvars)
-        )
-
     def order_of(self, elem: Sequence[int]) -> int:
         o = 1
         for x, d in zip(elem, self.invariant_factors):
@@ -229,17 +218,10 @@ class FinAbGroup:
 def quotient(gamma: Subgroup) -> FinAbGroup:
     """Invariant-factor decomposition of Z^n / Gamma for full-rank Gamma."""
     n = gamma.nvars
-    if not gamma.gens:
-        raise ValueError("subgroup has no generators")
-    # columns generate Gamma; SNF of the n x m generator matrix
+    # columns generate Gamma; FinAbGroup rejects a Gamma not of full rank
     mat = [[g[i] for g in gamma.gens] for i in range(n)]
-    D, U, _ = snf_with_transforms(mat)
-    diag = [int(D[i, i]) for i in range(min(n, len(gamma.gens)))]
-    if len(diag) < n or any(d == 0 for d in diag):
-        raise ValueError("subgroup is not of full rank; quotient is infinite")
-    # U is unimodular: its inverse, the section matrix, is det(U)·adjugate(U)
-    det = bareiss_det(U)
-    return FinAbGroup(n, diag, U, [[det * x for x in row] for row in adjugate(U)])
+    D, U = snf_with_transforms(mat)
+    return FinAbGroup(n, [D[i, i] for i in range(min(n, len(gamma.gens)))], U)
 
 
 def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
@@ -328,8 +310,7 @@ def perp(k: Sequence[int]) -> Subgroup:
     k = [int(x) for x in k]
     if not any(k):
         raise ValueError("perp of the zero vector is not a lattice of rank n-1")
-    cols = kernel_basis([k])
-    return Subgroup(len(k), tuple(tuple(c) for c in cols))
+    return Subgroup(len(k), tuple(kernel_basis([k])))
 
 
 def gamma_sj(k: Sequence[int], j: int) -> Subgroup:

@@ -567,8 +567,21 @@ def poly_to_json(f: LaurentPoly) -> list:
     return [[list(e), str(c)] for e, c in f.terms]
 
 
-def poly_from_json(data: Sequence, nvars: int) -> LaurentPoly:
+def poly_from_json(data, nvars: int | None = None) -> LaurentPoly:
+    """Inverse of `poly_to_json`: [exponent list, integer or decimal string]
+    terms, nvars by default from the first; any other shape is a ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"a JSON polynomial is a list of terms, not {data!r}")
     terms = {}
-    for exp, coeff in data:
-        terms[tuple(int(e) for e in exp)] = int(coeff)
+    for term in data:
+        exp, coeff = term if isinstance(term, list) and len(term) == 2 else (None, None)
+        if nvars is None and isinstance(exp, list):
+            nvars = len(exp)
+        if not (isinstance(exp, list) and len(exp) == nvars and isinstance(coeff, (int, str))
+                and all(isinstance(e, int) for e in exp)):
+            raise ValueError(
+                f"a polynomial term is [{nvars or 'n'} integer exponents, integer], not {term!r}")
+        terms[tuple(exp)] = int(coeff)
+    if nvars is None:
+        raise ValueError("an empty JSON polynomial needs nvars")
     return LaurentPoly(nvars, terms)

@@ -112,9 +112,11 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     Every sweep updates all roots at once (Ehrlich-Aberth in numpy):
     one Horner loop gives p and p' on the root vector, and the Aberth sum
     over the other roots is a loop of vector operations, so no deg x deg
-    array is built.  A root with p(z) = 0 is held; one with p'(z) = 0 is
-    perturbed.  A non-finite step ends the iteration early, since further
-    sweeps cannot repair the root it leaves.
+    array is built.  Where p or p' overflows at |z| > 1, only their ratio
+    is kept, from the reversed polynomial q(w) = w^deg·p(1/w) at w = 1/z:
+    p/p' = z·q(w) / (deg·q(w) - w·q'(w)).  A root with p(z) = 0 is held;
+    one with p'(z) = 0 is perturbed.  A non-finite step ends the iteration
+    early, since further sweeps cannot repair the root it leaves.
     """
     deg = len(coeffs) - 1
     if deg == 0:
@@ -123,17 +125,26 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     z = np.array(_start_points(coeffs))
     radius = float(np.abs(z).max())
 
-    def horner(z):
-        pv = np.full(deg, c[-1])
-        dv = np.zeros(deg, dtype=np.complex128)
+    def horner(c, z):
+        pv = np.full(len(z), c[-1])
+        dv = np.zeros(len(z), dtype=np.complex128)
         for a in c[-2::-1]:
             dv = dv * z + pv
             pv = pv * z + a
         return pv, dv
 
+    def evaluate(z):
+        pv, dv = horner(c, z)
+        big = ~(np.isfinite(pv) & np.isfinite(dv)) & (np.abs(z) > 1)
+        if big.any():
+            w = 1 / z[big]
+            qv, qd = horner(c[::-1], w)
+            pv[big], dv[big] = z[big] * qv, deg * qv - w * qd
+        return pv, dv
+
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            pv, dv = horner(z)
+            pv, dv = evaluate(z)
             newton = pv / dv
             s = np.zeros(deg, dtype=np.complex128)
             for j in range(deg):
@@ -151,7 +162,7 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
             moved = float(np.abs(step).max())
             if moved < 1e-14 * max(1.0, radius) or not math.isfinite(moved):
                 break
-        pv, dv = horner(z)
+        pv, dv = evaluate(z)
         bounds = np.where(dv == 0, np.inf, deg * np.abs(pv) / np.abs(dv))
     return z.tolist(), bounds.tolist()
 

@@ -109,9 +109,12 @@ class PresentedModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "PresentedModule":
-        nvars = int(data["nvars"])
+        nvars, matrix = data["nvars"], data["matrix"]
+        if not (isinstance(nvars, int) and isinstance(matrix, list)
+                and all(isinstance(row, list) for row in matrix)):
+            raise ValueError("an inline module needs an integer 'nvars' and a list of rows")
         rows = tuple(
-            tuple(poly_from_json(e, nvars) for e in row) for row in data["matrix"]
+            tuple(poly_from_json(e, nvars) for e in row) for row in matrix
         )
         return cls(nvars, rows, int(data.get("m0", -1)))
 

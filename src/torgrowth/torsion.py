@@ -28,7 +28,6 @@ from .groupalg import characters, mult_matrix, project_poly
 from .intlinalg import (
     bareiss_det,
     hnf_coordinates,
-    hnf_rows,
     int_log,
     kernel_basis,
     matmul,
@@ -72,7 +71,7 @@ def _resolve_group(gamma) -> FinAbGroup:
     raise TypeError("expected a Subgroup or FinAbGroup")
 
 
-def expand(matrix, gamma, nvars: int | None = None) -> list[list[int]]:
+def expand(matrix, gamma) -> list[list[int]]:
     """Integer matrix of the presentation over Z[A_Gamma].
 
     Each polynomial entry becomes the |A| x |A| multiplication block of its
@@ -326,7 +325,7 @@ def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tup
         raise ValueError("homology is infinite (d1 not of full rank)")
     h0 = res.torsion_order()
     # |det| of the coordinates does not depend on the basis of ker(d1)
-    basis = hnf_rows(kernel_basis(d1))
+    basis = kernel_basis(d1)
     coords = []
     for j in range(r):
         x = hnf_coordinates(basis, [-Q[i][j] for i in range(r)] + [P[i][j] for i in range(r)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -198,6 +199,21 @@ class TestOrderIdentities:
     def test_intersect_self(self):
         L = beta_ideal(Z4, [(2,)])
         assert intersect_ideals([L, L]) == L
+
+    def test_intersect_against_membership(self):
+        rng = random.Random(35)
+        for _ in range(60):
+            n = rng.choice([2, 3])
+            lats = [
+                SubLattice.from_generators(
+                    n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+                )
+                for _ in range(rng.choice([2, 3]))
+            ]
+            got = intersect_ideals(lats)
+            assert got == SubLattice.from_generators(n, got.vectors)
+            for v in itertools.product(range(-6, 7), repeat=n):
+                assert got.contains(v) == all(L.contains(v) for L in lats)
 
     def test_coordinate_subgroups_rank(self):
         alsum = sum_ideals([alpha_ideal(Z22, [(1, 0)]), alpha_ideal(Z22, [(0, 1)])])

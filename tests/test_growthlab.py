@@ -367,6 +367,43 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "'stop'" in err["message"]
 
+    @pytest.mark.parametrize("config, message", [
+        ([], "JSON object"),
+        (config_dict(mahler=[]), "'mahler'"),
+        (config_dict(mahler={"schedule": 5}), "'schedule'"),
+        (config_dict(mahler={"schedule": [5]}), "'schedule'"),
+        (config_dict(sequence={"diagonal": {"ds": 5}}), "'ds'"),
+        (config_dict(sequence={"diagonal": {"ds": [None]}}), "'ds'"),
+        (config_dict(sequence={"gamma_sj": {"kappa": 1, "js": [1]}}), "'kappa'"),
+        (config_dict(sequence={"gamma_sj": {"kappa": [1], "js": 2}}), "'js'"),
+    ])
+    def test_growth_config_shape_is_json_error(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert cli_main(["growth", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["mahler", "--poly", "[[1]]"],
+        ["mahler", "--poly", "[1]"],
+        ["mahler", "--poly", '[[[1], "1"], [[0, 1], "2"]]'],
+        ["mahler", "--poly", '[[[1], "1"], [[0], null]]'],
+        ["mahler", "--poly", "[]"],
+        ["torsion", "--matrix", "{dir}/m.json", "--cyclic", "3"],
+        ["growth", "--config", "{dir}/c.json"],
+    ])
+    def test_malformed_polynomial_json_is_value_error(self, capsys, tmp_path, args):
+        bad = {"nvars": 1, "matrix": [[1]]}
+        (tmp_path / "m.json").write_text(json.dumps(bad))
+        (tmp_path / "c.json").write_text(json.dumps(config_dict(module=bad)))
+        assert cli_main([a.format(dir=tmp_path) for a in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
     def test_mahler_quadrature_zero_samples_is_json_error(self, capsys):
         assert cli_main([
             "mahler", "--poly", "3 + t1 + t2", "--nvars", "2",

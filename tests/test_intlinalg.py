@@ -85,8 +85,23 @@ def test_snf_sparse_phase_matches_dense_path():
     rng = random.Random(14)
     for _ in range(200):
         M = random_sparse_matrix(rng)
-        D, _, _ = snf_with_transforms(M)
+        D, _ = snf_with_transforms(M)
         assert snf_diagonal(M) == [int(D[i, i]) for i in range(min(len(M), len(M[0])))]
+
+
+def check_row_transform(M, D, U):
+    """U is unimodular and row i of U·M is d_i times an integer row (zero
+    past the rank); the diagonal is the brute-force invariant factors."""
+    m, n = len(M), len(M[0])
+    diag = [int(D[i, i]) for i in range(min(m, n))]
+    assert diag == brute_invariant_factors(M) == snf_diagonal(M)
+    assert abs(bareiss_det([list(map(int, r)) for r in U])) == 1
+    d = [x for x in diag if x]
+    for i, row in enumerate(matmul([list(r) for r in U], M)):
+        if i < len(d):
+            assert all(x % d[i] == 0 for x in row)
+        else:
+            assert not any(row)
 
 
 def test_snf_transforms_unimodular():
@@ -94,19 +109,12 @@ def test_snf_transforms_unimodular():
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        D, U, V = snf_with_transforms(M)
-        UMV = matmul(matmul([list(r) for r in U], M), [list(r) for r in V])
-        for i in range(m):
-            for j in range(n):
-                assert UMV[i][j] == D[i, j]
-        assert abs(bareiss_det([list(map(int, r)) for r in U])) == 1
-        assert abs(bareiss_det([list(map(int, r)) for r in V])) == 1
-        assert [int(D[i, i]) for i in range(min(m, n))] == snf_diagonal(M)
+        check_row_transform(M, *snf_with_transforms(M))
 
 
 def test_snf_transforms_repair_divisibility_chain():
     # diagonal entries with no divisibility chain, e.g. (6, 4, 10) -> (2, 2, 60)
-    D, U, V = snf_with_transforms([[6, 0, 0], [0, 4, 0], [0, 0, 10]])
+    D, U = snf_with_transforms([[6, 0, 0], [0, 4, 0], [0, 0, 10]])
     assert [D[i, i] for i in range(3)] == [2, 2, 60]
     rng = random.Random(15)
     for _ in range(120):
@@ -116,13 +124,7 @@ def test_snf_transforms_repair_divisibility_chain():
         for _ in range(rng.randint(0, 2)):
             a, b = rng.sample(range(m), 2)
             M[a] = [x - y for x, y in zip(M[a], M[b])]
-        D, U, V = snf_with_transforms(M)
-        UMV = matmul(matmul([list(r) for r in U], M), [list(r) for r in V])
-        assert all(UMV[i][j] == D[i, j] for i in range(m) for j in range(n))
-        assert abs(bareiss_det([list(map(int, r)) for r in U])) == 1
-        assert abs(bareiss_det([list(map(int, r)) for r in V])) == 1
-        diag = [int(D[i, i]) for i in range(min(m, n))]
-        assert diag == brute_invariant_factors(M) == snf_diagonal(M)
+        check_row_transform(M, *snf_with_transforms(M))
 
 
 def test_kernel_basis_spans_kernel():
@@ -131,10 +133,16 @@ def test_kernel_basis_spans_kernel():
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
         K = kernel_basis(M)
+        assert K == hnf_rows(K)
         for col in K:
             assert all(sum(M[i][j] * col[j] for j in range(n)) == 0 for i in range(m))
         rank = sum(1 for d in snf_diagonal(M) if d)
         assert len(K) == n - rank
+        # saturated: Z^n / span(K) is torsion-free, so K spans all of ker(M)
+        assert not K or set(snf_diagonal(K)) == {1}
+    assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+    assert kernel_basis([[1, 2]]) == [[2, -1]]
+    assert kernel_basis([]) == []
 
 
 def test_hnf_canonical_under_generating_set_changes():

@@ -58,8 +58,9 @@ class TestQuotient:
                 a = A.project(v)
                 seen.add(a)
                 assert (a == A.identity()) == G.contains(v)
-            for a in A.elements():
-                assert A.project(A.section(a)) == a
+            # surjective: the images of e_1, ..., e_n generate A
+            images = [A.project([int(i == j) for j in range(n)]) for i in range(n)]
+            assert len(A.subgroup_closure(images)) == A.order
             assert len(A.elements()) == A.order
 
     def test_order_equals_det(self):

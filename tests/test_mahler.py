@@ -69,6 +69,14 @@ class TestJensen:
         assert est.value == pytest.approx(30 * math.log(10), abs=1e-9)  # 69.0775527898
         assert est.error_bound <= 1e-9
 
+    @pytest.mark.parametrize("deg", [120, 300])
+    def test_root_beyond_the_float_range_of_horner_certifies(self, deg):
+        # 1000^deg overflows plain Horner at the root near 1000; the ratio
+        # p/p' comes from the reversed polynomial at 1/z there
+        est = mahler_univariate(t ** deg - 1000 * t ** (deg - 1) + 1)
+        assert est.value == pytest.approx(math.log(1000), abs=1e-9)
+        assert est.error_bound <= 1e-9
+
     def test_agrees_with_mpmath_polyroots(self):
         rng = random.Random(64)
         for _ in range(40):
