@@ -2,8 +2,8 @@
 
 Multiplication by a group element is one primitive, the translation table
 `FinAbGroup.translation`; regular-representation matrices, products and the
-subgroup ideals are all built on it.  Also here: characters with exact
-rational rotation numbers, the complementary ideals attached to a subgroup
+subgroup ideals are all built on it.  Also here: the characters, read off
+one integer exponent matrix, the complementary ideals attached to a subgroup
 B (the principal ideal of the norm element u_B = sum of B, and the
 augmentation-style ideal generated by 1-b), lattice volumes, and quotient
 orders.  These furnish the exact order identities
@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .intlinalg import bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul
 from .lattices import FinAbGroup
@@ -243,8 +245,8 @@ def orthogonal_complement(lat: SubLattice) -> SubLattice:
 class Character:
     """A character of A = Z^n/Gamma as a root-of-unity tuple.
 
-    `rotations` are exact rational rotation numbers q_i with z_i =
-    exp(2*pi*i*q_i), one per ambient variable, and z^gamma = 1 on Gamma.
+    `rotations` are the rotation numbers q_i = W[c, i]/e of
+    `character_exponents`, z_i = exp(2*pi*i*q_i), and z^gamma = 1 on Gamma.
     `digits` indexes the character against the canonical element order.
     """
 
@@ -262,21 +264,24 @@ class Character:
         return tuple(cmath.exp(2j * cmath.pi * float(q)) for q in self.rotations)
 
 
+def character_exponents(group: FinAbGroup) -> np.ndarray:
+    """The |A| x n integer matrix W with chi_c(t_j) = exp(2*pi*i*W[c, j]/e).
+
+    e is the exponent of A and rows follow the element order: chi_c(a) =
+    exp(2*pi*i * sum_i c_i a_i / d_i), so W[c, j] = sum_i c_i a_i e/d_i mod e
+    for the digits a of the image of t_j.
+    """
+    e = group.exponent
+    images = [[a * (e // d) for a, d in zip(group.project(v), group.invariant_factors)]
+              for v in np.eye(group.nvars, dtype=int).tolist()]
+    images = np.array(images, dtype=np.int64).reshape(group.nvars, group.rank)
+    return np.array(group.elements(), dtype=np.int64) @ images.T % e
+
+
 def characters(group: FinAbGroup) -> list[Character]:
     """All |A| characters, ordered like the element enumeration."""
-    basis_images = []
-    for i in range(group.nvars):
-        e = [0] * group.nvars
-        e[i] = 1
-        basis_images.append(group.project(e))
-    out = []
-    for digits in group.elements():
-        rots = []
-        for img in basis_images:
-            q = sum(
-                Fraction(c * a, d)
-                for c, a, d in zip(digits, img, group.invariant_factors)
-            )
-            rots.append(q % 1)
-        out.append(Character(digits, tuple(rots), group.invariant_factors))
-    return out
+    e = group.exponent
+    return [
+        Character(digits, tuple(Fraction(w, e) for w in row), group.invariant_factors)
+        for digits, row in zip(group.elements(), character_exponents(group).tolist())
+    ]

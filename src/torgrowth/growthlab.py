@@ -71,12 +71,21 @@ def _json_list(value, expected: str, cast=int) -> list:
     raise ConfigError(f"{expected}, not {value!r}")
 
 
+def _json_int(value, key: str) -> int:
+    """int(value) for a scalar config field, else a ConfigError naming it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be an integer, not {value!r}") from None
+
+
 def _spec_range(spec: dict, kind: str) -> range:
     """start..stop inclusive by step, from a cyclic or diagonal spec."""
-    step = int(spec.get("step", 1))
+    step = _json_int(spec.get("step", 1), "step")
     if step == 0:
         raise ConfigError(f"the {kind!r} sequence needs a nonzero 'step'")
-    return range(int(spec.get("start", 1)), int(_required(spec, "stop", kind)) + 1, step)
+    return range(_json_int(spec.get("start", 1), "start"),
+                 _json_int(_required(spec, "stop", kind), "stop") + 1, step)
 
 
 def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str]:
@@ -152,7 +161,7 @@ class ExperimentConfig:
             if len(kappa.coords) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
             js = _json_list(_required(spec, "js", kind), "'js' must be a list of integers")
-            s_start = int(spec.get("s_start", 1))
+            s_start = _json_int(spec.get("s_start", 1), "s_start")
             for offset, j in enumerate(js):
                 s = s_start + offset
                 k = converging_k_sequence(kappa, s)
@@ -180,10 +189,10 @@ class ExperimentConfig:
             branched=bool(data["module"].get("branched", False)),
             sequence=tuple(subgroups),
             mahler_method=method,
-            mahler_samples=int(msettings.get("samples", 1_000_000)),
+            mahler_samples=_json_int(msettings.get("samples", 1_000_000), "samples"),
             mahler_schedule=schedule,
-            seed=int(data.get("seed", 0) if seed is None else seed),
-            jobs=int(data.get("jobs", 1) if jobs is None else jobs),
+            seed=_json_int(data.get("seed", 0) if seed is None else seed, "seed"),
+            jobs=_json_int(data.get("jobs", 1) if jobs is None else jobs, "jobs"),
             force=force or bool(data.get("force", False)),
         )
 

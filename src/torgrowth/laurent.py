@@ -569,10 +569,11 @@ def poly_to_json(f: LaurentPoly) -> list:
 
 def poly_from_json(data, nvars: int | None = None) -> LaurentPoly:
     """Inverse of `poly_to_json`: [exponent list, integer or decimal string]
-    terms, nvars by default from the first; any other shape is a ValueError."""
+    terms, nvars by default from the first, repeated exponents summed; any
+    other shape is a ValueError."""
     if not isinstance(data, list):
         raise ValueError(f"a JSON polynomial is a list of terms, not {data!r}")
-    terms = {}
+    terms = []
     for term in data:
         exp, coeff = term if isinstance(term, list) and len(term) == 2 else (None, None)
         if nvars is None and isinstance(exp, list):
@@ -581,7 +582,7 @@ def poly_from_json(data, nvars: int | None = None) -> LaurentPoly:
                 and all(isinstance(e, int) for e in exp)):
             raise ValueError(
                 f"a polynomial term is [{nvars or 'n'} integer exponents, integer], not {term!r}")
-        terms[tuple(exp)] = int(coeff)
+        terms.append((exp, int(coeff)))
     if nvars is None:
         raise ValueError("an empty JSON polynomial needs nvars")
     return LaurentPoly(nvars, terms)

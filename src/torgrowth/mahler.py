@@ -27,6 +27,10 @@ import numpy as np
 from .lattices import lawton_norm
 from .laurent import LaurentPoly, normalize_unit
 
+JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
+KRONECKER_TOL = 1e-8  # slack on |z| = 1 for each root in the Kronecker test
+QUADRATURE_SHARDS = 16  # median-of-means groups of the Monte Carlo estimate
+
 
 class NonconvergenceError(RuntimeError):
     """Root refinement failed to reach the requested certification."""
@@ -167,7 +171,7 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     return z.tolist(), bounds.tolist()
 
 
-def mahler_univariate(f: LaurentPoly, tol: float = 1e-9) -> MahlerEstimate:
+def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
     """Jensen's formula: log|lead| plus the log of every root outside the
     unit circle, with an error bound from certified per-root inclusion disks.
     """
@@ -193,7 +197,7 @@ def mahler_univariate(f: LaurentPoly, tol: float = 1e-9) -> MahlerEstimate:
             hi = math.log(max(1.0, r + b))
             lo = math.log(max(1.0, max(r - b, 1e-300)))
             err += hi - lo
-        if err <= tol:
+        if err <= JENSEN_TOL:
             return MahlerEstimate(
                 value,
                 "jensen",
@@ -201,11 +205,11 @@ def mahler_univariate(f: LaurentPoly, tol: float = 1e-9) -> MahlerEstimate:
                 {"roots": [(z.real, z.imag) for z in roots], "residual_bounds": bounds},
             )
     raise NonconvergenceError(
-        f"root certification stalled: error bound {err} above tolerance {tol}"
+        f"root certification stalled: error bound {err} above tolerance {JENSEN_TOL}"
     )
 
 
-def is_kronecker(f: LaurentPoly, tol: float = 1e-8) -> bool:
+def is_kronecker(f: LaurentPoly) -> bool:
     """Kronecker-style zero-measure test for integer univariate polynomials:
     unit leading and trailing coefficients and every root on the unit circle
     (within the certified root tolerance).  Implies Mahler measure 0.
@@ -224,7 +228,7 @@ def is_kronecker(f: LaurentPoly, tol: float = 1e-8) -> bool:
         # a NaN root would pass the comparison below and read as cyclotomic
         if not (math.isfinite(abs(z)) and math.isfinite(b)):
             raise NonconvergenceError("root bounds did not converge")
-        if abs(abs(z) - 1.0) > b + tol:
+        if abs(abs(z) - 1.0) > b + KRONECKER_TOL:
             return False
     return True
 
@@ -234,8 +238,8 @@ def default_lawton_schedule(nvars: int, ms: Sequence[int] = (8, 16, 32, 64)) -> 
     return [tuple(m ** i for i in range(nvars)) for m in ms]
 
 
-def mahler_lawton(f: LaurentPoly, schedule: Sequence[Sequence[int]] | None = None,
-                  tol: float = 1e-9) -> MahlerEstimate:
+def mahler_lawton(f: LaurentPoly,
+                  schedule: Sequence[Sequence[int]] | None = None) -> MahlerEstimate:
     """Mahler measure through one-variable specializations t^m -> t^(m·k).
 
     The schedule must have strictly increasing orthogonal defect <k> (the
@@ -263,7 +267,7 @@ def mahler_lawton(f: LaurentPoly, schedule: Sequence[Sequence[int]] | None = Non
         img = f.tau(k)
         if img.is_zero():
             raise ValueError(f"specialization along {k} collapses f to 0; enlarge <k>")
-        values.append(mahler_univariate(img, tol=tol).value)
+        values.append(mahler_univariate(img).value)
     tail = values[-3:]
     gap = max((abs(a - b) for a in tail for b in tail), default=0.0)
     return MahlerEstimate(
@@ -284,8 +288,7 @@ def _torus_eval_log(f: LaurentPoly, thetas: np.ndarray) -> np.ndarray:
         return np.log(np.abs(vals))
 
 
-def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0,
-                      shards: int = 16) -> MahlerEstimate:
+def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0) -> MahlerEstimate:
     """Median-of-means Monte Carlo estimate of the torus integral of log|f|.
 
     Sampling uses counter-based Philox streams spawned deterministically from
@@ -298,8 +301,7 @@ def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0,
         raise ValueError("the Mahler measure of 0 is undefined")
     if samples < 1:
         raise ValueError("quadrature needs at least one sample")
-    if samples < shards:
-        shards = max(1, samples)
+    shards = min(QUADRATURE_SHARDS, samples)
     per_shard = samples // shards
     root = np.random.SeedSequence(seed)
     children = root.spawn(shards)

@@ -113,10 +113,14 @@ class PresentedModule:
         if not (isinstance(nvars, int) and isinstance(matrix, list)
                 and all(isinstance(row, list) for row in matrix)):
             raise ValueError("an inline module needs an integer 'nvars' and a list of rows")
+        try:
+            m0 = int(data.get("m0", -1))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"'m0' must be an integer, not {data['m0']!r}") from None
         rows = tuple(
             tuple(poly_from_json(e, nvars) for e in row) for row in matrix
         )
-        return cls(nvars, rows, int(data.get("m0", -1)))
+        return cls(nvars, rows, m0)
 
 
 def reduce_presentation(mod: PresentedModule) -> PresentedModule:
@@ -369,26 +373,15 @@ def alexander_module(pres: GroupPresentation) -> PresentedModule:
     return PresentedModule(pres.nvars, cx.diffs[1], pres.ngens)
 
 
-def branched_module(d2, n: int, nvars: int | None = None) -> PresentedModule:
+def branched_module(d2: PresentedModule, n: int) -> PresentedModule:
     """Block presentation [[d2, 0], [I, T]] of the branched-cover module.
 
-    d2 is the m x (m+1) Fox Jacobian (no rows for the unknot spine);
-    T = diag(1 - t_i) over the n link-component variables.  The Z-torsion of
-    this module over Z[A_Gamma] computes the branched-cover homology torsion.
+    d2 is the module of the m x (m+1) Fox Jacobian (no rows for the unknot
+    spine); T = diag(1 - t_i) over the n link-component variables.  The
+    Z-torsion of this module over Z[A_Gamma] computes the branched-cover
+    homology torsion.
     """
-    if isinstance(d2, PresentedModule):
-        nvars = d2.nvars
-        rows = [list(r) for r in d2.matrix]
-        m0 = d2.m0
-    else:
-        rows = [list(r) for r in d2]
-        if rows:
-            nvars = rows[0][0].nvars
-            m0 = len(rows[0])
-        else:
-            if nvars is None:
-                raise ValueError("an empty d2 needs an explicit nvars")
-            m0 = 1
+    nvars, rows, m0 = d2.nvars, d2.matrix, d2.m0
     m = len(rows)
     if nvars != n:
         raise ValueError("number of variables must equal the number of link components")

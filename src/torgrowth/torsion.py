@@ -12,19 +12,19 @@ no longer |A_Gamma| unit pivots for SNF to find again.
 
 Two exact oracles check the SNF route with no floating point: the product of
 f over the characters of A_Gamma (`character_product`) and Fox's product for
-cyclic branched covers of knots (`cyclic_branched_oracle`).  Both multiply
-cyclotomic norms, one integer resultant Res(Phi_d, g) per Galois orbit of
-characters of order d.
+cyclic branched covers of knots (`cyclic_branched_oracle`).  Both are one
+Fourier transform over F_p (p = 1 mod the exponent of A_Gamma) through the
+one exponent matrix of the characters, lifted to the integer by CRT.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from .groupalg import characters, mult_matrix, project_poly
+import numpy as np
+
+from .groupalg import character_exponents, mult_matrix, project_poly
 from .intlinalg import (
     bareiss_det,
     hnf_coordinates,
@@ -34,7 +34,7 @@ from .intlinalg import (
     snf_diagonal,
 )
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient
-from .laurent import LaurentPoly, div_exact
+from .laurent import LaurentPoly
 from .presmod import ChainComplex, PresentedModule, reduce_presentation
 
 
@@ -201,75 +201,70 @@ def chain_torsion(cx: ChainComplex, i: int, gamma) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact products over characters: cyclotomic norms
+# Exact products over characters: a Fourier transform over F_p
 # ---------------------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def _cyclotomic(k: int) -> LaurentPoly:
-    """The k-th cyclotomic polynomial, by exact division of t^k - 1."""
-    t = LaurentPoly.variable(0, 1)
-    f = t ** k - 1
-    for d in range(1, k):
-        if k % d == 0:
-            q = div_exact(f, _cyclotomic(d))
-            assert q is not None
-            f = q
-    return f
+_PRIME_LIMIT = 2 ** 31
 
 
-def _cyclotomic_norm(g: list[int], d: int) -> int:
-    """Res(Phi_d, g) for g = sum g[i] t^i: det of x -> g*x on Z[t]/(Phi_d).
-
-    Phi_d is monic of degree n, so t^n = -(phi[0] + ... + phi[n-1] t^(n-1));
-    the columns g, t*g, ..., t^(n-1)*g are reduced by that rule.
-    """
-    coeffs = {e: c for (e,), c in _cyclotomic(d).terms}
-    n = max(coeffs)
-    phi = [coeffs.get(i, 0) for i in range(n)]
-    col = list(g)
-    while len(col) > n:
-        c = col.pop()
-        for i, p in enumerate(phi):
-            col[len(col) - n + i] -= c * p
-    cols = [col]
-    for _ in range(n - 1):
-        c = col[-1]
-        col = [-c * phi[0]] + [a - c * p for a, p in zip(col, phi[1:])]
-        cols.append(col)
-    return bareiss_det(cols)
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9 > 2^31."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
+            return False
+    return True
 
 
-def _orbit_norms(f: LaurentPoly, group: FinAbGroup):
-    """Yield (d, prod of f over the orbit) for each Galois orbit of characters.
+def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = False) -> int:
+    """|prod f(chi)| over the characters of A, or its nontrivial ones, exactly.
 
-    On the orbit {chi^k : gcd(k, d) = 1} of a character chi of order d with
-    rotation numbers q, f(chi^k) = g(zeta_d^k) for
-    g(t) = sum c * t^(<e, q>*d mod d), so the orbit's product is the integer
-    Res(Phi_d, g).
+    For primes p = 1 mod e, the exponent of A, F_p has a primitive e-th root
+    z and the Fourier transform Z[A] ⊗ F_p = F_p^|A| sends f to the values
+    f(chi_c) = sum_k f_k z^(W[c] . a_k) for the exponent matrix W.  Their
+    products mod p meet by CRT; past twice ||f||_1^(#characters) the
+    symmetric residue is the product.
     """
     if f.nvars != group.nvars:
         raise ValueError("dimension mismatch between polynomial and group")
-    seen = set()
-    for ch in characters(group):
-        d = math.lcm(*(q.denominator for q in ch.rotations))
-        w = [int(q * d) for q in ch.rotations]
-        if (d, tuple(w)) in seen:
+    e = group.exponent
+    W = character_exponents(group)[1 if skip_trivial else 0:]
+    exps = np.array([exp for exp, _ in f.terms], dtype=np.int64).reshape(-1, f.nvars) % e
+    coeffs = [c for _, c in f.terms]
+    powers = W @ exps.T % e  # f(chi_c) = sum_k coeffs[k] * z^powers[c, k]
+    bound = 2 * sum(map(abs, coeffs)) ** len(W)
+    primes_of_e = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    r, M = 0, 1
+    for p in range((_PRIME_LIMIT - 2) // e * e + 1, 1, -e):
+        if not _is_prime(p):
             continue
-        seen.update((d, tuple(k * x % d for x in w)) for k in range(1, d + 1) if math.gcd(k, d) == 1)
-        g = [0] * d
-        for exp, c in f.terms:
-            g[sum(e * x for e, x in zip(exp, w)) % d] += c
-        yield d, _cyclotomic_norm(g, d)
+        roots = (pow(g, (p - 1) // e, p) for g in range(2, p))
+        z = next(z for z in roots if all(pow(z, e // q, p) != 1 for q in primes_of_e))
+        table = np.ones(1, dtype=np.int64)
+        while len(table) < e:
+            table = np.concatenate([table, table * pow(z, len(table), p) % p])
+        terms = table[powers] * np.array([c % p for c in coeffs], dtype=np.int64) % p
+        vals = np.ones(1 << len(W).bit_length(), dtype=np.int64)  # halving needs 2^m values
+        vals[:len(W)] = terms.sum(axis=1) % p
+        while len(vals) > 1:
+            vals = vals[::2] * vals[1::2] % p
+        r += M * ((int(vals[0]) - r) * pow(M, -1, p) % p)
+        M *= p
+        if M > bound:
+            return abs(r - M if 2 * r > M else r)
+    raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} to fix a "
+                          f"product over {len(W)} characters")
 
 
 def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:
     """Product over j = 1..ell-1 of |Delta(zeta_ell^j)|, exactly.
 
-    The classical torsion count for the ell-fold cyclic branched cover of a
-    knot (Fox's formula |Res(Delta, (t^ell - 1)/(t - 1))|): the product of
-    the cyclotomic norms Res(Phi_d, Delta) over d | ell, d > 1.  Raises
-    OracleDegenerateError when one of them is 0.
+    Fox's formula |Res(Delta, (t^ell - 1)/(t - 1))| for the torsion of the
+    ell-fold cyclic branched cover of a knot: the product over the nontrivial
+    characters of Z/ell.  Raises OracleDegenerateError when it is 0.
     """
     if delta_poly.nvars != 1:
         raise ValueError("the oracle takes a univariate Alexander polynomial")
@@ -277,14 +272,11 @@ def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:
         raise ValueError("zero polynomial")
     if ell < 1:
         raise ValueError("ell must be positive")
-    out = 1
-    for d, norm in _orbit_norms(delta_poly, quotient(Subgroup.cyclic(ell))):
-        if d > 1:
-            if norm == 0:
-                raise OracleDegenerateError(
-                    f"Delta vanishes at an {ell}-th root of unity; product formula degenerate"
-                )
-            out *= abs(norm)
+    out = _character_product(delta_poly, quotient(Subgroup.cyclic(ell)), skip_trivial=True)
+    if out == 0:
+        raise OracleDegenerateError(
+            f"Delta vanishes at an {ell}-th root of unity; product formula degenerate"
+        )
     return out
 
 
@@ -294,10 +286,7 @@ def character_product(f: LaurentPoly, gamma) -> int:
     For a 1 x 1 presentation this is the determinant of the expanded matrix,
     hence the torsion order when f vanishes at no character (0 otherwise).
     """
-    out = 1
-    for _, norm in _orbit_norms(f, _resolve_group(gamma)):
-        out *= abs(norm)
-    return out
+    return _character_product(f, _resolve_group(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torgrowth.groupalg import (
@@ -10,6 +11,7 @@ from torgrowth.groupalg import (
     SubLattice,
     alpha_ideal,
     beta_ideal,
+    character_exponents,
     characters,
     gram_det,
     intersect_ideals,
@@ -274,6 +276,16 @@ class TestCharacters:
         for _ in range(20):
             A = FinAbGroup.from_invariant_factors(rng.choice([[5], [2, 4], [3, 3], [12]]))
             assert len(characters(A)) == A.order
+
+    def test_exponent_matrix_is_the_dual_group(self):
+        # rows vanish on Gamma, are pairwise distinct, and the first is trivial
+        for G in (Subgroup(2, ((1, -1), (1, 1))), Subgroup.diagonal(2, 6),
+                  Subgroup(3, ((2, 0, 0), (1, 3, 0), (0, 1, 4)))):
+            A = quotient(G)
+            W = character_exponents(A)
+            assert W.shape == (A.order, G.nvars)
+            assert not (W @ np.array(G.gens).T % A.exponent).any()
+            assert len(set(map(tuple, W.tolist()))) == A.order and not W[0].any()
 
     def test_trivial_on_gamma(self):
         G = Subgroup(2, ((1, -1), (1, 1)))

@@ -386,6 +386,34 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and message in err["message"]
 
+    @pytest.mark.parametrize("config, error, field", [
+        (config_dict(seed=[1]), "ConfigError", "'seed'"),
+        (config_dict(jobs="two"), "ConfigError", "'jobs'"),
+        (config_dict(sequence={"cyclic": {"stop": 4, "step": [1]}}), "ConfigError", "'step'"),
+        (config_dict(sequence={"cyclic": {"start": {}, "stop": 4}}), "ConfigError", "'start'"),
+        (config_dict(sequence={"diagonal": {"stop": None}}), "ConfigError", "'stop'"),
+        (config_dict(sequence={"gamma_sj": {"kappa": [1], "js": [1], "s_start": [2]}}),
+         "ConfigError", "'s_start'"),
+        (config_dict(mahler={"samples": "many"}), "ConfigError", "'samples'"),
+        (config_dict(module=dict(T_MINUS_2, m0=[])), "ValueError", "'m0'"),
+    ])
+    def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
+                                                      field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert cli_main(["growth", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == error and field in err["message"]
+
+    def test_mahler_json_poly_sums_repeated_exponents(self, capsys):
+        assert cli_main(["mahler", "--poly", '[[[1], "2"], [[1], "3"], [[0], "1"]]']) == 0
+        from_json = json.loads(capsys.readouterr().out)
+        assert cli_main(["mahler", "--poly", "2*t + 3*t + 1"]) == 0
+        assert from_json == json.loads(capsys.readouterr().out)
+        assert from_json["value"] == pytest.approx(math.log(5))
+
     @pytest.mark.parametrize("args", [
         ["mahler", "--poly", "[[1]]"],
         ["mahler", "--poly", "[1]"],

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import planted_presentations, random_laurent
+from torgrowth import torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
 from torgrowth.laurent import LaurentPoly, variables
@@ -239,7 +240,7 @@ class TestReducedPresentation:
 
 
 class TestExactProductDifferential:
-    """The cyclotomic-norm products against SNF, an independent exact route."""
+    """The Fourier products over F_p against SNF, an independent exact route."""
 
     @staticmethod
     def _random_subgroup(rng):
@@ -298,6 +299,38 @@ class TestExactProductDifferential:
         got = character_product(3 + t1 + t2, gamma)
         assert time.perf_counter() - start < 1.0
         assert got == want
+
+    def test_character_product_budget_on_a_large_cyclic_quotient(self):
+        # |A| = 761 is prime: the nontrivial characters are one Galois orbit of 760
+        gamma = gamma_sj((20, 19), 1)
+        assert quotient(gamma).order == 761
+        want = torsion_order(PresentedModule.quotient_by_ideal(2, [1 + t1 + t2]), gamma)
+        start = time.perf_counter()
+        got = character_product(1 + t1 + t2, gamma)
+        assert time.perf_counter() - start < 1.0
+        assert got == want
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 12, 97, 360, 761, 1024, 1499, 1500])
+    def test_character_product_closed_form(self, ell):
+        # prod (zeta^k - 2) = (-1)^ell (2^ell - 1): negative for odd ell
+        assert character_product(t - 2, Subgroup.cyclic(ell)) == 2 ** ell - 1
+
+    def test_branched_oracle_at_401_matches_snf(self, fig8_text):
+        fig8 = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
+        want = torsion_order(fig8, Subgroup.cyclic(401))
+        assert cyclic_branched_oracle(t ** 2 - 3 * t + 1, 401) == want
+
+    def test_prime_test_matches_trial_division(self):
+        small = [q for q in range(2, 317) if all(q % d for d in range(2, q))]
+        for n in range(10 ** 5):
+            want = n > 1 and all(n % q for q in small if q * q <= n)
+            assert torsion._is_prime(n) == want, n
+
+    def test_running_out_of_primes_is_an_error(self, monkeypatch):
+        # primes = 1 mod 50 below 200 are 101 and 151: too few for 2^50 - 1
+        monkeypatch.setattr(torsion, "_PRIME_LIMIT", 200)
+        with pytest.raises(ArithmeticError, match="too few primes"):
+            character_product(t - 2, Subgroup.cyclic(50))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
