@@ -25,7 +25,7 @@ from .presmod import (
     parse_presentation,
     rank,
 )
-from .torsion import torsion_and_betti
+from .torsion import decimal_str, torsion_and_betti
 
 
 def _read_poly(text: str, nvars: int | None) -> LaurentPoly:
@@ -123,7 +123,7 @@ def cmd_torsion(args) -> int:
     mod = _load_module(args)
     gamma = _subgroup_from_args(args, mod.nvars)
     tor, b = torsion_and_betti(mod, gamma)
-    print(json.dumps({"torsion_order": str(tor), "betti": b}, indent=2))
+    print(json.dumps({"torsion_order": decimal_str(tor), "betti": b}, indent=2))
     return 0
 
 

@@ -41,7 +41,7 @@ from .presmod import (
     parse_presentation,
     reduce_presentation,
 )
-from .torsion import GrowthSample, growth_sample
+from .torsion import GrowthSample, companion_entry, decimal_str, growth_sample
 
 SIZE_GUARD = 5000
 
@@ -225,7 +225,7 @@ class ExperimentReport:
                     "gamma": s.gamma,
                     "index": s.index,
                     "min_norm": s.min_norm,
-                    "torsion_order": str(s.torsion_order),
+                    "torsion_order": decimal_str(s.torsion_order),
                     "log_torsion": s.log_torsion,
                     "growth_stat": s.growth_stat,
                     "betti": s.betti,
@@ -264,11 +264,15 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     an output directory is given."""
     t_start = time.perf_counter()
     mod = config.module
+    reduced = reduce_presentation(mod)
+    # SNF expands an |A| x |A| block per live column; the companion route none
+    live = 0 if companion_entry(reduced) is not None else sum(
+        1 for j in range(reduced.m0) if any(r[j] for r in reduced.matrix))
     for _, gamma in config.sequence:
-        order = lattice_index(gamma.gens, gamma.nvars)
-        if order * mod.m0 > SIZE_GUARD and not config.force:
+        cells = lattice_index(gamma.gens, gamma.nvars) * live
+        if cells > SIZE_GUARD and not config.force:
             raise SizeGuardExceeded(
-                f"|A|*m0 = {order * mod.m0} exceeds {SIZE_GUARD}; pass force to override"
+                f"|A|*live columns = {cells} exceeds {SIZE_GUARD}; pass force to override"
             )
     dpoly = delta(mod).poly
     t_delta = time.perf_counter()
@@ -280,7 +284,6 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         schedule=config.mahler_schedule,
     )
     t_target = time.perf_counter()
-    reduced = reduce_presentation(mod)
     if config.jobs > 1:
         descs, gammas = zip(*config.sequence)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

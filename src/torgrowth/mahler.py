@@ -11,8 +11,8 @@ unit torus.
 
 All estimates carry a method tag and an explicit error bound; the additive
 measure of a nonzero integer polynomial is nonnegative, and is 0 exactly for
-generalized cyclotomic polynomials (detected in one variable by the
-Kronecker-style test).
+generalized cyclotomic polynomials (decided exactly in one variable by
+`is_kronecker`).
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .lattices import lawton_norm
-from .laurent import LaurentPoly, normalize_unit
+from .laurent import LaurentPoly, div_exact, normalize_unit
 
 JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
-KRONECKER_TOL = 1e-8  # slack on |z| = 1 for each root in the Kronecker test
 QUADRATURE_SHARDS = 16  # median-of-means groups of the Monte Carlo estimate
 
 
@@ -210,26 +209,33 @@ def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
 
 
 def is_kronecker(f: LaurentPoly) -> bool:
-    """Kronecker-style zero-measure test for integer univariate polynomials:
-    unit leading and trailing coefficients and every root on the unit circle
-    (within the certified root tolerance).  Implies Mahler measure 0.
+    """Whether f is ±t^a times cyclotomic polynomials (so Mahler measure 0),
+    exactly: with end coefficients ±1, divide out each Phi_k of degree
+    phi(k) <= deg f, made from t^k - 1 by exact division, until a unit is left.
     """
     if f.nvars != 1:
         raise ValueError("is_kronecker takes a one-variable polynomial")
     if f.is_zero():
         raise ValueError("the zero polynomial has no Mahler measure")
-    coeffs = _poly_coeffs(f)
-    if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
+    ends = f.coefficients()
+    if abs(ends[0]) != 1 or abs(ends[-1]) != 1:
         return False
-    if len(coeffs) == 1:
-        return True
-    roots, bounds = _aberth_roots(coeffs)
-    for z, b in zip(roots, bounds):
-        # a NaN root would pass the comparison below and read as cyclotomic
-        if not (math.isfinite(abs(z)) and math.isfinite(b)):
-            raise NonconvergenceError("root bounds did not converge")
-        if abs(abs(z) - 1.0) > b + KRONECKER_TOL:
+    cyclo: dict[int, tuple[int, LaurentPoly]] = {}  # k -> (phi(k), Phi_k)
+    k, t = 0, LaurentPoly.variable(0, 1)
+    while not f.is_unit():
+        k += 1
+        deg = f.max_exponents()[0] - f.min_exponents()[0]
+        if k > max(6, deg * deg):  # phi(k) >= sqrt(k) past k = 6
             return False
+        divisors = [cyclo[d] for d in cyclo if k % d == 0]
+        phi = k - sum(p for p, _ in divisors)  # above deg if some Phi_d, d | k, was skipped
+        if phi <= deg:
+            phik = t ** k - 1
+            for _, p in divisors:
+                phik //= p
+            cyclo[k] = (phi, phik)
+            while (q := div_exact(f, phik)) is not None:
+                f = q
     return True
 
 

@@ -1,16 +1,20 @@
 """The central quantity: |Tor_Z(M ⊗ Z[A_Gamma])| and its growth statistic.
 
-`expand` turns a presentation matrix over R into one big integer matrix by
-replacing every entry with the regular-representation block of its image in
-Z[A_Gamma]; Smith normal form of that matrix gives the torsion order (product
-of the nonzero invariant factors), the Betti number of the cokernel, and the
-growth statistic log|Tor| / |A_Gamma|.
-
 Every torsion query runs `presmod.reduce_presentation` first: its moves stay
 invertible over Z[A_Gamma], so the cokernel is unchanged, but a unit of R is
-no longer |A_Gamma| unit pivots for SNF to find again.
+no longer |A_Gamma| unit pivots for SNF to find again.  Each zero column of
+the reduced presentation adds |A_Gamma| to the Betti number; two routes give
+the rest:
 
-Two exact oracles check the SNF route with no floating point: the product of
+* companion, for one row over Z[t^±1] with one live entry f whose end
+  coefficients are ±1 (a knot's Alexander module; A_Gamma = Z/ell):
+  Z[t^±1]/(f) is Z^D with t acting by the companion matrix C of f, so the
+  torsion is |det(C^ell - I)|, or SNF of that D x D matrix when it is 0;
+* SNF, for every other presentation, of the integer matrix `expand` makes
+  by replacing each entry with the regular-representation block of its
+  image in Z[A_Gamma].
+
+Two exact oracles check these routes with no floating point: the product of
 f over the characters of A_Gamma (`character_product`) and Fox's product for
 cyclic branched covers of knots (`cyclic_branched_oracle`).  Both are one
 Fourier transform over F_p (p = 1 mod the exponent of A_Gamma) through the
@@ -20,6 +24,7 @@ one exponent matrix of the characters, lifted to the integer by CRT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -98,16 +103,47 @@ def expand(matrix, gamma) -> list[list[int]]:
     return out
 
 
-def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
-    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, from one SNF.
+def companion_entry(mod: PresentedModule) -> LaurentPoly | None:
+    """The entry f of a reduced presentation on the companion route: one row
+    over Z[t^±1] whose one live entry has end coefficients ±1; else None."""
+    live = [e for r in mod.matrix for e in r if e]
+    if mod.nvars != 1 or len(mod.matrix) != 1 or len(live) != 1:
+        return None
+    ends = live[0].coefficients()
+    return live[0] if abs(ends[0]) == abs(ends[-1]) == 1 else None
 
-    Only the nonzero columns of the reduced presentation are expanded; each
-    zero column is a free generator and adds |A| to the Betti number.
+
+def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
+    """(|Tor|, Betti) of Z[t^±1]/(f, t^ell - 1) = coker(C^ell - I) on Z^D,
+    for the companion matrix C of f on the basis 1, t, ..., t^(D-1)."""
+    lo, hi = f.min_exponents()[0], f.max_exponents()[0]
+    D, lead = hi - lo, f.coeff((hi,))
+    C = [[int(r == i + 1) for i in range(D - 1)] + [-lead * f.coeff((lo + r,))] for r in range(D)]
+    P = C
+    for bit in bin(ell)[3:]:  # C^ell by square-and-multiply
+        P = matmul(P, P)
+        if bit == "1":
+            P = matmul(P, C)
+    P = [[x - (r == i) for i, x in enumerate(row)] for r, row in enumerate(P)]
+    if det := bareiss_det(P):  # SNF only for the rare singular block
+        return abs(det), 0
+    res = snf(P)
+    return res.torsion_order(), D - res.rank
+
+
+def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
+    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z.
+
+    The companion route when `companion_entry` gives an f, else one SNF of
+    the nonzero columns; each zero column adds |A| to the Betti number.
     """
     group = _resolve_group(gamma)
     mod = reduce_presentation(mod)
     if not mod.matrix:
         return 1, mod.m0 * group.order
+    if (f := companion_entry(mod)) is not None:
+        tor, b = _companion_block(f, group.order)
+        return tor, (mod.m0 - 1) * group.order + b
     live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
     res = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
     return res.torsion_order(), mod.m0 * group.order - res.rank
@@ -121,6 +157,18 @@ def torsion_order(mod: PresentedModule, gamma) -> int:
 def betti(mod: PresentedModule, gamma) -> int:
     """Free rank of M ⊗ Z[A_Gamma] over Z."""
     return torsion_and_betti(mod, gamma)[1]
+
+
+def decimal_str(n: int) -> str:
+    """str(n) past CPython's int-to-str digit limit, which decimal skips."""
+    return str(Decimal(n))
+
+
+def decimal_int(s: str) -> int:
+    """The inverse of `decimal_str` on a string of decimal digits."""
+    if not s.isdecimal():
+        raise ValueError(f"not a string of decimal digits: {s!r}")
+    return int(Decimal(s))
 
 
 @dataclass(frozen=True)
@@ -154,7 +202,7 @@ class GrowthSample:
                 self.gamma,
                 str(self.index),
                 repr(self.min_norm),
-                str(self.torsion_order),
+                decimal_str(self.torsion_order),
                 repr(self.log_torsion),
                 repr(self.growth_stat),
                 str(self.betti),
@@ -168,7 +216,7 @@ class GrowthSample:
             gamma=parts[0],
             index=int(parts[1]),
             min_norm=float(parts[2]),
-            torsion_order=int(parts[3]),
+            torsion_order=decimal_int(parts[3]),
             betti=int(parts[6]),
         )
 

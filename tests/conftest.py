@@ -10,6 +10,22 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.fixture
+def snf_calls(monkeypatch) -> list[int]:
+    """The row counts of the matrices `torsion` hands to SNF, in call order."""
+    from torgrowth import torsion
+
+    calls: list[int] = []
+    original = torsion.snf_diagonal
+
+    def counting(mat):
+        calls.append(len(mat))
+        return original(mat)
+
+    monkeypatch.setattr(torsion, "snf_diagonal", counting)
+    return calls
+
+
+@pytest.fixture
 def trefoil_text() -> str:
     return (DATA / "trefoil.txt").read_text()
 
@@ -22,6 +38,14 @@ def fig8_text() -> str:
 @pytest.fixture
 def hopf_text() -> str:
     return (DATA / "hopf.txt").read_text()
+
+
+def lucas(n: int) -> int:
+    """The Lucas number L_n (L_0 = 2, L_1 = 1) by the recurrence."""
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def random_laurent(rng: random.Random, nvars: int, max_terms: int = 3,

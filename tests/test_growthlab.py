@@ -1,9 +1,10 @@
 import json
 import math
+from decimal import Decimal
 
 import pytest
 
-from torgrowth import torsion
+from conftest import lucas
 from torgrowth.cli import main as cli_main
 from torgrowth.growthlab import (
     ConfigError,
@@ -14,6 +15,7 @@ from torgrowth.growthlab import (
     run,
 )
 from torgrowth.laurent import poly_to_json, variables
+from torgrowth.presmod import alexander_module, branched_module, parse_presentation, reduce_presentation
 from torgrowth.torsion import GrowthSample
 
 t, = variables(1)
@@ -173,6 +175,23 @@ class TestRun:
         config = ExperimentConfig.from_dict(cfg)
         assert config.force
 
+    def test_size_guard_skips_the_companion_route(self, tmp_path, fig8_text):
+        # the reduced branched presentation takes the companion route, which
+        # expands nothing, so no |A| needs force
+        (tmp_path / "fig8.txt").write_text(fig8_text)
+        cfg = {
+            "module": {"presentation": "fig8.txt", "branched": True},
+            "sequence": {"cyclic": {"start": 20000, "stop": 20000}},
+        }
+        out = tmp_path / "out"
+        run(ExperimentConfig.from_dict(cfg, tmp_path), out_dir=out)
+        want = lucas(40000) - 2
+        sample = json.loads((out / "report.json").read_text())["samples"][0]
+        assert int(Decimal(sample["torsion_order"])) == want
+        assert sample["betti"] == 20000
+        row = (out / "samples.csv").read_text().splitlines()[1]
+        assert GrowthSample.from_csv_row(row).torsion_order == want
+
     def test_parallel_matches_serial(self):
         # jobs=1 runs in process without the JSON round trip the pool needs;
         # both must write the same report apart from the timings
@@ -321,36 +340,30 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
 
-    def test_torsion_runs_one_snf(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        original = torsion.snf_diagonal
-
-        def counting(mat):
-            calls.append(len(mat))
-            return original(mat)
-
-        monkeypatch.setattr(torsion, "snf_diagonal", counting)
+    def test_torsion_runs_one_snf(self, capsys, tmp_path, snf_calls):
         p = tmp_path / "mod.json"
         p.write_text(json.dumps(T_MINUS_2))
         assert cli_main(["torsion", "--matrix", str(p), "--cyclic", "4"]) == 0
         assert json.loads(capsys.readouterr().out) == {"torsion_order": "15", "betti": 0}
-        assert calls == [4]
+        assert snf_calls == [4]
 
-    def test_torsion_reduces_branched_presentation(self, capsys, fig8_text, tmp_path, monkeypatch):
-        # the 2 x 3 branched presentation reduces to one row over one live column
-        calls = []
-        original = torsion.snf_diagonal
-
-        def counting(mat):
-            calls.append(len(mat))
-            return original(mat)
-
-        monkeypatch.setattr(torsion, "snf_diagonal", counting)
+    def test_torsion_reduces_branched_presentation(self, capsys, fig8_text, tmp_path, snf_calls):
+        # the 2 x 3 branched presentation reduces to one row over one live
+        # column; its entry t^2 - 3t + 1 takes the companion route, not SNF
+        red = reduce_presentation(branched_module(alexander_module(parse_presentation(fig8_text)), 1))
+        assert red.m1 == 1 and sum(1 for e in red.matrix[0] if e) == 1
         p = tmp_path / "fig8.txt"
         p.write_text(fig8_text)
         assert cli_main(["torsion", "--presentation", str(p), "--branched", "--cyclic", "5"]) == 0
         assert json.loads(capsys.readouterr().out) == {"torsion_order": "121", "betti": 5}
-        assert calls == [5]
+        assert snf_calls == []
+
+    def test_torsion_prints_an_order_past_the_digit_limit(self, capsys, fig8_text, tmp_path):
+        p = tmp_path / "fig8.txt"
+        p.write_text(fig8_text)
+        assert cli_main(["torsion", "--presentation", str(p), "--branched", "--cyclic", "20000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert int(Decimal(out["torsion_order"])) == lucas(40000) - 2
 
     def test_torsion_diagonal_zero_reports_infinite_quotient(self, capsys, tmp_path):
         p = tmp_path / "mod.json"

@@ -144,10 +144,23 @@ class TestKronecker:
     def test_wide_coefficient_range_is_not_kronecker(self):
         assert is_kronecker(t ** 40 - 10 ** 30 * t + 1) is False
 
-    def test_nonfinite_root_raises(self, monkeypatch):
+    def test_exact_without_the_root_finder(self, monkeypatch):
+        # the test divides by cyclotomic polynomials and never finds roots
         monkeypatch.setattr(mahler, "_aberth_roots", nan_root_finder)
-        with pytest.raises(NonconvergenceError):
-            is_kronecker(t ** 4 + 1)
+        assert is_kronecker(t ** 4 + 1) is True
+        assert is_kronecker(t ** 4 + t + 1) is False
+
+    def test_products_and_powers_of_cyclotomics(self):
+        phi5, phi12 = t ** 4 + t ** 3 + t ** 2 + t + 1, t ** 4 - t ** 2 + 1
+        assert is_kronecker(phi5 * phi12) is True
+        assert is_kronecker((t ** 2 - t + 1) ** 2) is True
+        assert is_kronecker(-(t ** -3) * (t + 1) ** 3 * (t ** 2 + 1)) is True
+        assert is_kronecker((t ** 2 - t + 1) * (t ** 2 - 3 * t + 1)) is False
+
+    def test_lehmer_polynomial_is_not_kronecker(self):
+        # unit end coefficients, Mahler measure log 1.17628...
+        lehmer = t ** 10 + t ** 9 - t ** 7 - t ** 6 - t ** 5 - t ** 4 - t ** 3 + t + 1
+        assert is_kronecker(lehmer) is False
 
     def test_kronecker_implies_zero_measure(self):
         for f in (t ** 2 - t + 1, t ** 4 + t ** 3 + t ** 2 + t + 1, (t - 1) * (t + 1)):

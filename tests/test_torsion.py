@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import planted_presentations, random_laurent
+from conftest import lucas, planted_presentations, random_laurent
 from torgrowth import torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
@@ -239,6 +239,51 @@ class TestReducedPresentation:
         assert torsion_and_betti(t_squared, Subgroup.cyclic(6)) == (1, 0)
 
 
+class TestCompanionRoute:
+    """Z[t^±1]/(f) is Z^D with t acting by the companion matrix when f has
+    unit end coefficients; the route against SNF of the ell x ell expansion."""
+
+    @pytest.mark.parametrize("f", [
+        t ** 2 - 3 * t + 1,
+        -t ** 2 + t - 1,
+        t ** 4 - 3 * t ** 3 + 3 * t ** 2 - 3 * t + 1,
+        t ** -3 * (t ** 2 - 3 * t + 1),
+    ])
+    def test_matches_expanded_snf(self, f):
+        mod = PresentedModule(1, ((f,),))
+        assert torsion.companion_entry(reduce_presentation(mod)) is not None
+        for ell in range(1, 61):
+            res = snf(expand([[f]], Subgroup.cyclic(ell)))
+            assert torsion_and_betti(mod, Subgroup.cyclic(ell)) == (
+                res.torsion_order(), ell - res.rank), ell
+
+    @pytest.mark.parametrize("f", [2 * t - 3, t - 2])
+    def test_non_unit_end_coefficients_take_snf(self, f, snf_calls):
+        mod = PresentedModule(1, ((f,),))
+        assert torsion.companion_entry(reduce_presentation(mod)) is None
+        torsion_and_betti(mod, Subgroup.cyclic(7))
+        assert snf_calls == [7]
+
+    def test_trefoil_degenerate_exactly_at_multiples_of_six(self, trefoil_text, snf_calls):
+        # C^ell = I at 6 | ell: the 2 x 2 companion block is free, one SNF each
+        bm = branched_module(alexander_module(parse_presentation(trefoil_text)), 1)
+        for ell in range(1, 601):
+            tor, b = torsion_and_betti(bm, Subgroup.cyclic(ell))
+            assert b == (ell + 2 if ell % 6 == 0 else ell), ell
+            if ell % 6 == 0:
+                assert tor == 1
+        assert snf_calls == [2] * 100
+
+    def test_figure_eight_budget_at_ell_1e5(self, fig8_text):
+        # L_2l - 2 = L_l^2 - 2(-1)^l - 2 for the figure-eight's l-fold cover
+        ell = 10 ** 5
+        fig8 = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
+        start = time.perf_counter()
+        tor, b = torsion_and_betti(fig8, Subgroup.cyclic(ell))
+        assert time.perf_counter() - start < 2.0
+        assert (tor, b) == (lucas(ell) ** 2 - 4, ell)
+
+
 class TestExactProductDifferential:
     """The Fourier products over F_p against SNF, an independent exact route."""
 
@@ -414,6 +459,15 @@ class TestGrowthSample:
         assert math.exp(back.growth_stat * back.index) == pytest.approx(
             s.torsion_order, rel=1e-12
         )
+
+    def test_csv_roundtrip_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        s = GrowthSample("x", 1, 1.0, 3 ** 20000, 0)
+        assert GrowthSample.from_csv_row(s.csv_row()) == s
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        for bad in ("1.5", "1e3", "nan", " 7", ""):
+            with pytest.raises(ValueError):
+                GrowthSample.from_csv_row(f"x;1;1.0;{bad};0.0;0.0;0")
 
     def test_invariants(self):
         with pytest.raises(ValueError):
