@@ -2,28 +2,27 @@
 
 Multiplication by a group element is one primitive, the translation table
 `FinAbGroup.translation`; regular-representation matrices, products and the
-subgroup ideals are all built on it.  Also here: the characters, read off
-one integer exponent matrix, the complementary ideals attached to a subgroup
-B (the principal ideal of the norm element u_B = sum of B, and the
-augmentation-style ideal generated by 1-b), lattice volumes, and quotient
-orders.  These furnish the exact order identities
+subgroup ideals are all built on it.  Also here: the characters, one
+integer exponent matrix (`character_exponents`), the complementary ideals
+attached to a subgroup B (the principal ideal of the norm element u_B = sum
+of B, and the augmentation-style ideal generated by 1-b), lattice volumes,
+and quotient orders.  These furnish the exact order identities
 |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|) used as a test surface by the
-growth experiments.  Ideals are sublattices in canonical Hermite form, and
-sums, intersections and orthogonal complements all come from `hnf_rows`.
+growth experiments.  Ideals are `lattices.Subgroup`s of Z^|A| stored by
+their canonical Hermite rows, and sums and intersections come from
+`hnf_rows`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .intlinalg import bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul
-from .lattices import FinAbGroup
+from .intlinalg import bareiss_det, hnf_coordinates, hnf_rows, matmul
+from .lattices import FinAbGroup, Subgroup
 from .laurent import LaurentPoly
 
 
@@ -110,39 +109,6 @@ def mult_matrix(a: GroupAlgElem) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SubLattice:
-    """A sublattice of Z^ambient stored by its canonical Hermite basis."""
-
-    ambient: int
-    vectors: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "vectors", tuple(tuple(int(x) for x in v) for v in self.vectors)
-        )
-        for v in self.vectors:
-            if len(v) != self.ambient:
-                raise ValueError("vector length differs from ambient rank")
-
-    @classmethod
-    def from_generators(cls, ambient: int, vecs: Sequence[Sequence[int]]) -> "SubLattice":
-        return cls(ambient, tuple(hnf_rows(vecs)))
-
-    @classmethod
-    def standard(cls, ambient: int) -> "SubLattice":
-        return cls.from_generators(
-            ambient, [[1 if i == j else 0 for i in range(ambient)] for j in range(ambient)]
-        )
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return hnf_coordinates(self.vectors, vec) is not None
-
-
 def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> GroupAlgElem:
     """u_B: the sum of the elements of B inside Z[A]."""
     c = [0] * group.order
@@ -151,7 +117,7 @@ def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> 
     return GroupAlgElem(group, tuple(c))
 
 
-def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice:
+def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     """The principal ideal (u_B) of Z[A] as a sublattice of Z^|A|.
 
     Spanned by {g * u_B : g in A}, the distinct columns of the matrix of
@@ -159,12 +125,12 @@ def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattic
     """
     B = group.subgroup_closure(b_gens)
     vecs = list(dict.fromkeys(zip(*mult_matrix(norm_element(group, B)))))
-    lat = SubLattice.from_generators(group.order, vecs)
-    assert lat.rank == group.order // len(B)
+    lat = Subgroup.from_generators(group.order, vecs)
+    assert lat.rank() == group.order // len(B)
     return lat
 
 
-def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice:
+def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     """The ideal of Z[A] generated by {1 - b : b in B}, as a sublattice.
 
     Spanned by {g*(1-b)}, the columns of the matrices of the 1 - b; the
@@ -176,92 +142,63 @@ def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> SubLattice
         b = group.add(group.identity(), b)  # generators may be unreduced digits
         cols = zip(*mult_matrix(one - GroupAlgElem.basis_element(group, b)))
         vecs.extend(v for v in cols if any(v))
-    return SubLattice.from_generators(group.order, vecs)
+    return Subgroup.from_generators(group.order, vecs)
 
 
-def gram_det(lat: SubLattice) -> int:
-    """Exact Gram determinant det(<v_i, v_j>) of the stored basis."""
-    return bareiss_det(matmul(lat.vectors, list(zip(*lat.vectors))))
+def gram_det(lat: Subgroup) -> int:
+    """Exact Gram determinant det(<v_i, v_j>) of the Hermite basis."""
+    basis = lat.basis()
+    return bareiss_det(matmul(basis, list(zip(*basis))))
 
 
-def vol(lat: SubLattice) -> float:
+def vol(lat: Subgroup) -> float:
     """Lattice volume sqrt|det Gram|; >= 1 for nonzero integral lattices."""
-    if lat.rank == 0:
+    if lat.rank() == 0:
         return 1.0
     return math.sqrt(gram_det(lat))
 
 
-def quotient_order(outer: SubLattice, inner: SubLattice) -> int:
+def quotient_order(outer: Subgroup, inner: Subgroup) -> int:
     """|outer / inner| for a finite-index sublattice of equal rank."""
-    if inner.rank != outer.rank:
+    if inner.rank() != outer.rank():
         raise ValueError("quotient_order requires equal ranks (finite index)")
     coords = []
-    for v in inner.vectors:
-        x = hnf_coordinates(outer.vectors, v)
+    for v in inner.basis():
+        x = hnf_coordinates(outer.basis(), v)
         if x is None:
             raise ValueError("inner lattice is not contained in outer lattice")
         coords.append(x)
     return abs(bareiss_det(coords))
 
 
-def sum_ideals(lats: Sequence[SubLattice]) -> SubLattice:
+def sum_ideals(lats: Sequence[Subgroup]) -> Subgroup:
     """Lattice sum via concatenation of generators and reduction."""
     if not lats:
         raise ValueError("empty sum")
-    ambient = lats[0].ambient
+    ambient = lats[0].nvars
     vecs: list[Sequence[int]] = []
     for lat in lats:
-        if lat.ambient != ambient:
+        if lat.nvars != ambient:
             raise ValueError("ambient rank mismatch")
-        vecs.extend(lat.vectors)
-    return SubLattice.from_generators(ambient, vecs)
+        vecs.extend(lat.gens)
+    return Subgroup.from_generators(ambient, vecs)
 
 
-def intersect_ideals(lats: Sequence[SubLattice]) -> SubLattice:
+def intersect_ideals(lats: Sequence[Subgroup]) -> Subgroup:
     """Pairwise lattice intersection: the rows (x, x) for x in acc and (y, 0)
     for y in lat span {(a + b, a)}, so the Hermite rows whose first block is
     zero carry a canonical basis of acc ∩ lat in their second block."""
     if not lats:
         raise ValueError("empty intersection")
-    ambient = lats[0].ambient
+    ambient = lats[0].nvars
     acc = lats[0]
     for lat in lats[1:]:
-        if lat.ambient != ambient:
+        if lat.nvars != ambient:
             raise ValueError("ambient rank mismatch")
-        rows = [x + x for x in acc.vectors] + [y + (0,) * ambient for y in lat.vectors]
+        rows = [x + x for x in acc.gens] + [y + (0,) * ambient for y in lat.gens]
         basis = [r[ambient:] for r in hnf_rows(rows) if not any(r[:ambient])]
-        acc = SubLattice(ambient, tuple(basis))
+        acc = Subgroup(ambient, tuple(basis))
     return acc
-
-
-def orthogonal_complement(lat: SubLattice) -> SubLattice:
-    """{x in Z^ambient : <x, v> = 0 for all v in the lattice} (primitive)."""
-    if lat.rank == 0:
-        return SubLattice.standard(lat.ambient)
-    return SubLattice(lat.ambient, tuple(kernel_basis(lat.vectors)))
-
-
-@dataclass(frozen=True)
-class Character:
-    """A character of A = Z^n/Gamma as a root-of-unity tuple.
-
-    `rotations` are the rotation numbers q_i = W[c, i]/e of
-    `character_exponents`, z_i = exp(2*pi*i*q_i), and z^gamma = 1 on Gamma.
-    `digits` indexes the character against the canonical element order.
-    """
-
-    digits: tuple[int, ...]
-    rotations: tuple[Fraction, ...]
-    factors: tuple[int, ...]
-
-    def value_on(self, elem: Sequence[int]) -> Fraction:
-        """Rotation number of chi(a) for an element in digit form."""
-        q = sum(Fraction(c * a, d) for c, a, d in zip(self.digits, elem, self.factors))
-        return q % 1
-
-    def point(self) -> tuple[complex, ...]:
-        """The complex point (z_1, ..., z_n) on the torus."""
-        return tuple(cmath.exp(2j * cmath.pi * float(q)) for q in self.rotations)
 
 
 def character_exponents(group: FinAbGroup) -> np.ndarray:
@@ -269,19 +206,11 @@ def character_exponents(group: FinAbGroup) -> np.ndarray:
 
     e is the exponent of A and rows follow the element order: chi_c(a) =
     exp(2*pi*i * sum_i c_i a_i / d_i), so W[c, j] = sum_i c_i a_i e/d_i mod e
-    for the digits a of the image of t_j.
+    for the digits a of the image of t_j.  This matrix is the package's one
+    representation of the characters of A.
     """
     e = group.exponent
     images = [[a * (e // d) for a, d in zip(group.project(v), group.invariant_factors)]
               for v in np.eye(group.nvars, dtype=int).tolist()]
     images = np.array(images, dtype=np.int64).reshape(group.nvars, group.rank)
     return np.array(group.elements(), dtype=np.int64) @ images.T % e
-
-
-def characters(group: FinAbGroup) -> list[Character]:
-    """All |A| characters, ordered like the element enumeration."""
-    e = group.exponent
-    return [
-        Character(digits, tuple(Fraction(w, e) for w in row), group.invariant_factors)
-        for digits, row in zip(group.elements(), character_exponents(group).tolist())
-    ]

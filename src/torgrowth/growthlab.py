@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from . import __version__
 from .groupalg import (
-    SubLattice,
+    GroupAlgElem,
     alpha_ideal,
     beta_ideal,
     intersect_ideals,
     quotient_order,
     sum_ideals,
 )
-from .intlinalg import lattice_index
 from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
@@ -41,7 +40,7 @@ from .presmod import (
     parse_presentation,
     reduce_presentation,
 )
-from .torsion import GrowthSample, companion_entry, decimal_str, growth_sample
+from .torsion import GrowthSample, decimal_str, growth_sample, route
 
 SIZE_GUARD = 5000
 
@@ -107,6 +106,8 @@ def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModu
         if branched:
             raise ConfigError("branched mode needs a group presentation source")
         return PresentedModule.from_json(spec), "inline-matrix"
+    if not isinstance(spec["presentation"], str):
+        raise ConfigError(f"'presentation' must be a file path, not {spec['presentation']!r}")
     path = pathlib.Path(base_dir) / spec["presentation"]
     try:
         pres = parse_presentation(path.read_text())
@@ -171,7 +172,7 @@ class ExperimentConfig:
         if not subgroups:
             raise ConfigError("empty subgroup sequence")
         for desc, gamma in subgroups:
-            if lattice_index(gamma.gens, gamma.nvars) == 0:
+            if gamma.index() == 0:
                 raise ConfigError(f"{desc}: subgroup is not of full rank; quotient is infinite")
         msettings = data.get("mahler", {})
         if not isinstance(msettings, dict):
@@ -265,11 +266,9 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     t_start = time.perf_counter()
     mod = config.module
     reduced = reduce_presentation(mod)
-    # SNF expands an |A| x |A| block per live column; the companion route none
-    live = 0 if companion_entry(reduced) is not None else sum(
-        1 for j in range(reduced.m0) if any(r[j] for r in reduced.matrix))
+    live = len(route(reduced)[1])  # SNF expands an |A| x |A| block per live column
     for _, gamma in config.sequence:
-        cells = lattice_index(gamma.gens, gamma.nvars) * live
+        cells = gamma.index() * live
         if cells > SIZE_GUARD and not config.force:
             raise SizeGuardExceeded(
                 f"|A|*live columns = {cells} exceeds {SIZE_GUARD}; pass force to override"
@@ -364,7 +363,7 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
         al = alpha_ideal(A, bgens)
         be = beta_ideal(A, bgens)
         expected = len(B) ** (A.order // len(B))
-        got = quotient_order(SubLattice.standard(A.order), sum_ideals([al, be]))
+        got = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([al, be]))
         results.append(
             {
                 "case": case,
@@ -379,15 +378,13 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
                 "case": case,
                 "check": "rank alpha = |A|/|B|",
                 "group": list(A.invariant_factors),
-                "ok": al.rank == A.order // len(B),
-                "detail": f"rank {al.rank} vs {A.order // len(B)}",
+                "ok": al.rank() == A.order // len(B),
+                "detail": f"rank {al.rank()} vs {A.order // len(B)}",
             }
         )
-        from .groupalg import GroupAlgElem
-
         annihilates = True
-        for va in al.vectors[:2]:
-            for vb in be.vectors[:2]:
+        for va in al.basis()[:2]:
+            for vb in be.basis()[:2]:
                 if not (GroupAlgElem(A, va) * GroupAlgElem(A, vb)).is_zero():
                     annihilates = False
         results.append(
@@ -404,7 +401,7 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
         alsum = sum_ideals([al, alpha_ideal(A, bgens2)])
         beint = intersect_ideals([be, beta_ideal(A, bgens2)])
         bound = expected * len(B2) ** (A.order // len(B2))
-        got2 = quotient_order(SubLattice.standard(A.order), sum_ideals([alsum, beint]))
+        got2 = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([alsum, beint]))
         results.append(
             {
                 "case": case,

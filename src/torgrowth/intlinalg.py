@@ -4,7 +4,8 @@ Smith normal form (plain, and with the row transform that quotient maps
 need), canonical row-style Hermite bases, and small helpers for
 arbitrary-precision bookkeeping.  Matrices are plain nested lists of Python
 ints at the API boundary.  Hermite form is the one lattice normal form:
-bases, containment, indices and integer kernels all come from `hnf_rows`.
+integer kernels come from `hnf_rows` here, and `lattices.Subgroup`, the one
+lattice type, reads its basis, rank, index and containment off it.
 
 `eliminate` is the package's one exact elimination: fraction-free Bareiss
 steps that run unchanged over Z and over R = Z[t1^±1, ..., tn^±1]
@@ -383,18 +384,6 @@ def hnf_rows(vectors) -> list[list[int]]:
     return [pivot_rows[j] for j in pivots]
 
 
-def lattice_index(vectors, ambient: int) -> int:
-    """Index of the spanned lattice in Z^ambient (0 when not full rank)."""
-    basis = hnf_rows(vectors)
-    if len(basis) != ambient:
-        return 0
-    idx = 1
-    for row in basis:
-        j = next(i for i, x in enumerate(row) if x)
-        idx *= row[j]
-    return idx
-
-
 def hnf_coordinates(basis_rows, target) -> list[int] | None:
     """Coordinates of `target` in a row-style HNF basis, or None.
 
@@ -414,11 +403,6 @@ def hnf_coordinates(basis_rows, target) -> list[int] | None:
     if any(v):
         return None
     return coords
-
-
-def lattice_contains(vectors, target) -> bool:
-    """Whether `target` lies in the lattice spanned by `vectors`."""
-    return hnf_coordinates(hnf_rows(vectors), target) is not None
 
 
 def matmul(A, B) -> list[list]:

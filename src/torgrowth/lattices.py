@@ -1,9 +1,12 @@
-"""Finite-index subgroups of Z^n and their finite abelian quotients.
+"""Sublattices of Z^n, the finite abelian quotients of the full-rank ones.
 
-Covers the quotient decomposition A = Z^n/Gamma with its projection map
+`Subgroup` is the package's one lattice type: the finite-index subgroups
+Gamma of the growth experiments, their orthogonal lattices, and the
+subgroup ideals of Z[A] (sublattices of Z^|A|, see `groupalg`).  Its rank,
+index, containment and orthogonal lattice all come from one Hermite basis.
+Also here: the quotient decomposition A = Z^n/Gamma with its projection map
 (the row transform of a Smith form), exact shortest-vector norms by bounded
-enumeration, coordinate orders, orthogonal-complement lattices (integer
-kernels, from Hermite form), and the explicit converging families
+enumeration, coordinate orders, and the explicit converging families
 Gamma_{s,j} = (k)^perp + j*k used by the growth experiments.
 
 The one inverse needed here is an integer adjugate (`intlinalg.adjugate`):
@@ -15,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .intlinalg import (
-    adjugate, bareiss_det, hnf_rows, kernel_basis, lattice_contains, matmul, nearest_div,
+    adjugate, bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul, nearest_div,
     snf_with_transforms,
 )
 
@@ -33,7 +36,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of Z^nvars given by generating vectors (matrix columns)."""
+    """A subgroup of Z^nvars given by generating vectors (matrix columns).
+
+    `from_generators` stores the canonical Hermite rows as `gens`, so two
+    lattices built that way are equal iff they span the same subgroup.
+    """
 
     nvars: int
     gens: tuple[tuple[int, ...], ...]
@@ -61,15 +68,37 @@ class Subgroup:
         )
         return cls(nvars, gens)
 
-    def basis(self) -> list[list[int]]:
-        """Independent basis vectors (canonical Hermite form rows)."""
-        return hnf_rows(self.gens)
+    @classmethod
+    def from_generators(cls, nvars: int, vecs: Sequence[Sequence[int]]) -> "Subgroup":
+        """The lattice spanned by `vecs`, stored by its canonical Hermite rows."""
+        return cls(nvars, tuple(hnf_rows(vecs)))
+
+    @cached_property
+    def _hermite(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, hnf_rows(self.gens)))
+
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """Independent basis vectors (canonical Hermite form rows), computed once."""
+        return self._hermite
 
     def rank(self) -> int:
         return len(self.basis())
 
+    def index(self) -> int:
+        """|Z^nvars / Gamma|: the product of the Hermite pivots, 0 below full rank."""
+        basis = self.basis()
+        if len(basis) < self.nvars:
+            return 0
+        return math.prod(row[i] for i, row in enumerate(basis))
+
     def contains(self, vec: Sequence[int]) -> bool:
-        return lattice_contains(self.gens, vec)
+        return hnf_coordinates(self.basis(), vec) is not None
+
+    def perp(self) -> "Subgroup":
+        """The saturated lattice {x : x·g = 0 for every g in Gamma}, in Hermite form."""
+        if not self.gens:
+            return Subgroup.diagonal(self.nvars, 1)
+        return Subgroup(self.nvars, tuple(kernel_basis(self.gens)))
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.gens]
@@ -307,10 +336,10 @@ def coordinate_order(group: FinAbGroup, i: int) -> int:
 
 def perp(k: Sequence[int]) -> Subgroup:
     """The saturated rank n-1 lattice {m : k·m = 0}."""
-    k = [int(x) for x in k]
+    k = tuple(int(x) for x in k)
     if not any(k):
         raise ValueError("perp of the zero vector is not a lattice of rank n-1")
-    return Subgroup(len(k), tuple(kernel_basis([k])))
+    return Subgroup(len(k), (k,)).perp()
 
 
 def gamma_sj(k: Sequence[int], j: int) -> Subgroup:

@@ -4,7 +4,8 @@ Every torsion query runs `presmod.reduce_presentation` first: its moves stay
 invertible over Z[A_Gamma], so the cokernel is unchanged, but a unit of R is
 no longer |A_Gamma| unit pivots for SNF to find again.  Each zero column of
 the reduced presentation adds |A_Gamma| to the Betti number; two routes give
-the rest:
+the rest, and `route` alone picks one (for the size guard of `growthlab.run`
+too):
 
 * companion, for one row over Z[t^±1] with one live entry f whose end
   coefficients are ±1 (a knot's Alexander module; A_Gamma = Z/ell):
@@ -103,16 +104,6 @@ def expand(matrix, gamma) -> list[list[int]]:
     return out
 
 
-def companion_entry(mod: PresentedModule) -> LaurentPoly | None:
-    """The entry f of a reduced presentation on the companion route: one row
-    over Z[t^±1] whose one live entry has end coefficients ±1; else None."""
-    live = [e for r in mod.matrix for e in r if e]
-    if mod.nvars != 1 or len(mod.matrix) != 1 or len(live) != 1:
-        return None
-    ends = live[0].coefficients()
-    return live[0] if abs(ends[0]) == abs(ends[-1]) == 1 else None
-
-
 def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
     """(|Tor|, Betti) of Z[t^±1]/(f, t^ell - 1) = coker(C^ell - I) on Z^D,
     for the companion matrix C of f on the basis 1, t, ..., t^(D-1)."""
@@ -131,20 +122,36 @@ def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
     return res.torsion_order(), D - res.rank
 
 
+def route(mod: PresentedModule) -> tuple[LaurentPoly | None, list[int]]:
+    """The route `torsion_and_betti` takes for a reduced presentation.
+
+    (f, []) on the companion route: one row over Z[t^±1] whose one live
+    entry f has end coefficients ±1.  Else (None, the live columns that SNF
+    expands into |A| x |A| blocks).
+    """
+    live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
+    if mod.nvars == 1 and len(mod.matrix) == 1 and len(live) == 1:
+        f = mod.matrix[0][live[0]]
+        ends = f.coefficients()
+        if abs(ends[0]) == abs(ends[-1]) == 1:
+            return f, []
+    return None, live
+
+
 def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z.
 
-    The companion route when `companion_entry` gives an f, else one SNF of
-    the nonzero columns; each zero column adds |A| to the Betti number.
+    The companion route when `route` gives an f, else one SNF of the live
+    columns; each zero column adds |A| to the Betti number.
     """
     group = _resolve_group(gamma)
     mod = reduce_presentation(mod)
-    if not mod.matrix:
-        return 1, mod.m0 * group.order
-    if (f := companion_entry(mod)) is not None:
+    f, live = route(mod)
+    if f is not None:
         tor, b = _companion_block(f, group.order)
         return tor, (mod.m0 - 1) * group.order + b
-    live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
+    if not live:
+        return 1, mod.m0 * group.order
     res = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
     return res.torsion_order(), mod.m0 * group.order - res.rank
 

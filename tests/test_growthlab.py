@@ -420,6 +420,22 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == error and field in err["message"]
 
+    @pytest.mark.parametrize("source", ["config", "matrix"])
+    @pytest.mark.parametrize("path", [5, None, ["fig8.txt"]])
+    def test_non_string_presentation_is_json_error(self, capsys, tmp_path, source, path):
+        module = {"presentation": path}
+        if source == "config":
+            (tmp_path / "c.json").write_text(json.dumps(config_dict(module=module)))
+            argv = ["growth", "--config", str(tmp_path / "c.json")]
+        else:
+            (tmp_path / "m.json").write_text(json.dumps(module))
+            argv = ["torsion", "--matrix", str(tmp_path / "m.json"), "--cyclic", "3"]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "'presentation'" in err["message"]
+
     def test_mahler_json_poly_sums_repeated_exponents(self, capsys):
         assert cli_main(["mahler", "--poly", '[[[1], "2"], [[1], "3"], [[0], "1"]]']) == 0
         from_json = json.loads(capsys.readouterr().out)

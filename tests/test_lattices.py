@@ -79,6 +79,66 @@ class TestQuotient:
                 assert quotient(G).order == d
 
 
+class TestSubgroup:
+    def test_lattice_index(self):
+        assert Subgroup.from_generators(2, [[2, 0], [0, 3]]).index() == 6
+        assert Subgroup(2, ((1, 1), (-1, 1))).index() == 2
+        assert Subgroup(2, ((1, 1),)).index() == 0
+
+    def test_index_is_the_smith_quotient_order(self):
+        # Hermite pivots against Smith invariant factors, on random Gamma in
+        # 1-3 dimensions with one generator fewer than n up to one more
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            gens = tuple(
+                tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(n - 1, n + 1))
+            )
+            G = Subgroup(n, gens)
+            try:
+                order = quotient(G).order
+            except ValueError:
+                assert G.index() == 0, gens
+            else:
+                assert G.index() == order > 0, gens
+
+    def test_from_generators_is_canonical(self):
+        # shuffled generators plus integer combinations of them give the same
+        # lattice; a vector outside it gives another one
+        rng = random.Random(25)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            vecs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+            L = Subgroup.from_generators(n, vecs)
+            assert L.gens == L.basis() == Subgroup(n, vecs).basis()
+            assert all(L.contains(v) for v in vecs)
+            more = vecs[:]
+            rng.shuffle(more)
+            for _ in range(rng.randint(1, 2)):
+                cs = [rng.randint(-3, 3) for _ in vecs]
+                more.append([sum(c * v[i] for c, v in zip(cs, vecs)) for i in range(n)])
+            assert Subgroup.from_generators(n, more) == L
+            w = [rng.randint(-5, 5) for _ in range(n)]
+            if not L.contains(w):
+                assert Subgroup.from_generators(n, vecs + [w]) != L
+
+    def test_perp_of_the_zero_lattice_is_everything(self):
+        assert Subgroup(3, ()).perp() == Subgroup.diagonal(3, 1)
+        assert Subgroup.diagonal(2, 5).perp() == Subgroup(2, ())
+
+    def test_hermite_basis_is_computed_once(self, monkeypatch):
+        from torgrowth import lattices
+
+        calls = []
+        original = lattices.hnf_rows
+        monkeypatch.setattr(lattices, "hnf_rows", lambda vecs: calls.append(1) or original(vecs))
+        G = gamma_sj((2, 3), 2)
+        for v in ((3, -2), (4, 6), (1, 0)):
+            G.contains(v)
+        assert (G.rank(), G.index()) == (2, 26)
+        assert len(calls) == 1
+
+
 class TestMinNorm:
     def test_rectangular(self):
         assert min_norm(Subgroup(2, ((5, 0), (0, 7)))) == 5
