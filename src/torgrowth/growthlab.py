@@ -78,6 +78,13 @@ def _json_int(value, key: str) -> int:
         raise ConfigError(f"{key!r} must be an integer, not {value!r}") from None
 
 
+def _json_bool(value, key: str) -> bool:
+    """A JSON boolean config field, else a ConfigError naming it."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, not {value!r}")
+    return value
+
+
 def _spec_range(spec: dict, kind: str) -> range:
     """start..stop inclusive by step, from a cyclic or diagonal spec."""
     step = _json_int(spec.get("step", 1), "step")
@@ -87,8 +94,9 @@ def _spec_range(spec: dict, kind: str) -> range:
                  _json_int(_required(spec, "stop", kind), "stop") + 1, step)
 
 
-def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str]:
-    """The module a config's 'module' object names, and a label for its source.
+def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str, bool]:
+    """The module a config's 'module' object names, a label for its source,
+    and whether it is the branched-cover module.
 
     Exactly one source: an inline 'matrix' (with 'nvars', optionally 'm0')
     or a 'presentation' file read relative to `base_dir`; 'branched' takes
@@ -99,13 +107,13 @@ def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModu
     sources = [k for k in ("matrix", "presentation") if k in spec]
     if len(sources) != 1:
         raise ConfigError("module must have exactly one source: 'matrix' or 'presentation'")
-    branched = bool(spec.get("branched", False))
+    branched = _json_bool(spec.get("branched", False), "branched")
     if sources[0] == "matrix":
         if "nvars" not in spec:
             raise ConfigError("inline matrix module needs 'nvars'")
         if branched:
             raise ConfigError("branched mode needs a group presentation source")
-        return PresentedModule.from_json(spec), "inline-matrix"
+        return PresentedModule.from_json(spec), "inline-matrix", False
     if not isinstance(spec["presentation"], str):
         raise ConfigError(f"'presentation' must be a file path, not {spec['presentation']!r}")
     path = pathlib.Path(base_dir) / spec["presentation"]
@@ -114,7 +122,7 @@ def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModu
     except OSError as exc:
         raise ConfigError(f"cannot read presentation file: {exc}") from exc
     mod = alexander_module(pres)
-    return (branched_module(mod, pres.nvars) if branched else mod), str(path)
+    return (branched_module(mod, pres.nvars) if branched else mod), str(path), branched
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ class ExperimentConfig:
                   force: bool = False) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("a config must be a JSON object")
-        mod, source = load_module(data.get("module"), base_dir)
+        mod, source, branched = load_module(data.get("module"), base_dir)
         seq = data.get("sequence")
         if not isinstance(seq, dict) or len(seq) != 1:
             raise ConfigError("config needs exactly one sequence spec")
@@ -187,14 +195,14 @@ class ExperimentConfig:
         return cls(
             module=mod,
             module_source=source,
-            branched=bool(data["module"].get("branched", False)),
+            branched=branched,
             sequence=tuple(subgroups),
             mahler_method=method,
             mahler_samples=_json_int(msettings.get("samples", 1_000_000), "samples"),
             mahler_schedule=schedule,
             seed=_json_int(data.get("seed", 0) if seed is None else seed, "seed"),
             jobs=_json_int(data.get("jobs", 1) if jobs is None else jobs, "jobs"),
-            force=force or bool(data.get("force", False)),
+            force=_json_bool(data.get("force", False), "force") or force,
         )
 
     @classmethod
@@ -355,6 +363,11 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
     results = []
     for case in range(cases):
         A = _random_group(rng, max_order)
+
+        def record(check: str, ok: bool, detail: str) -> None:
+            results.append({"case": case, "check": check,
+                            "group": list(A.invariant_factors), "ok": ok, "detail": detail})
+
         bgens = [
             tuple(rng.randrange(d) for d in A.invariant_factors)
             for _ in range(rng.randint(0, 2))
@@ -364,51 +377,21 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
         be = beta_ideal(A, bgens)
         expected = len(B) ** (A.order // len(B))
         got = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([al, be]))
-        results.append(
-            {
-                "case": case,
-                "check": "order |Z[A]/(alpha+beta)| = |B|^(|A|/|B|)",
-                "group": list(A.invariant_factors),
-                "ok": got == expected,
-                "detail": f"got {got}, expected {expected}",
-            }
-        )
-        results.append(
-            {
-                "case": case,
-                "check": "rank alpha = |A|/|B|",
-                "group": list(A.invariant_factors),
-                "ok": al.rank() == A.order // len(B),
-                "detail": f"rank {al.rank()} vs {A.order // len(B)}",
-            }
-        )
+        record("order |Z[A]/(alpha+beta)| = |B|^(|A|/|B|)", got == expected,
+               f"got {got}, expected {expected}")
+        record("rank alpha = |A|/|B|", al.rank() == A.order // len(B),
+               f"rank {al.rank()} vs {A.order // len(B)}")
         annihilates = True
         for va in al.basis()[:2]:
             for vb in be.basis()[:2]:
                 if not (GroupAlgElem(A, va) * GroupAlgElem(A, vb)).is_zero():
                     annihilates = False
-        results.append(
-            {
-                "case": case,
-                "check": "alpha * beta = 0",
-                "group": list(A.invariant_factors),
-                "ok": annihilates,
-                "detail": "",
-            }
-        )
+        record("alpha * beta = 0", annihilates, "")
         bgens2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
         B2 = A.subgroup_closure(bgens2)
         alsum = sum_ideals([al, alpha_ideal(A, bgens2)])
         beint = intersect_ideals([be, beta_ideal(A, bgens2)])
         bound = expected * len(B2) ** (A.order // len(B2))
         got2 = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([alsum, beint]))
-        results.append(
-            {
-                "case": case,
-                "check": "multi-subgroup order bound",
-                "group": list(A.invariant_factors),
-                "ok": got2 <= bound,
-                "detail": f"order {got2} <= bound {bound}",
-            }
-        )
+        record("multi-subgroup order bound", got2 <= bound, f"order {got2} <= bound {bound}")
     return results

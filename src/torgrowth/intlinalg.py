@@ -7,19 +7,20 @@ ints at the API boundary.  Hermite form is the one lattice normal form:
 integer kernels come from `hnf_rows` here, and `lattices.Subgroup`, the one
 lattice type, reads its basis, rank, index and containment off it.
 
-`eliminate` is the package's one exact elimination: fraction-free Bareiss
-steps that run unchanged over Z and over R = Z[t1^±1, ..., tn^±1]
-(`presmod` takes ranks and minors of presentations with it).  Determinants
-are its last pivot, and inverses are `adjugate` (det(M)·M^-1, minors by
-`bareiss_det`), so no rational arithmetic is needed anywhere.
+Two eliminations run unchanged over Z and over R = Z[t1^±1, ..., tn^±1].
+`eliminate` takes fraction-free Bareiss steps (`presmod` takes ranks and
+minors of presentations with it); determinants are its last pivot, so no
+rational arithmetic is needed anywhere.  `eliminate_units` makes Tietze
+moves on unit pivots over sparse `{column: entry}` rows, with the pivot in
+the shortest row that has one (approximate Markowitz pivoting, as in Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001): phase 1 of SNF over Z,
+and the unit moves of `presmod.reduce_presentation` over R.
 
-`snf_diagonal` runs in two phases.  Phase 1 eliminates on ±1 pivots over
-sparse `{column: value}` rows, choosing the pivot in the shortest row that
-has one (approximate Markowitz pivoting, as in Dumas, Saunders and Villard,
-J. Symbolic Comput. 32, 2001); each such pivot is one invariant factor 1.
-Phase 2 finishes the small dense remainder with `_diagonalize`, which runs
-on numpy object arrays so row operations execute in C while coefficients
-stay arbitrary precision.  `snf_with_transforms` uses the dense path alone.
+`snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
+pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
+remainder with `_diagonalize`, which runs on numpy object arrays so row
+operations execute in C while coefficients stay arbitrary precision.
+`snf_with_transforms` uses the dense path alone.
 """
 
 from __future__ import annotations
@@ -177,22 +178,24 @@ def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
     return rows, n
 
 
-def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
-    """Phase 1 of `snf_diagonal`: sparse elimination on ±1 pivots, in place.
+def eliminate_units(rows: list[dict], inverse) -> list[int]:
+    """Sparse elimination on unit pivots over Z or R = Z[t^±], in place.
 
-    Each step takes a ±1 entry in the shortest live row that has one (the
-    search stops at a row of length <= 2: approximate Markowitz pivoting),
-    clears its column with row operations, and deletes the pivot row and
-    column.  A unit pivot clears its own row by column operations that touch
-    nothing else, so each step contributes one invariant factor 1.  Returns
-    the number of steps; the rows left nonempty hold the remaining block.
+    `rows` are {column: nonzero entry} dicts and `inverse(e)` is e^-1 when
+    e is a unit, else None.  Each step takes the first unit in the shortest
+    live row that has one (the search stops at a row of length <= 2:
+    approximate Markowitz pivoting), clears its column with row moves by
+    entry·u^-1, and deletes the pivot row and column.  A unit pivot clears
+    its own row by column moves that touch nothing else, so the cokernel
+    keeps its isomorphism type.  Returns the pivot columns in order; the
+    rows left nonempty hold the remaining block.
     """
     cols: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
             cols.setdefault(j, set()).add(i)
     live = {i for i, r in enumerate(rows) if r}
-    ones = 0
+    pivots = []
     while True:
         pivot, best = None, 0
         for i in live:
@@ -200,16 +203,16 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
             if pivot is not None and len(r) >= best:
                 continue
             for j, v in r.items():
-                if v == 1 or v == -1:
-                    pivot, best = (i, j), len(r)
+                u = inverse(v)
+                if u is not None:
+                    pivot, best = (i, j, u), len(r)
                     break
             if pivot is not None and best <= 2:
                 break
         if pivot is None:
-            return ones
-        p, c = pivot
+            return pivots
+        p, c, u = pivot
         prow = rows[p]
-        u = prow[c]
         for i in cols.pop(c):
             if i == p:
                 continue
@@ -232,22 +235,27 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
                 cols[j].discard(p)
         rows[p] = {}
         live.discard(p)
-        ones += 1
+        pivots.append(c)
+
+
+def _int_unit_inverse(v: int) -> int | None:
+    """The inverse of v in Z: ±1 are their own, nothing else is a unit."""
+    return v if v == 1 or v == -1 else None
 
 
 def snf_diagonal(mat) -> list[int]:
     """Invariant factors of an integer matrix, length min(m, n).
 
     Nonzero entries form a divisibility chain d1 | d2 | ...; zeros trail.
-    Two phases: sparse elimination on ±1 pivots (`_eliminate_unit_pivots`),
-    then `_diagonalize` on the dense block of the rows and columns that are
-    still nonzero.
+    Two phases: sparse elimination on ±1 pivots (`eliminate_units`), then
+    `_diagonalize` on the dense block of the rows and columns that are still
+    nonzero.
     """
     rows, n = _sparse_rows(mat)
     k = min(len(rows), n)
     if k == 0:
         return []
-    ones = _eliminate_unit_pivots(rows)
+    ones = len(eliminate_units(rows, _int_unit_inverse))
     tail = [r for r in rows if r]
     cols = sorted({j for r in tail for j in r})
     A = to_object_array([[r.get(j, 0) for j in cols] for r in tail])
@@ -318,23 +326,6 @@ def bareiss_det(mat) -> int:
         raise ValueError("determinant of a non-square matrix")
     rank, pivot = eliminate(rows, n)
     return pivot if rank == n else 0
-
-
-def adjugate(mat) -> list[list[int]]:
-    """The classical adjoint: adjugate(M)·M = M·adjugate(M) = det(M)·I.
-
-    Entry (i, j) is (-1)^(i+j) times the minor without row j and column i.
-    For unimodular M, det(M)·adjugate(M) is the exact inverse.
-    """
-    rows = [list(map(int, r)) for r in mat]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("adjugate of a non-square matrix")
-    return [
-        [(-1) ** (i + j) * bareiss_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def hnf_rows(vectors) -> list[list[int]]:

@@ -9,8 +9,9 @@ Also here: the quotient decomposition A = Z^n/Gamma with its projection map
 enumeration, coordinate orders, and the explicit converging families
 Gamma_{s,j} = (k)^perp + j*k used by the growth experiments.
 
-The one inverse needed here is an integer adjugate (`intlinalg.adjugate`):
-the enumeration box reads R^2·adj(G)_ii / det(G) off the Gram matrix G.
+No inverse is needed here: the enumeration box reads R^2·adj(G)_ii / det(G)
+off the Gram matrix G, and adj(G)_ii is the principal minor of G without
+row and column i.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 from .intlinalg import (
-    adjugate, bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul, nearest_div,
+    bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul, nearest_div,
     snf_with_transforms,
 )
 
@@ -295,9 +296,12 @@ def min_norm_sq(gamma: Subgroup) -> int:
     gram = matmul(basis, [list(c) for c in zip(*basis)])
     radius2 = min(gram[i][i] for i in range(r))
     # coefficient box from the inverse Gram: c^T G c <= R^2 implies
-    # c_i^2 <= R^2 * (G^-1)_ii = R^2 * adj(G)_ii / det G
-    det, adj = bareiss_det(gram), adjugate(gram)
-    bounds = [math.isqrt(radius2 * adj[i][i] // det) + 1 for i in range(r)]
+    # c_i^2 <= R^2 * (G^-1)_ii = R^2 * adj(G)_ii / det G, where adj(G)_ii is
+    # the principal minor of G without row and column i
+    det = bareiss_det(gram)
+    minors = [bareiss_det([g[:i] + g[i + 1:] for k, g in enumerate(gram) if k != i])
+              for i in range(r)]
+    bounds = [math.isqrt(radius2 * m // det) + 1 for m in minors]
     total = math.prod(2 * b + 1 for b in bounds)
     if total > _ENUM_BUDGET:
         raise SearchBudgetExceeded(

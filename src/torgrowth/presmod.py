@@ -12,7 +12,8 @@ divisions are exact `LaurentPoly` quotients.
 `reduce_presentation` shrinks a presentation by invertible row and column
 moves, so the module, its Fitting ideals (Eisenbud, Commutative Algebra,
 20.2) and every M ⊗ Z[A] stay the same; `alexander` never reduces, so the
-two check each other.
+two check each other.  Its unit pivots are `intlinalg.eliminate_units`, the
+same sparse Tietze loop that runs phase 1 of SNF over Z.
 
 Also here: Fox calculus for group presentations, the chain complex of the
 universal abelian cover of the associated 2-complex, and the block
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intlinalg import eliminate, matmul
+from .intlinalg import eliminate, eliminate_units, matmul
 from .laurent import (
     LaurentPoly,
     UnitNormalForm,
@@ -126,41 +127,28 @@ class PresentedModule:
 def reduce_presentation(mod: PresentedModule) -> PresentedModule:
     """An isomorphic, usually smaller presentation of the same module.
 
-    1. Unit pivots (Tietze moves): while an entry u = ±t^k exists, take the
-       one with the least (row nonzeros - 1) * (column nonzeros - 1), ties
-       by (row, column); clear its column with row moves by entry * u^-1,
-       then drop its row and column.
+    1. Unit pivots (Tietze moves): `intlinalg.eliminate_units` on sparse
+       rows, with the pivot rule it uses over Z: the first unit ±t^k in the
+       shortest row that has one.  Each pivot u clears its column with row
+       moves by entry * u^-1, then its row and column go.
     2. Singleton columns: if e is the only nonzero entry of its column, in
        row i, zero each other entry a of row i with e | a exactly (the
        column move col_j -= (a / e) * col_e changes row i only).
     3. Zero rows go; zero columns stay, as free generators.
     """
-    rows = [list(r) for r in mod.matrix]
-    m0 = mod.m0
-    while True:
-        col_nnz = [sum(1 for r in rows if r[j]) for j in range(m0)]
-        pivots = [
-            ((sum(1 for a in r if a) - 1) * (col_nnz[j] - 1), i, j)
-            for i, r in enumerate(rows) for j, e in enumerate(r) if e.is_unit()
-        ]
-        if not pivots:
-            break
-        _, p, c = min(pivots)
-        prow = rows.pop(p)
-        inv = prow[c] ** -1
-        for r in rows:
-            if r[c]:
-                f = r[c] * inv
-                r[:] = [a - f * b if b else a for a, b in zip(r, prow)]
-            del r[c]
-        m0 -= 1
+    sparse = [{j: e for j, e in enumerate(r) if e} for r in mod.matrix]
+    pivots = set(eliminate_units(sparse, lambda e: e ** -1 if e.is_unit() else None))
+    keep = [j for j in range(mod.m0) if j not in pivots]
+    zero = LaurentPoly.zero(mod.nvars)
+    rows = [[r.get(j, zero) for j in keep] for r in sparse if r]
+    m0 = len(keep)
     for c in range(m0):
         live = [r for r in rows if r[c]]
         if len(live) == 1:
             row = live[0]
             for j, a in enumerate(row):
                 if j != c and a and div_exact(a, row[c]) is not None:
-                    row[j] = LaurentPoly.zero(mod.nvars)
+                    row[j] = zero
     return PresentedModule(mod.nvars, tuple(tuple(r) for r in rows if any(r)), m0)
 
 
@@ -305,13 +293,12 @@ class ChainComplex:
 
     Matrices use the row convention (rows index the source basis), so the
     composite of consecutive boundaries is the product diffs[i+1]*diffs[i],
-    which must vanish.  `ranks` lists the free ranks of C_0..C_top and is
-    derived from the matrices when omitted.
+    which must vanish.  `ranks` lists the free ranks of C_0..C_top.
     """
 
     nvars: int
     diffs: tuple[tuple[tuple[LaurentPoly, ...], ...], ...]
-    ranks: tuple[int, ...] = ()
+    ranks: tuple[int, ...]
 
     def __post_init__(self):
         diffs = tuple(
@@ -319,13 +306,6 @@ class ChainComplex:
             for mat in self.diffs
         )
         object.__setattr__(self, "diffs", diffs)
-        if not self.ranks:
-            if not diffs or not diffs[0]:
-                raise ValueError("cannot derive ranks; pass them explicitly")
-            ranks = [len(diffs[0][0])]
-            for mat in diffs:
-                ranks.append(len(mat))
-            object.__setattr__(self, "ranks", tuple(ranks))
         if len(self.ranks) != len(diffs) + 1:
             raise ValueError("ranks must cover degrees 0..top")
         for i, mat in enumerate(diffs):

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import lucas
+from conftest import DATA, lucas
 from torgrowth.cli import main as cli_main
 from torgrowth.growthlab import (
     ConfigError,
@@ -265,6 +265,18 @@ class TestCli:
         assert out["alexander"] == ["0", "t^2 - t + 1", "1"]
         assert out["delta"] == "t^2 - t + 1"
 
+    def test_alexander_text(self, capsys):
+        assert cli_main(["alexander", "--presentation", str(DATA / "trefoil.txt")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rank = 1",
+            "Delta_0 = 0",
+            "Delta_1 = t^2 - t + 1",
+            "Delta_2 = 1",
+            "Delta(M) = t^2 - t + 1",
+            "note: indices follow the relation-module convention; the homological "
+            "numbering of the covering space is shifted down by one",
+        ]
+
     def test_fox(self, capsys, tmp_path, fig8_text):
         p = tmp_path / "fig8.txt"
         p.write_text(fig8_text)
@@ -409,6 +421,11 @@ class TestCli:
          "ConfigError", "'s_start'"),
         (config_dict(mahler={"samples": "many"}), "ConfigError", "'samples'"),
         (config_dict(module=dict(T_MINUS_2, m0=[])), "ValueError", "'m0'"),
+        (config_dict(force="false"), "ConfigError", "'force'"),
+        (config_dict(force=0), "ConfigError", "'force'"),
+        (config_dict(module=dict(T_MINUS_2, branched="no")), "ConfigError", "'branched'"),
+        (config_dict(module={"presentation": "fig8.txt", "branched": "no"}), "ConfigError",
+         "'branched'"),
     ])
     def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
                                                       field):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from torgrowth.intlinalg import (
-    adjugate,
     bareiss_det,
+    eliminate_units,
     hnf_coordinates,
     hnf_rows,
     int_log,
@@ -17,6 +17,7 @@ from torgrowth.intlinalg import (
     snf_with_transforms,
     xgcd,
 )
+from torgrowth.laurent import LaurentPoly
 
 
 def brute_invariant_factors(M):
@@ -85,6 +86,19 @@ def test_snf_sparse_phase_matches_dense_path():
         M = random_sparse_matrix(rng)
         D, _ = snf_with_transforms(M)
         assert snf_diagonal(M) == [int(D[i, i]) for i in range(min(len(M), len(M[0])))]
+
+
+def test_eliminate_units_same_moves_over_z_and_r():
+    # constant Laurent polynomials are a copy of Z inside R: both rings take
+    # the same pivots and leave the same rows, none in a pivot column
+    rng = random.Random(16)
+    for _ in range(60):
+        rows_z = [{j: v for j, v in enumerate(r) if v} for r in random_sparse_matrix(rng)]
+        rows_r = [{j: LaurentPoly.constant(1, v) for j, v in r.items()} for r in rows_z]
+        pivots = eliminate_units(rows_z, lambda v: v if v in (1, -1) else None)
+        assert eliminate_units(rows_r, lambda e: e ** -1 if e.is_unit() else None) == pivots
+        assert rows_r == [{j: LaurentPoly.constant(1, v) for j, v in r.items()} for r in rows_z]
+        assert not any(j in r for r in rows_z for j in pivots)
 
 
 def check_row_transform(M, D, U):
@@ -179,32 +193,11 @@ def test_det_and_solve():
     assert bareiss_det([[1, 2], [3, 4]]) == -2
     assert bareiss_det([[2]]) == 2
     assert bareiss_det([]) == 1
-    # A x = b has the solution adj(A)·b / det(A), integral iff det(A) divides it
-    assert matmul(adjugate([[2, 0], [0, 2]]), [[4], [6]]) == [[8], [12]]
     assert bareiss_det([[2, 0], [0, 2]]) == 4
-    assert matmul(adjugate([[2]]), [[3]]) == [[3]] and 3 % bareiss_det([[2]])
-    # a unimodular inverse is det·adj; a determinant other than ±1 has none
-    assert adjugate([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
     assert bareiss_det([[1, 1], [0, 1]]) == 1
     assert bareiss_det([[2, 0], [0, 1]]) == 2
     with pytest.raises(ValueError):
-        adjugate([[2, 0, 1], [0, 1, 0]])
-
-
-def test_adjugate_is_det_times_inverse():
-    rng = random.Random(31)
-    singular = 0
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.25:
-            M[-1] = [a - 2 * b for a, b in zip(M[0], M[-2])]
-        d = bareiss_det(M)
-        adj = adjugate(M)
-        dI = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        assert matmul(adj, M) == matmul(M, adj) == dI
-        singular += d == 0
-    assert 0 < singular < 100
+        bareiss_det([[2, 0, 1], [0, 1, 0]])
 
 
 def test_small_helpers():
