@@ -17,7 +17,6 @@ import pathlib
 import platform
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from . import __version__
@@ -292,6 +291,8 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     )
     t_target = time.perf_counter()
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         descs, gammas = zip(*config.sequence)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             samples = list(pool.map(growth_sample, repeat(reduced), gammas, descs))

@@ -19,7 +19,10 @@ and the unit moves of `presmod.reduce_presentation` over R.
 `snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
 pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
 remainder with `_diagonalize`, which runs on numpy object arrays so row
-operations execute in C while coefficients stay arbitrary precision.
+operations execute in C while coefficients stay arbitrary precision.  On
+the rare block where minimal-entry pivoting lets entries pass Hadamard's
+bound, phase 2 starts again modulo a nonzero rank-minor D of the block
+(Hafner and McCurley, SIAM J. Comput. 20, 1991), which bounds them.
 `snf_with_transforms` uses the dense path alone.
 """
 
@@ -83,18 +86,25 @@ def _min_abs_position(arr: np.ndarray) -> tuple[int, int] | None:
     return int(ri[k]), int(ci[k])
 
 
-def _diagonalize(A: np.ndarray, U: np.ndarray | None = None) -> None:
+def _diagonalize(A: np.ndarray, U: np.ndarray | None = None,
+                 limit: int = 0, modulus: int = 0) -> bool:
     """Reduce A in place to diagonal form by unimodular row/column moves.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     trailing block; rows and columns are cleared with nearest-multiple
-    reductions, re-pivoting on remainders, which keeps coefficient growth
-    close to the minor bound.  When given, U accumulates the row operations
-    (U·A_in = A_out·W for some unimodular W).
+    reductions, re-pivoting on remainders, which usually keeps coefficient
+    growth close to the minor bound.  When given, U accumulates the row
+    operations (U·A_in = A_out·W for some unimodular W).  With a limit, it
+    stops and returns False when a new pivot's row holds an entry beyond it.
+    With a modulus D, the trailing block is taken to symmetric residues mod
+    D before each pivot, which diagonalizes [A | D·I] instead.  Returns
+    True when A is diagonal.
     """
     m, n = A.shape
     s = 0
     while s < min(m, n):
+        if modulus:
+            A[s:, s:] = (A[s:, s:] + modulus // 2) % modulus - modulus // 2
         pos = _min_abs_position(A[s:, s:])
         if pos is None:
             break
@@ -105,6 +115,8 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None) -> None:
                 U[[s, r]] = U[[r, s]]
         if c != s:
             A[s:, [s, c]] = A[s:, [c, s]]
+        if limit and max(map(abs, A[s, s:])) > limit:
+            return False
         while True:
             if A[s, s] < 0:
                 A[s, s:] = -A[s, s:]
@@ -143,6 +155,7 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None) -> None:
             if not dirty:
                 break
         s += 1
+    return True
 
 
 def _repair_chain(A: np.ndarray, U: np.ndarray | None = None) -> None:
@@ -249,7 +262,8 @@ def snf_diagonal(mat) -> list[int]:
     Nonzero entries form a divisibility chain d1 | d2 | ...; zeros trail.
     Two phases: sparse elimination on ±1 pivots (`eliminate_units`), then
     `_diagonalize` on the dense block of the rows and columns that are still
-    nonzero.
+    nonzero, finished modulo a nonzero rank-minor of the block should its
+    entries pass the block's Hadamard bound.
     """
     rows, n = _sparse_rows(mat)
     k = min(len(rows), n)
@@ -258,10 +272,22 @@ def snf_diagonal(mat) -> list[int]:
     ones = len(eliminate_units(rows, _int_unit_inverse))
     tail = [r for r in rows if r]
     cols = sorted({j for r in tail for j in r})
-    A = to_object_array([[r.get(j, 0) for j in cols] for r in tail])
-    _diagonalize(A)
-    _repair_chain(A)
-    diag = [1] * ones + [A[i, i] for i in range(min(A.shape))]
+    block = [[r.get(j, 0) for j in cols] for r in tail]
+    A = to_object_array(block)
+    hadamard_sq = math.prod(sum(x * x for x in r.values()) for r in tail)
+    if _diagonalize(A, limit=math.isqrt(hadamard_sq) + 1):
+        _repair_chain(A)
+        diag = [1] * ones + [A[i, i] for i in range(min(A.shape))]
+    else:
+        # coker(block) ⊗ Z/D has the factors d_1 | ... | d_rank, D, ..., D for
+        # a nonzero rank-minor D, which every d_i divides; A is still the
+        # block up to unimodular moves
+        rank, det = eliminate(block, len(cols))
+        D = abs(det)
+        _diagonalize(A, modulus=D)
+        G = np.diag(np.array([math.gcd(A[i, i], D) for i in range(min(A.shape))], dtype=object))
+        _repair_chain(G)
+        diag = [1] * ones + [G[i, i] for i in range(rank)]
     return diag + [0] * (k - len(diag))
 
 

@@ -3,11 +3,13 @@
 Univariate values come from Jensen's formula over certified roots of the
 polynomial.  The roots come from a vectorized Aberth sweep in numpy that
 moves every root at once, started from the Newton polygon of the
-coefficients (one circle per hull edge, Bini 1996).  Multivariate values
-come either from the one-variable specializations t^m -> t^(m·k) along a
-schedule of directions k with growing orthogonal defect (Lawton's limit),
-or from seeded median-of-means Monte Carlo integration of log|f| over the
-unit torus.
+coefficients (one circle per hull edge, Bini 1996).  A sweep evaluates
+the polynomial in numpy calls per nonzero term, not per degree, so the
+sparse specializations of a Lawton schedule stay cheap at high degree.
+Multivariate values come either from the one-variable specializations
+t^m -> t^(m·k) along a schedule of directions k with growing orthogonal
+defect (Lawton's limit), or from seeded median-of-means Monte Carlo
+integration of log|f| over the unit torus.
 
 All estimates carry a method tag and an explicit error bound; the additive
 measure of a nonzero integer polynomial is nonnegative, and is 0 exactly for
@@ -28,6 +30,7 @@ from .lattices import lawton_norm
 from .laurent import LaurentPoly, div_exact, normalize_unit
 
 JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
+ABERTH_BLOCK = 4096  # entries of the z_i - z_j array the Aberth sum holds at once
 QUADRATURE_SHARDS = 16  # median-of-means groups of the Monte Carlo estimate
 
 
@@ -113,9 +116,11 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     per-root inclusion radii d*|p(z)|/|p'(z)| (each disk contains a root).
 
     Every sweep updates all roots at once (Ehrlich-Aberth in numpy):
-    one Horner loop gives p and p' on the root vector, and the Aberth sum
-    over the other roots is a loop of vector operations, so no deg x deg
-    array is built.  Where p or p' overflows at |z| > 1, only their ratio
+    one Horner loop over the nonzero coefficients gives p and p' on the
+    root vector (a gap of g > 1 between exponents multiplies by z^g), and
+    the Aberth sum over the other roots is taken over row blocks of the
+    z_i - z_j array of at most ABERTH_BLOCK entries, so memory stays O(deg)
+    at any degree.  Where p or p' overflows at |z| > 1, only their ratio
     is kept, from the reversed polynomial q(w) = w^deg·p(1/w) at w = 1/z:
     p/p' = z·q(w) / (deg·q(w) - w·q'(w)).  A root with p(z) = 0 is held;
     one with p'(z) = 0 is perturbed.  A non-finite step ends the iteration
@@ -128,20 +133,37 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     z = np.array(_start_points(coeffs))
     radius = float(np.abs(z).max())
 
-    def horner(c, z):
-        pv = np.full(len(z), c[-1])
+    def gaps(c):
+        # the leading coefficient, then (drop in exponent, coefficient) down
+        # the nonzero coefficients
+        e = np.flatnonzero(c)[::-1]
+        return c[e[0]], list(zip((e[:-1] - e[1:]).tolist(), c[e[1:]]))
+
+    def horner(terms, z):
+        lead, steps = terms
+        pv = np.full(len(z), lead)
         dv = np.zeros(len(z), dtype=np.complex128)
-        for a in c[-2::-1]:
-            dv = dv * z + pv
-            pv = pv * z + a
+        for g, a in steps:
+            if g == 1:
+                dv = dv * z + pv
+                pv = pv * z + a
+            else:  # p·z^g + a, and its derivative p'·z^g + g·p·z^(g-1)
+                zg = z ** (g - 1)
+                dv = (dv * z + g * pv) * zg
+                pv = pv * z * zg + a
         return pv, dv
 
+    forward, backward = gaps(c), gaps(c[::-1])
+    rows = max(1, ABERTH_BLOCK // deg)
+    blocks = [(lo, min(lo + rows, deg)) for lo in range(0, deg, rows)]
+    selves = [(np.arange(hi - lo), np.arange(lo, hi)) for lo, hi in blocks]
+
     def evaluate(z):
-        pv, dv = horner(c, z)
+        pv, dv = horner(forward, z)
         big = ~(np.isfinite(pv) & np.isfinite(dv)) & (np.abs(z) > 1)
         if big.any():
             w = 1 / z[big]
-            qv, qd = horner(c[::-1], w)
+            qv, qd = horner(backward, w)
             pv[big], dv[big] = z[big] * qv, deg * qv - w * qd
         return pv, dv
 
@@ -149,12 +171,12 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
         for _ in range(max_iter):
             pv, dv = evaluate(z)
             newton = pv / dv
-            s = np.zeros(deg, dtype=np.complex128)
-            for j in range(deg):
-                diff = z - z[j]
+            s = np.empty(deg, dtype=np.complex128)
+            for (lo, hi), self_ in zip(blocks, selves):
+                diff = z[lo:hi, None] - z
                 diff[diff == 0] = 1e-20
-                diff[j] = np.inf
-                s += 1.0 / diff
+                diff[self_] = np.inf
+                s[lo:hi] = (1.0 / diff).sum(axis=1)
             denom = 1.0 - newton * s
             step = np.where(denom != 0, newton / denom, newton)
             step[pv == 0] = 0
@@ -211,7 +233,9 @@ def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
 def is_kronecker(f: LaurentPoly) -> bool:
     """Whether f is ±t^a times cyclotomic polynomials (so Mahler measure 0),
     exactly: with end coefficients ±1, divide out each Phi_k of degree
-    phi(k) <= deg f, made from t^k - 1 by exact division, until a unit is left.
+    phi(k) <= deg f until a unit is left.  A sieve to deg^2 gives phi(k) and
+    a prime p | k; then Phi_k(t) = Phi_m(t^p) for k = pm, exactly divided by
+    Phi_m(t) when p does not divide m.
     """
     if f.nvars != 1:
         raise ValueError("is_kronecker takes a one-variable polynomial")
@@ -220,23 +244,31 @@ def is_kronecker(f: LaurentPoly) -> bool:
     ends = f.coefficients()
     if abs(ends[0]) != 1 or abs(ends[-1]) != 1:
         return False
-    cyclo: dict[int, tuple[int, LaurentPoly]] = {}  # k -> (phi(k), Phi_k)
-    k, t = 0, LaurentPoly.variable(0, 1)
-    while not f.is_unit():
-        k += 1
-        deg = f.max_exponents()[0] - f.min_exponents()[0]
-        if k > max(6, deg * deg):  # phi(k) >= sqrt(k) past k = 6
-            return False
-        divisors = [cyclo[d] for d in cyclo if k % d == 0]
-        phi = k - sum(p for p, _ in divisors)  # above deg if some Phi_d, d | k, was skipped
-        if phi <= deg:
-            phik = t ** k - 1
-            for _, p in divisors:
-                phik //= p
-            cyclo[k] = (phi, phik)
-            while (q := div_exact(f, phik)) is not None:
-                f = q
-    return True
+    deg = f.max_exponents()[0] - f.min_exponents()[0]
+    bound = max(6, deg * deg)  # phi(k) >= sqrt(k) past k = 6
+    phi, prime = list(range(bound + 1)), [0] * (bound + 1)  # Euler phi, a prime factor
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for m in range(p, bound + 1, p):
+                phi[m] -= phi[m] // p
+                prime[m] = p
+    t = LaurentPoly.variable(0, 1)
+    cyclo = {1: t - 1}  # k -> Phi_k, for every k with phi(k) <= deg
+    for k in range(1, bound + 1):
+        if f.is_unit() or k > max(6, deg * deg):
+            break
+        if phi[k] > deg:  # then so is phi of every multiple of k
+            continue
+        if k > 1:  # Phi_pm(t) = Phi_m(t^p), divided by Phi_m(t) unless p | m
+            p, m = prime[k], k // prime[k]
+            phik = cyclo[m].tau((p,))
+            if m % p:
+                phik //= cyclo[m]
+            cyclo[k] = phik
+        while (q := div_exact(f, cyclo[k])) is not None:
+            f = q
+            deg = f.max_exponents()[0] - f.min_exponents()[0]
+    return f.is_unit()
 
 
 def default_lawton_schedule(nvars: int, ms: Sequence[int] = (8, 16, 32, 64)) -> list[tuple[int, ...]]:

@@ -1,7 +1,10 @@
 """Static checks of the package's imports: none unused, every export resolves."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import torgrowth
 
@@ -58,3 +61,14 @@ def test_every_export_resolves():
     missing = [name for name in torgrowth.__all__ if not hasattr(torgrowth, name)]
     assert not missing
     assert len(set(torgrowth.__all__)) == len(torgrowth.__all__)
+
+
+def test_import_leaves_out_multiprocessing():
+    # only growth runs with jobs > 1 start a process pool
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import torgrowth, sys; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "False"

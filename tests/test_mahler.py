@@ -9,6 +9,7 @@ from conftest import random_nonzero_laurent
 from torgrowth import mahler
 from torgrowth.laurent import LaurentPoly, parse_poly, variables
 from torgrowth.mahler import (
+    JENSEN_TOL,
     MahlerEstimate,
     NonconvergenceError,
     default_lawton_schedule,
@@ -51,6 +52,13 @@ class TestJensen:
     def test_lehmer(self):
         lehmer = parse_poly("t^10 + t^9 - t^7 - t^6 - t^5 - t^4 - t^3 + t + 1")
         assert mahler_univariate(lehmer).value == pytest.approx(0.1623576120, abs=1e-8)
+
+    def test_lehmer_at_t_to_the_25(self):
+        # m(f(t^k)) = m(f): degree 250, and every gap between terms is 25
+        lehmer = parse_poly("t^10 + t^9 - t^7 - t^6 - t^5 - t^4 - t^3 + t + 1")
+        est = mahler_univariate(lehmer.tau((25,)))
+        assert est.value == pytest.approx(0.1623576120, abs=1e-8)
+        assert est.error_bound <= JENSEN_TOL
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -156,6 +164,12 @@ class TestKronecker:
         assert is_kronecker((t ** 2 - t + 1) ** 2) is True
         assert is_kronecker(-(t ** -3) * (t + 1) ** 3 * (t ** 2 + 1)) is True
         assert is_kronecker((t ** 2 - t + 1) * (t ** 2 - 3 * t + 1)) is False
+
+    def test_high_degree(self):
+        start = time.perf_counter()
+        assert is_kronecker(t ** 100 + t + 1) is False
+        assert time.perf_counter() - start < 0.2
+        assert is_kronecker(t ** 60 - t ** 30 + 1) is True  # Phi_18(t^10)
 
     def test_lehmer_polynomial_is_not_kronecker(self):
         # unit end coefficients, Mahler measure log 1.17628...

@@ -75,6 +75,21 @@ class TestSnfApi:
         E = expand(PresentedModule(1, ((t - 2,),)), Subgroup.cyclic(3))
         assert snf(E).torsion_order() == 7
 
+    def test_phase_two_blow_up_finishes(self):
+        # phase 1 leaves a singular 109 x 109 block on which minimal-entry
+        # pivoting grows entries past Hadamard's bound; SNF then finishes the
+        # block modulo a nonzero rank-minor
+        mod = PresentedModule(1, (
+            (-3 * t ** 2 - 2 * t ** -1, 0, -3 * t ** 2),
+            (2 - 3 * t, 0, 0),
+            (t ** 2 + 2 * t ** -1, 1 - t, 3 * t - 3),
+        ))
+        E = expand(mod, Subgroup.cyclic(54))
+        res = snf(E)
+        assert (res.torsion_order(), len(E) - res.rank) == (
+            3381391912475193807335887249798732248006856415633265, 1)
+        assert snf([list(c) for c in zip(*E)]) == res
+
 
 class TestTorsionOrder:
     def test_closed_form(self):
