@@ -39,7 +39,7 @@ from .presmod import (
     parse_presentation,
     reduce_presentation,
 )
-from .torsion import GrowthSample, decimal_str, growth_sample, route
+from .torsion import GrowthSample, growth_sample, route
 
 SIZE_GUARD = 5000
 
@@ -228,19 +228,7 @@ class ExperimentReport:
         return {
             "delta": {"nvars": self.delta_poly.nvars, "poly": poly_to_json(self.delta_poly)},
             "target": self.target.to_json(),
-            "samples": [
-                {
-                    "gamma": s.gamma,
-                    "index": s.index,
-                    "min_norm": s.min_norm,
-                    "torsion_order": decimal_str(s.torsion_order),
-                    "log_torsion": s.log_torsion,
-                    "growth_stat": s.growth_stat,
-                    "betti": s.betti,
-                    "direction": list(s.direction) if s.direction else None,
-                }
-                for s in self.samples
-            ],
+            "samples": [s.to_json() for s in self.samples],
             "final_gap": self.final_gap,
             "metadata": self.metadata,
         }
@@ -253,18 +241,15 @@ class ExperimentReport:
 
 def mahler_target(poly: LaurentPoly, method: str = "auto", samples: int = 1_000_000,
                   seed: int = 0, schedule=None) -> MahlerEstimate:
-    """Dispatch a Mahler estimate for the growth target."""
-    if method == "auto":
-        method = "jensen" if poly.nvars == 1 else "lawton"
-    if method == "jensen":
-        if poly.nvars != 1:
-            raise ConfigError("jensen needs a univariate polynomial; use lawton/quadrature")
+    """Dispatch a Mahler estimate for the growth target: Jensen's formula in
+    one variable and Lawton's limit in several, unless quadrature is asked for."""
+    if method == "quadrature":
+        return mahler_quadrature(poly, samples=samples, seed=seed)
+    if poly.nvars == 1:
         return mahler_univariate(poly)
-    if method == "lawton":
-        if poly.nvars == 1:
-            return mahler_univariate(poly)
-        return mahler_lawton(poly, schedule)
-    return mahler_quadrature(poly, samples=samples, seed=seed)
+    if method == "jensen":
+        raise ConfigError("jensen needs a univariate polynomial; use lawton/quadrature")
+    return mahler_lawton(poly, schedule)
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:

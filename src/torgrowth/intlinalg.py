@@ -19,9 +19,9 @@ and the unit moves of `presmod.reduce_presentation` over R.
 `snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
 pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
 remainder with `_diagonalize`, which runs on numpy object arrays so row
-operations execute in C while coefficients stay arbitrary precision.  On
-the rare block where minimal-entry pivoting lets entries pass Hadamard's
-bound, phase 2 starts again modulo a nonzero rank-minor D of the block
+operations execute in C while coefficients stay arbitrary precision.
+Should a block's entries ever pass Hadamard's bound (no input is known to
+make them), phase 2 starts again modulo a nonzero rank-minor D of the block
 (Hafner and McCurley, SIAM J. Comput. 20, 1991), which bounds them.
 `snf_with_transforms` uses the dense path alone.
 """
@@ -91,9 +91,12 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None,
     """Reduce A in place to diagonal form by unimodular row/column moves.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
-    trailing block; rows and columns are cleared with nearest-multiple
-    reductions, re-pivoting on remainders, which usually keeps coefficient
-    growth close to the minor bound.  When given, U accumulates the row
+    trailing block.  Its column, then its row, is cleared by one rule:
+    reduce every entry by the nearest multiple of the pivot and, if
+    remainders are left, promote the least of them to pivot and repeat;
+    entries then stay within the block's Hadamard bound on every input
+    tested (Havas and Majewski, J. Symbolic Comput. 24, 1997, trace
+    coefficient growth to these rules).  When given, U accumulates the row
     operations (U·A_in = A_out·W for some unimodular W).  With a limit, it
     stops and returns False when a new pivot's row holds an entry beyond it.
     With a modulus D, the trailing block is taken to symmetric residues mod
@@ -139,21 +142,15 @@ def _diagonalize(A: np.ndarray, U: np.ndarray | None = None,
                 if U is not None:
                     U[[s, i]] = U[[i, s]]
                 continue
-            # clear the row right of the pivot (column s below is zero now,
+            # clear the row by the same rule (column s below is zero now,
             # so these column moves only touch row s)
-            dirty = False
-            for j in range(s + 1, n):
-                a = A[s, j]
-                if a:
-                    q = nearest_div(a, p)
-                    r2 = a - q * p
-                    A[s, j] = r2
-                    if r2:
-                        A[s:, [s, j]] = A[s:, [j, s]]
-                        dirty = True
-                        break
-            if not dirty:
+            for j in s + 1 + np.nonzero(A[s, s + 1 :])[0]:
+                A[s, j] -= nearest_div(A[s, j], p) * p
+            rem = np.nonzero(A[s, s + 1 :])[0]
+            if not len(rem):
                 break
+            j = s + 1 + min(rem, key=lambda k: abs(A[s, s + 1 + k]))
+            A[s:, [s, j]] = A[s:, [j, s]]
         s += 1
     return True
 
@@ -262,8 +259,9 @@ def snf_diagonal(mat) -> list[int]:
     Nonzero entries form a divisibility chain d1 | d2 | ...; zeros trail.
     Two phases: sparse elimination on ±1 pivots (`eliminate_units`), then
     `_diagonalize` on the dense block of the rows and columns that are still
-    nonzero, finished modulo a nonzero rank-minor of the block should its
-    entries pass the block's Hadamard bound.
+    nonzero.  Should the block's entries pass its Hadamard bound, which no
+    known input makes them do, the block is finished modulo a nonzero
+    rank-minor instead.
     """
     rows, n = _sparse_rows(mat)
     k = min(len(rows), n)
@@ -303,12 +301,14 @@ def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray]:
     return A, U
 
 
-def kernel_basis(mat) -> list[list[int]]:
-    """Saturated basis of {x : mat @ x = 0} in canonical Hermite form: the
-    Hermite rows of [matᵀ | I] whose first block is zero (Cohen, A Course in
+def kernel_basis(mat, n: int) -> list[list[int]]:
+    """Saturated basis of {x in Z^n : mat @ x = 0} in canonical Hermite form,
+    for a matrix of n columns (all of Z^n when mat has no rows): the Hermite
+    rows of [matᵀ | I] whose first block is zero (Cohen, A Course in
     Computational Algebraic Number Theory, 2.4.3)."""
+    if any(len(r) != n for r in mat):
+        raise ValueError(f"kernel_basis needs rows of {n} entries")
     m = len(mat)
-    n = len(mat[0]) if m else 0
     rows = [[r[j] for r in mat] + [int(i == j) for i in range(n)] for j in range(n)]
     return [r[m:] for r in hnf_rows(rows) if not any(r[:m])]
 

@@ -97,9 +97,7 @@ class Subgroup:
 
     def perp(self) -> "Subgroup":
         """The saturated lattice {x : x·g = 0 for every g in Gamma}, in Hermite form."""
-        if not self.gens:
-            return Subgroup.diagonal(self.nvars, 1)
-        return Subgroup(self.nvars, tuple(kernel_basis(self.gens)))
+        return Subgroup(self.nvars, tuple(kernel_basis(self.gens, self.nvars)))
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.gens]

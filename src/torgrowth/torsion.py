@@ -203,18 +203,22 @@ class GrowthSample:
 
     CSV_HEADER = "gamma;index;min_norm;torsion_order;log_torsion;growth_stat;betti"
 
+    def to_json(self) -> dict:
+        """The sample's fields and statistics, the torsion order as a decimal string."""
+        return {
+            "gamma": self.gamma,
+            "index": self.index,
+            "min_norm": self.min_norm,
+            "torsion_order": decimal_str(self.torsion_order),
+            "log_torsion": self.log_torsion,
+            "growth_stat": self.growth_stat,
+            "betti": self.betti,
+            "direction": list(self.direction) if self.direction else None,
+        }
+
     def csv_row(self) -> str:
-        return ";".join(
-            [
-                self.gamma,
-                str(self.index),
-                repr(self.min_norm),
-                decimal_str(self.torsion_order),
-                repr(self.log_torsion),
-                repr(self.growth_stat),
-                str(self.betti),
-            ]
-        )
+        rec = self.to_json()
+        return ";".join(str(rec[k]) for k in self.CSV_HEADER.split(";"))
 
     @classmethod
     def from_csv_row(cls, row: str) -> "GrowthSample":
@@ -369,7 +373,7 @@ def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tup
         raise ValueError("homology is infinite (d1 not of full rank)")
     h0 = res.torsion_order()
     # |det| of the coordinates does not depend on the basis of ker(d1)
-    basis = kernel_basis(d1)
+    basis = kernel_basis(d1, 2 * r)
     coords = []
     for j in range(r):
         x = hnf_coordinates(basis, [-Q[i][j] for i in range(r)] + [P[i][j] for i in range(r)])

@@ -254,7 +254,7 @@ class TestVolume:
             raw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
             from torgrowth.intlinalg import kernel_basis
 
-            ker = kernel_basis(raw)  # saturated by construction
+            ker = kernel_basis(raw, n)  # saturated by construction
             L = Subgroup.from_generators(n, [list(c) for c in ker])
             if L.rank() in (0, n):
                 continue

@@ -237,6 +237,20 @@ class TestMahlerTarget:
         with pytest.raises(ConfigError):
             mahler_target(3 + t1 + t2, method="jensen")
 
+    @pytest.mark.parametrize("method, one, two", [
+        ("auto", "jensen", "lawton"),
+        ("jensen", "jensen", None),
+        ("lawton", "jensen", "lawton"),
+        ("quadrature", "quadrature", "quadrature"),
+    ])
+    def test_every_method_in_one_and_two_variables(self, method, one, two):
+        assert mahler_target(t - 2, method, samples=1000).method == one
+        if two is None:
+            with pytest.raises(ConfigError):
+                mahler_target(3 + t1 + t2, method, samples=1000)
+        else:
+            assert mahler_target(3 + t1 + t2, method, samples=1000).method == two
+
 
 class TestGroupalgSuite:
     def test_all_pass(self):

@@ -144,7 +144,7 @@ def test_kernel_basis_spans_kernel():
     for _ in range(150):
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        K = kernel_basis(M)
+        K = kernel_basis(M, n)
         assert K == hnf_rows(K)
         for col in K:
             assert all(sum(M[i][j] * col[j] for j in range(n)) == 0 for i in range(m))
@@ -152,9 +152,12 @@ def test_kernel_basis_spans_kernel():
         assert len(K) == n - rank
         # saturated: Z^n / span(K) is torsion-free, so K spans all of ker(M)
         assert not K or set(snf_diagonal(K)) == {1}
-    assert kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
-    assert kernel_basis([[1, 2]]) == [[2, -1]]
-    assert kernel_basis([]) == []
+    assert kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert kernel_basis([[1, 2]], 2) == [[2, -1]]
+    assert kernel_basis([], 0) == []
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        kernel_basis([[1, 2]], 3)
 
 
 def test_hnf_canonical_under_generating_set_changes():

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import lucas, planted_presentations, random_laurent
-from torgrowth import torsion
+from torgrowth import intlinalg, torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
 from torgrowth.laurent import LaurentPoly, variables
@@ -41,6 +41,17 @@ from torgrowth.torsion import (
 
 t, = variables(1)
 t1, t2 = variables(2)
+
+
+def blow_up_expansion():
+    """A one-variable presentation over Z/54 whose expansion leaves a
+    singular 109 x 109 block after SNF phase 1."""
+    mod = PresentedModule(1, (
+        (-3 * t ** 2 - 2 * t ** -1, 0, -3 * t ** 2),
+        (2 - 3 * t, 0, 0),
+        (t ** 2 + 2 * t ** -1, 1 - t, 3 * t - 3),
+    ))
+    return expand(mod, Subgroup.cyclic(54))
 
 
 class TestExpand:
@@ -76,19 +87,57 @@ class TestSnfApi:
         assert snf(E).torsion_order() == 7
 
     def test_phase_two_blow_up_finishes(self):
-        # phase 1 leaves a singular 109 x 109 block on which minimal-entry
-        # pivoting grows entries past Hadamard's bound; SNF then finishes the
-        # block modulo a nonzero rank-minor
-        mod = PresentedModule(1, (
-            (-3 * t ** 2 - 2 * t ** -1, 0, -3 * t ** 2),
-            (2 - 3 * t, 0, 0),
-            (t ** 2 + 2 * t ** -1, 1 - t, 3 * t - 3),
-        ))
-        E = expand(mod, Subgroup.cyclic(54))
+        # phase 1 leaves a singular 109 x 109 block on which pivoting that
+        # clears a row by its first remainder grew entries past Hadamard's bound
+        E = blow_up_expansion()
         res = snf(E)
         assert (res.torsion_order(), len(E) - res.rank) == (
             3381391912475193807335887249798732248006856415633265, 1)
         assert snf([list(c) for c in zip(*E)]) == res
+
+    def test_phase_two_stays_within_hadamard_bound(self, monkeypatch):
+        # random presentations like the one above: the dense phase never
+        # gives up at the block's Hadamard bound
+        failed = []
+        original = intlinalg._diagonalize
+
+        def watching(A, U=None, limit=0, modulus=0):
+            done = original(A, U, limit, modulus)
+            if limit and not done:
+                failed.append(A.shape)
+            return done
+
+        monkeypatch.setattr(intlinalg, "_diagonalize", watching)
+        rng = random.Random(15)
+        for _ in range(150):
+            m1, m0 = rng.randint(1, 3), rng.randint(1, 3)
+            mod = PresentedModule(1, tuple(tuple(random_laurent(rng, 1) for _ in range(m0))
+                                           for _ in range(m1)))
+            snf(expand(mod, Subgroup.cyclic(rng.randint(10, 60))))
+        assert failed == []
+
+    def test_modular_finish_matches_phase_two(self, monkeypatch):
+        # the finish modulo a rank-minor, forced by a phase 2 that gives up
+        # at once, gives the same invariant factors as phase 2 itself
+        E = blow_up_expansion()
+        rng = random.Random(16)
+        mats = [E, [list(c) for c in zip(*E)]]
+        for _ in range(60):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            M = [[rng.choice([0, 2, -3, 4, 6, -9, 10]) for _ in range(n)] for _ in range(m)]
+            if m > 2 and rng.random() < 0.5:
+                M[-1] = [2 * x - 3 * y for x, y in zip(M[0], M[1])]
+            mats.append(M)
+        want = [intlinalg.snf_diagonal(M) for M in mats]
+        original = intlinalg._diagonalize
+
+        def give_up_at_limit(A, U=None, limit=0, modulus=0):
+            if limit:
+                return False
+            return original(A, U, limit, modulus)
+
+        monkeypatch.setattr(intlinalg, "_diagonalize", give_up_at_limit)
+        assert [intlinalg.snf_diagonal(M) for M in mats] == want
 
 
 class TestTorsionOrder:
