@@ -28,7 +28,7 @@ from .groupalg import (
     quotient_order,
     sum_ideals,
 )
-from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj
+from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj, quotient
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
 from .presmod import (
@@ -39,7 +39,7 @@ from .presmod import (
     parse_presentation,
     reduce_presentation,
 )
-from .torsion import GrowthSample, growth_sample, route
+from .torsion import GrowthSample, growth_sample, live_columns, route
 
 SIZE_GUARD = 5000
 
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """A subgroup would expand past the SNF size guard (use force=True)."""
+    """An SNF-route subgroup would expand past the size guard (use force=True)."""
 
 
 def _required(spec: dict, key: str, kind: str):
@@ -258,12 +258,13 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     t_start = time.perf_counter()
     mod = config.module
     reduced = reduce_presentation(mod)
-    live = len(route(reduced)[1])  # SNF expands an |A| x |A| block per live column
+    live = len(live_columns(reduced))  # SNF expands an |A| x |A| block per live column
     for _, gamma in config.sequence:
         cells = gamma.index() * live
-        if cells > SIZE_GUARD and not config.force:
+        if cells > SIZE_GUARD and not config.force and route(reduced, quotient(gamma)) is None:
             raise SizeGuardExceeded(
-                f"|A|*live columns = {cells} exceeds {SIZE_GUARD}; pass force to override"
+                f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
+                "pass force to override"
             )
     dpoly = delta(mod).poly
     t_delta = time.perf_counter()

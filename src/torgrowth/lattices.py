@@ -252,7 +252,9 @@ def quotient(gamma: Subgroup) -> FinAbGroup:
     return FinAbGroup(n, [D[i, i] for i in range(min(n, len(gamma.gens)))], U)
 
 
-def _size_reduce(basis: list[list[int]]) -> list[list[int]]:
+def size_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """The same lattice's basis after pairwise size reduction (Lagrange's
+    reduction in rank 2), shortest vector first."""
     vecs = [list(v) for v in basis]
 
     def norm2(v):
@@ -289,7 +291,7 @@ def min_norm_sq(gamma: Subgroup) -> int:
     basis = gamma.basis()
     if not basis:
         raise ValueError("zero lattice has no shortest vector")
-    basis = _size_reduce(basis)
+    basis = size_reduce(basis)
     r = len(basis)
     gram = matmul(basis, [list(c) for c in zip(*basis)])
     radius2 = min(gram[i][i] for i in range(r))

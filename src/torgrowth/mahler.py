@@ -232,10 +232,11 @@ def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
 
 def is_kronecker(f: LaurentPoly) -> bool:
     """Whether f is ±t^a times cyclotomic polynomials (so Mahler measure 0),
-    exactly: with end coefficients ±1, divide out each Phi_k of degree
-    phi(k) <= deg f until a unit is left.  A sieve to deg^2 gives phi(k) and
-    a prime p | k; then Phi_k(t) = Phi_m(t^p) for k = pm, exactly divided by
-    Phi_m(t) when p does not divide m.
+    exactly: with end coefficients ±1 and f(t) = ±t^D f(1/t), as every such
+    product has, divide out each Phi_k of degree phi(k) <= deg f until a unit
+    is left.  A sieve to deg^2 gives phi(k) and a prime p | k; then Phi_k(t)
+    = Phi_m(t^p) for k = pm, exactly divided by Phi_m(t) when p does not
+    divide m.
     """
     if f.nvars != 1:
         raise ValueError("is_kronecker takes a one-variable polynomial")
@@ -244,7 +245,11 @@ def is_kronecker(f: LaurentPoly) -> bool:
     ends = f.coefficients()
     if abs(ends[0]) != 1 or abs(ends[-1]) != 1:
         return False
-    deg = f.max_exponents()[0] - f.min_exponents()[0]
+    lo, hi = f.min_exponents()[0], f.max_exponents()[0]
+    mirror = LaurentPoly(1, {(lo + hi - e,): c for (e,), c in f.terms})
+    if mirror != f and mirror != -f:
+        return False
+    deg = hi - lo
     bound = max(6, deg * deg)  # phi(k) >= sqrt(k) past k = 6
     phi, prime = list(range(bound + 1)), [0] * (bound + 1)  # Euler phi, a prime factor
     for p in range(2, bound + 1):

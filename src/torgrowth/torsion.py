@@ -7,10 +7,14 @@ the reduced presentation adds |A_Gamma| to the Betti number; two routes give
 the rest, and `route` alone picks one (for the size guard of `growthlab.run`
 too):
 
-* companion, for one row over Z[t^±1] with one live entry f whose end
-  coefficients are ±1 (a knot's Alexander module; A_Gamma = Z/ell):
-  Z[t^±1]/(f) is Z^D with t acting by the companion matrix C of f, so the
-  torsion is |det(C^ell - I)|, or SNF of that D x D matrix when it is 0;
+* companion, when A_Gamma = Z/N is cyclic.  For y in Z x + N Z^n (x_i the
+  image of e_i) with gcd(y, N) = 1, t_i -> t^y_i onto Z[t]/(t^N - 1) is the
+  quotient map up to an automorphism of Z/N; take the y of least span
+  (±k for Gamma_{s,j}) and reduce the image again over Z[t^±1].  If one
+  live entry g is left with an end coefficient ±1 (made the leading one by
+  t -> 1/t, a unit mod t^N - 1), Z[t]/(g) is Z^D with t acting by the
+  companion matrix C, and the torsion is |det(C^N - I)|, or SNF of that
+  D x D matrix when it is 0.  One variable (knots) needs no substitution;
 * SNF, for every other presentation, of the integer matrix `expand` makes
   by replacing each entry with the regular-representation block of its
   image in Z[A_Gamma].
@@ -24,8 +28,10 @@ one exponent matrix of the characters, lifted to the integer by CRT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +40,13 @@ from .groupalg import character_exponents, mult_matrix, project_poly
 from .intlinalg import (
     bareiss_det,
     hnf_coordinates,
+    hnf_rows,
     int_log,
     kernel_basis,
     matmul,
     snf_diagonal,
 )
-from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient
+from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient, size_reduce
 from .laurent import LaurentPoly
 from .presmod import ChainComplex, PresentedModule, reduce_presentation
 
@@ -105,8 +112,9 @@ def expand(matrix, gamma) -> list[list[int]]:
 
 
 def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
-    """(|Tor|, Betti) of Z[t^±1]/(f, t^ell - 1) = coker(C^ell - I) on Z^D,
-    for the companion matrix C of f on the basis 1, t, ..., t^(D-1)."""
+    """(|Tor|, Betti) of Z[t]/(f, t^ell - 1) = coker(C^ell - I) on Z^D, for
+    the companion matrix C of f (leading coefficient ±1) on the basis 1, t,
+    ..., t^(D-1)."""
     lo, hi = f.min_exponents()[0], f.max_exponents()[0]
     D, lead = hi - lo, f.coeff((hi,))
     C = [[int(r == i + 1) for i in range(D - 1)] + [-lead * f.coeff((lo + r,))] for r in range(D)]
@@ -122,34 +130,72 @@ def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
     return res.torsion_order(), D - res.rank
 
 
-def route(mod: PresentedModule) -> tuple[LaurentPoly | None, list[int]]:
-    """The route `torsion_and_betti` takes for a reduced presentation.
+def live_columns(mod: PresentedModule) -> list[int]:
+    """The columns with a nonzero entry: SNF expands each into |A| x |A| blocks."""
+    return [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
 
-    (f, []) on the companion route: one row over Z[t^±1] whose one live
-    entry f has end coefficients ±1.  Else (None, the live columns that SNF
-    expands into |A| x |A| blocks).
+
+def _cyclic_exponents(mod: PresentedModule, group: FinAbGroup) -> list[int]:
+    """The y of least span for `mod` among a size-reduced basis of
+    L = Z x + N Z^n, its pairwise sums and differences, and x itself (x_i the
+    symmetric image of e_i in A = Z/N), subject to gcd(y, N) = 1, which x
+    meets since the x_i generate A."""
+    N = group.order
+    eye = [[int(i == j) for j in range(group.nvars)] for i in range(group.nvars)]
+    x = [sum(group.project(e)) for e in eye]  # the one digit, or 0 when A = 0
+    x = [a - N if 2 * a > N else a for a in x]
+    basis = size_reduce(hnf_rows([x] + [[N * a for a in e] for e in eye]))
+    sums = [[a + s * b for a, b in zip(u, v)] for u, v in combinations(basis, 2) for s in (1, -1)]
+
+    def span(y):  # summed over the entries, before any cancellation
+        dots = [[sum(a * b for a, b in zip(e, y)) for e, _ in f.terms]
+                for row in mod.matrix for f in row if f]
+        return sum(max(d) - min(d) for d in dots)
+
+    return min((y for y in basis + sums + [x] if math.gcd(N, *y) == 1), key=span)
+
+
+def route(mod: PresentedModule, group: FinAbGroup) -> tuple[LaurentPoly, int] | None:
+    """The route `torsion_and_betti` takes for a reduced presentation over A.
+
+    (g, free) on the companion route: A is cyclic, and after t_i -> t^y_i
+    and reduction over Z[t^±1] one row is left whose one live entry g has
+    leading coefficient ±1 (g = 1 when no row is left), beside `free` zero
+    columns.  Else None: SNF of the live columns' expansion.
     """
-    live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
-    if mod.nvars == 1 and len(mod.matrix) == 1 and len(live) == 1:
-        f = mod.matrix[0][live[0]]
-        ends = f.coefficients()
-        if abs(ends[0]) == abs(ends[-1]) == 1:
-            return f, []
-    return None, live
+    if group.rank > 1:
+        return None
+    if mod.nvars > 1:
+        y = _cyclic_exponents(mod, group)
+        mod = reduce_presentation(PresentedModule(
+            1, tuple(tuple(e.tau(y) for e in row) for row in mod.matrix), mod.m0))
+    live = live_columns(mod)
+    if not live:
+        return LaurentPoly.one(1), mod.m0
+    if len(mod.matrix) > 1 or len(live) > 1:
+        return None
+    g = mod.matrix[0][live[0]]
+    ends = g.coefficients()
+    if abs(ends[-1]) != 1:
+        if abs(ends[0]) != 1:
+            return None
+        g = g.tau((-1,))
+    return g, mod.m0 - 1
 
 
 def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z.
 
-    The companion route when `route` gives an f, else one SNF of the live
-    columns; each zero column adds |A| to the Betti number.
+    The companion route when `route` gives a (g, free), else one SNF of the
+    live columns; each zero column adds |A| to the Betti number.
     """
     group = _resolve_group(gamma)
     mod = reduce_presentation(mod)
-    f, live = route(mod)
-    if f is not None:
-        tor, b = _companion_block(f, group.order)
-        return tor, (mod.m0 - 1) * group.order + b
+    if (companion := route(mod, group)) is not None:
+        g, free = companion
+        tor, b = _companion_block(g, group.order)
+        return tor, free * group.order + b
+    live = live_columns(mod)
     if not live:
         return 1, mod.m0 * group.order
     res = snf(expand([[r[j] for j in live] for r in mod.matrix], group))

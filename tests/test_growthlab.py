@@ -167,13 +167,31 @@ class TestRun:
             assert float(parts[4]) == s.log_torsion
 
     def test_size_guard(self):
+        # 2t - 3 has no unit end coefficient, so it takes the SNF route
         cfg = config_dict()
+        cfg["module"] = {"nvars": 1, "matrix": [[poly_to_json(2 * t - 3)]]}
         cfg["sequence"] = {"cyclic": {"start": 5100, "stop": 5100}}
         with pytest.raises(SizeGuardExceeded):
             run(ExperimentConfig.from_dict(cfg))
         cfg["force"] = True
         config = ExperimentConfig.from_dict(cfg)
         assert config.force
+
+    def test_size_guard_is_decided_per_sample(self, tmp_path):
+        # Gamma_{s,j} with k = (9, 8) and j = 100 has cyclic quotient Z/14500,
+        # so 1 + t1 + t2 takes the companion route and needs no force; the
+        # diagonal d*Z^2 at d = 80 has quotient (Z/80)^2 and still does
+        one_t = {"nvars": 2, "matrix": [[poly_to_json(1 + t1 + t2)]]}
+        cfg = config_dict(module=one_t, sequence={"gamma_sj": {
+            "kappa": [0.6, 0.8], "js": [100], "s_start": 12}})
+        report = run(ExperimentConfig.from_dict(cfg), out_dir=tmp_path)
+        [sample] = report.samples
+        assert sample.gamma == "gamma_sj:s=12,k=[9, 8],j=100"
+        assert (sample.index, sample.betti) == (14500, 0)
+        three_t = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
+        cfg = config_dict(module=three_t, sequence={"diagonal": {"ds": [80]}})
+        with pytest.raises(SizeGuardExceeded, match="6400 exceeds 5000 on the SNF route"):
+            run(ExperimentConfig.from_dict(cfg))
 
     def test_size_guard_skips_the_companion_route(self, tmp_path, fig8_text):
         # the reduced branched presentation takes the companion route, which
@@ -367,10 +385,12 @@ class TestCli:
         assert "error" in err and "message" in err
 
     def test_torsion_runs_one_snf(self, capsys, tmp_path, snf_calls):
+        # 2t - 3 has no unit end coefficient, so it takes the SNF route:
+        # |(2 - 3)(-2 - 3)(2i - 3)(-2i - 3)| = 65
         p = tmp_path / "mod.json"
-        p.write_text(json.dumps(T_MINUS_2))
+        p.write_text(json.dumps({"nvars": 1, "matrix": [[poly_to_json(2 * t - 3)]]}))
         assert cli_main(["torsion", "--matrix", str(p), "--cyclic", "4"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"torsion_order": "15", "betti": 0}
+        assert json.loads(capsys.readouterr().out) == {"torsion_order": "65", "betti": 0}
         assert snf_calls == [4]
 
     def test_torsion_reduces_branched_presentation(self, capsys, fig8_text, tmp_path, snf_calls):

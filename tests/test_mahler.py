@@ -171,6 +171,16 @@ class TestKronecker:
         assert time.perf_counter() - start < 0.2
         assert is_kronecker(t ** 60 - t ** 30 + 1) is True  # Phi_18(t^10)
 
+    def test_non_palindromic_input_is_rejected_before_dividing(self, monkeypatch):
+        # a product of cyclotomics satisfies f(t) = ±t^D f(1/t)
+        divisions = []
+        original = mahler.div_exact
+        monkeypatch.setattr(mahler, "div_exact", lambda f, g: divisions.append(g) or original(f, g))
+        assert is_kronecker(t ** 100 + t + 1) is False
+        assert divisions == []
+        assert is_kronecker((t - 1) * (t ** 2 + t + 1)) is True
+        assert divisions
+
     def test_lehmer_polynomial_is_not_kronecker(self):
         # unit end coefficients, Mahler measure log 1.17628...
         lehmer = t ** 10 + t ** 9 - t ** 7 - t ** 6 - t ** 5 - t ** 4 - t ** 3 + t + 1

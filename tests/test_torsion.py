@@ -304,28 +304,32 @@ class TestReducedPresentation:
 
 
 class TestCompanionRoute:
-    """Z[t^±1]/(f) is Z^D with t acting by the companion matrix when f has
-    unit end coefficients; the route against SNF of the ell x ell expansion."""
+    """Z[t]/(f, t^ell - 1) is coker(C^ell - I) on Z^D when one end coefficient
+    of f is ±1 (t is a unit mod t^ell - 1); the route against SNF of the
+    ell x ell expansion."""
 
     @pytest.mark.parametrize("f", [
         t ** 2 - 3 * t + 1,
         -t ** 2 + t - 1,
         t ** 4 - 3 * t ** 3 + 3 * t ** 2 - 3 * t + 1,
         t ** -3 * (t ** 2 - 3 * t + 1),
+        t - 2,
+        1 - 2 * t,  # only the trailing coefficient is a unit: t -> 1/t first
     ])
     def test_matches_expanded_snf(self, f):
         mod = PresentedModule(1, ((f,),))
-        assert torsion.route(reduce_presentation(mod))[0] is not None
         for ell in range(1, 61):
-            res = snf(expand([[f]], Subgroup.cyclic(ell)))
-            assert torsion_and_betti(mod, Subgroup.cyclic(ell)) == (
-                res.torsion_order(), ell - res.rank), ell
+            group = quotient(Subgroup.cyclic(ell))
+            assert torsion.route(reduce_presentation(mod), group) is not None
+            res = snf(expand([[f]], group))
+            assert torsion_and_betti(mod, group) == (res.torsion_order(), ell - res.rank), ell
 
-    @pytest.mark.parametrize("f", [2 * t - 3, t - 2])
+    @pytest.mark.parametrize("f", [2 * t - 3, 3 * t ** -1 - 2 + 2 * t])
     def test_non_unit_end_coefficients_take_snf(self, f, snf_calls):
         mod = PresentedModule(1, ((f,),))
-        assert torsion.route(reduce_presentation(mod)) == (None, [0])
-        torsion_and_betti(mod, Subgroup.cyclic(7))
+        group = quotient(Subgroup.cyclic(7))
+        assert torsion.route(reduce_presentation(mod), group) is None
+        torsion_and_betti(mod, group)
         assert snf_calls == [7]
 
     def test_trefoil_degenerate_exactly_at_multiples_of_six(self, trefoil_text, snf_calls):
@@ -346,6 +350,93 @@ class TestCompanionRoute:
         tor, b = torsion_and_betti(fig8, Subgroup.cyclic(ell))
         assert time.perf_counter() - start < 2.0
         assert (tor, b) == (lucas(ell) ** 2 - 4, ell)
+
+
+class TestCyclicQuotientRoute:
+    """A cyclic quotient Z^n/Gamma = Z/N takes the companion route through
+    t_i -> t^y_i and a second reduction over Z[t^±1]; the route against SNF
+    of the N-fold expansion."""
+
+    @staticmethod
+    def _expected(mod, group):
+        res = snf(expand(mod, group))
+        return res.torsion_order(), mod.m0 * group.order - res.rank
+
+    @staticmethod
+    def _cyclic_subgroup(rng, nvars):
+        """Gamma_{s,j} or a random lattice with cyclic quotient, |A| <= 200."""
+        if rng.random() < 0.5:
+            k = rng.choice([(1, 1), (1, 2), (3, 2), (2, -3), (1, -4)] if nvars == 2
+                           else [(1, 1, 1), (1, 2, 3), (2, -1, 1)])
+            return gamma_sj(k, rng.randint(1, 200 // sum(x * x for x in k)))
+        while True:
+            gamma = Subgroup.from_generators(
+                nvars, [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(nvars)])
+            if 1 <= gamma.index() <= 200 and quotient(gamma).rank <= 1:
+                return gamma
+
+    def test_matches_expanded_snf(self):
+        rng = random.Random(1616)
+        routes, unit_ends, bettis = set(), set(), set()
+        for _ in range(90):
+            nvars = rng.randint(2, 3)
+            gamma = self._cyclic_subgroup(rng, nvars)
+            group = quotient(gamma)
+            f = random_laurent(rng, nvars, max_terms=4, exp_range=(-1, 2), coeff_max=2)
+            if f.is_zero():
+                continue
+            mod = PresentedModule(nvars, ((f,),))
+            got = torsion_and_betti(mod, gamma)
+            assert got == self._expected(mod, group), (f, gamma)
+            g = f.tau(torsion._cyclic_exponents(mod, group))
+            if len(g) > 1:
+                ends = g.coefficients()
+                unit_ends.add((abs(ends[0]) == 1) + (abs(ends[-1]) == 1))
+            routes.add(torsion.route(reduce_presentation(mod), group) is None)
+            bettis.add(got[1] > 0)
+        assert unit_ends == {0, 1, 2} and routes == bettis == {True, False}
+
+    def test_trivial_quotient(self, snf_calls):
+        # Gamma = Z^2: y = 0, so g is the constant f(1, 1); a non-unit one is SNF's
+        group = quotient(Subgroup.diagonal(2, 1))
+        want = {3 + t1 + t2: (5, 0), 1 + t1 + t2: (3, 0), t1 - t2: (1, 1), t1 + t2 - 1: (1, 0)}
+        for f, tb in want.items():
+            assert torsion_and_betti(PresentedModule(2, ((f,),)), group) == tb, f
+        assert snf_calls == [1, 1]
+        mod = reduce_presentation(PresentedModule(2, ((3 + t1 + t2,),)))
+        assert torsion._cyclic_exponents(mod, group) == [0, 0]
+        assert torsion.route(mod, group) is None
+
+    def test_entry_that_specializes_to_zero(self, snf_calls):
+        # e1 = e2 in Z/12, so t1 - t2 becomes 0: a free column, no SNF
+        mod = PresentedModule(2, ((t1 - t2,),))
+        gamma = Subgroup.from_generators(2, [(1, -1), (0, 12)])
+        assert quotient(gamma).invariant_factors == (12,)
+        assert torsion_and_betti(mod, gamma) == (1, 12)
+        assert snf_calls == []
+        assert self._expected(mod, quotient(gamma)) == (1, 12)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5])
+    def test_link_style_row_reduces_again(self, j):
+        # h(1 - t2) and h(t1 - 1) divide neither each other over Z[t1^±, t2^±];
+        # along y = ±(1, 2) the first is a multiple of the second
+        h = 1 + t1 + t2
+        mod = PresentedModule(2, ((h * (1 - t2), h * (t1 - 1)),))
+        group = quotient(gamma_sj((1, 2), j))
+        reduced = reduce_presentation(mod)
+        assert sum(1 for e in reduced.matrix[0] if e) == 2
+        g, free = torsion.route(reduced, group)
+        assert free == 1 and g in (t ** 3 - 1, t ** -3 - 1)  # h(t, t^2)(t - 1), or at 1/t
+        assert torsion_and_betti(mod, group) == self._expected(mod, group)
+
+    def test_order_14500_in_under_a_second(self):
+        # 3 does not divide 14500, so 1 + t1 + t2 vanishes at no character
+        f = 1 + t1 + t2
+        group = quotient(gamma_sj((9, 8), 100))
+        start = time.perf_counter()
+        got = torsion_and_betti(PresentedModule(2, ((f,),)), group)
+        assert time.perf_counter() - start < 1.0
+        assert got == (character_product(f, group), 0)
 
 
 class TestExactProductDifferential:
