@@ -18,19 +18,17 @@ and the unit moves of `presmod.reduce_presentation` over R.
 
 `snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
 pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
-remainder with `_diagonalize`, which runs on numpy object arrays so row
-operations execute in C while coefficients stay arbitrary precision.
-Should a block's entries ever pass Hadamard's bound (no input is known to
-make them), phase 2 starts again modulo a nonzero rank-minor D of the block
-(Hafner and McCurley, SIAM J. Comput. 20, 1991), which bounds them.
+remainder with `_diagonalize` on nested lists: one list comprehension per
+row move, one C-level `min` per row searched for a pivot.  Should a block's
+entries ever pass Hadamard's bound (no input is known to make them), phase
+2 starts again modulo a nonzero rank-minor D of the block (Hafner and
+McCurley, SIAM J. Comput. 20, 1991), which bounds them.
 `snf_with_transforms` uses the dense path alone.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 _LN2 = math.log(2)
 
@@ -59,122 +57,100 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def nearest_div(a: int, b: int) -> int:
-    """Quotient q minimizing |a - q*b| for b > 0 (remainder in (-b/2, b/2])."""
+    """Quotient q minimizing |a - q*b| for b > 0 (remainder in [-b/2, b/2))."""
     return (2 * a + b) // (2 * b)
 
 
-def to_object_array(rows) -> np.ndarray:
-    """Copy nested lists into a 2-D object ndarray of Python ints."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    arr = np.empty((m, n), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-        for j, v in enumerate(row):
-            arr[i, j] = int(v)
-    return arr
-
-
-def _min_abs_position(arr: np.ndarray) -> tuple[int, int] | None:
-    """Position of a nonzero entry of minimal absolute value, or None."""
-    ri, ci = np.nonzero(arr)
-    if len(ri) == 0:
-        return None
-    vals = np.abs(arr[ri, ci])
-    k = int(np.argmin(vals))
-    return int(ri[k]), int(ci[k])
-
-
-def _diagonalize(A: np.ndarray, U: np.ndarray | None = None,
+def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None,
                  limit: int = 0, modulus: int = 0) -> bool:
     """Reduce A in place to diagonal form by unimodular row/column moves.
 
-    Pivots are chosen as the minimal-absolute-value nonzero entry of the
-    trailing block.  Its column, then its row, is cleared by one rule:
-    reduce every entry by the nearest multiple of the pivot and, if
-    remainders are left, promote the least of them to pivot and repeat;
-    entries then stay within the block's Hadamard bound on every input
-    tested (Havas and Majewski, J. Symbolic Comput. 24, 1997, trace
-    coefficient growth to these rules).  When given, U accumulates the row
-    operations (U·A_in = A_out·W for some unimodular W).  With a limit, it
-    stops and returns False when a new pivot's row holds an entry beyond it.
-    With a modulus D, the trailing block is taken to symmetric residues mod
-    D before each pivot, which diagonalizes [A | D·I] instead.  Returns
-    True when A is diagonal.
+    Pivots are chosen as the first entry of least absolute value, in
+    row-major order, of the trailing block.  Its column, then its row, is
+    cleared by one rule: reduce every entry by the nearest multiple of the
+    pivot and, if remainders are left, promote the least of them to pivot
+    and repeat; entries then stay within the block's Hadamard bound on
+    every input tested (Havas and Majewski, J. Symbolic Comput. 24, 1997,
+    trace coefficient growth to these rules).  Off the trailing block only
+    the diagonal is nonzero, so rows are swapped and searched whole.  When
+    given, U accumulates the row operations (U·A_in = A_out·W for some
+    unimodular W).  With a limit, it stops and returns False when a new
+    pivot's row holds an entry beyond it.  With a modulus D, the trailing
+    block is taken to symmetric residues mod D before each pivot, which
+    diagonalizes [A | D·I] instead.  Returns True when A is diagonal.
     """
-    m, n = A.shape
-    s = 0
-    while s < min(m, n):
+    m, n = len(A), len(A[0]) if A else 0
+    if U is None:  # empty rows take every row move at no cost
+        U = [[] for _ in A]
+    for s in range(min(m, n)):
         if modulus:
-            A[s:, s:] = (A[s:, s:] + modulus // 2) % modulus - modulus // 2
-        pos = _min_abs_position(A[s:, s:])
-        if pos is None:
+            h = modulus // 2
+            A[s:] = [[(x + h) % modulus - h for x in row] for row in A[s:]]
+        best, r = math.inf, s
+        for i in range(s, m):
+            if (least := min(map(abs, filter(None, A[i])), default=math.inf)) < best:
+                best, r = least, i
+                if best == 1:
+                    break
+        if best == math.inf:
             break
-        r, c = pos[0] + s, pos[1] + s
-        if r != s:
-            A[[s, r], s:] = A[[r, s], s:]
-            if U is not None:
-                U[[s, r]] = U[[r, s]]
-        if c != s:
-            A[s:, [s, c]] = A[s:, [c, s]]
-        if limit and max(map(abs, A[s, s:])) > limit:
+        c = list(map(abs, A[r])).index(best)
+        A[s], A[r] = A[r], A[s]
+        U[s], U[r] = U[r], U[s]
+        for row in A[s:]:
+            row[s], row[c] = row[c], row[s]
+        if limit and max(map(abs, A[s][s:])) > limit:
             return False
         while True:
-            if A[s, s] < 0:
-                A[s, s:] = -A[s, s:]
-                if U is not None:
-                    U[s] = -U[s]
-            p = A[s, s]
+            if A[s][s] < 0:
+                A[s], U[s] = [-x for x in A[s]], [-x for x in U[s]]
+            piv = A[s]
+            p, tail = piv[s], piv[s:]
             # clear the column below the pivot
-            col_rows = s + 1 + np.nonzero(A[s + 1 :, s])[0]
-            for i in col_rows:
-                q = nearest_div(A[i, s], p)
-                if q:
-                    A[i, s:] -= q * A[s, s:]
-                    if U is not None:
-                        U[i] -= q * U[s]
-            rem = np.nonzero(A[s + 1 :, s])[0]
-            if len(rem):
+            for i in range(s + 1, m):
+                row = A[i]
+                if row[s] and (q := nearest_div(row[s], p)):
+                    row[s:] = [x - q * y for x, y in zip(row[s:], tail)]
+                    U[i] = [x - q * y for x, y in zip(U[i], U[s])]
+            rem = [i for i in range(s + 1, m) if A[i][s]]
+            if rem:
                 # a remainder smaller than the pivot exists; promote it
-                i = s + 1 + min(rem, key=lambda k: abs(A[s + 1 + k, s]))
-                A[[s, i], s:] = A[[i, s], s:]
-                if U is not None:
-                    U[[s, i]] = U[[i, s]]
+                i = min(rem, key=lambda k: abs(A[k][s]))
+                A[s], A[i] = A[i], A[s]
+                U[s], U[i] = U[i], U[s]
                 continue
             # clear the row by the same rule (column s below is zero now,
-            # so these column moves only touch row s)
-            for j in s + 1 + np.nonzero(A[s, s + 1 :])[0]:
-                A[s, j] -= nearest_div(A[s, j], p) * p
-            rem = np.nonzero(A[s, s + 1 :])[0]
-            if not len(rem):
+            # so these column moves only touch row s); the residue in
+            # [-p/2, p/2) is x - nearest_div(x, p) * p
+            h = p // 2
+            piv[s + 1:] = [(x + h) % p - h for x in piv[s + 1:]]
+            rem = [j for j in range(s + 1, n) if piv[j]]
+            if not rem:
                 break
-            j = s + 1 + min(rem, key=lambda k: abs(A[s, s + 1 + k]))
-            A[s:, [s, j]] = A[s:, [j, s]]
-        s += 1
+            j = min(rem, key=lambda k: abs(piv[k]))
+            for row in A[s:]:
+                row[s], row[j] = row[j], row[s]
     return True
 
 
-def _repair_chain(A: np.ndarray, U: np.ndarray | None = None) -> None:
-    """Turn the diagonal left by `_diagonalize` into a divisibility chain, in place.
+def _repair_chain(d: list[int], U: list[list[int]] | None = None) -> None:
+    """Turn the diagonal d left by `_diagonalize` into a divisibility chain, in place.
 
     The nonzero entries lead and are positive.  A pair (a, b) with b mod a
     != 0 becomes (g, a*b/g), g = gcd(a, b) = x*a + y*b, by the row move
     [[x, y], [-b/g, a/g]] and a column move of determinant 1; U records
     the row move as `_diagonalize` does.
     """
-    k = 0
-    while k < min(A.shape) and A[k, k]:
-        k += 1
+    k = len(d) - d.count(0)
     for i in range(k):
         for j in range(i + 1, k):
-            a, b = A[i, i], A[j, j]
+            a, b = d[i], d[j]
             if b % a:
                 x, y, g = xgcd(a, b)
-                A[i, i], A[j, j] = g, a // g * b
+                d[i], d[j] = g, a // g * b
                 if U is not None:
-                    ui, uj = U[i], U[j]
-                    U[i], U[j] = x * ui + y * uj, a // g * uj - b // g * ui
+                    U[i], U[j] = ([x * u + y * v for u, v in zip(U[i], U[j])],
+                                  [a // g * v - b // g * u for u, v in zip(U[i], U[j])])
 
 
 def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
@@ -271,33 +247,37 @@ def snf_diagonal(mat) -> list[int]:
     tail = [r for r in rows if r]
     cols = sorted({j for r in tail for j in r})
     block = [[r.get(j, 0) for j in cols] for r in tail]
-    A = to_object_array(block)
+    A = [r[:] for r in block]
     hadamard_sq = math.prod(sum(x * x for x in r.values()) for r in tail)
-    if _diagonalize(A, limit=math.isqrt(hadamard_sq) + 1):
-        _repair_chain(A)
-        diag = [1] * ones + [A[i, i] for i in range(min(A.shape))]
-    else:
+    D, rank = 0, len(A)  # no modulus: gcd(d, 0) = d, and diag[:len(A)] keeps all
+    if not _diagonalize(A, limit=math.isqrt(hadamard_sq) + 1):
         # coker(block) ⊗ Z/D has the factors d_1 | ... | d_rank, D, ..., D for
         # a nonzero rank-minor D, which every d_i divides; A is still the
         # block up to unimodular moves
         rank, det = eliminate(block, len(cols))
         D = abs(det)
         _diagonalize(A, modulus=D)
-        G = np.diag(np.array([math.gcd(A[i, i], D) for i in range(min(A.shape))], dtype=object))
-        _repair_chain(G)
-        diag = [1] * ones + [G[i, i] for i in range(rank)]
+    diag = [math.gcd(A[i][i], D) for i in range(min(len(A), len(cols)))]
+    _repair_chain(diag)
+    diag = [1] * ones + diag[:rank]
     return diag + [0] * (k - len(diag))
 
 
-def snf_with_transforms(mat) -> tuple[np.ndarray, np.ndarray]:
+def snf_with_transforms(mat) -> tuple[list[list[int]], list[list[int]]]:
     """(D, U): D diagonal with the invariant factors of mat as a divisibility
     chain, U unimodular, and row i of U·mat d_i times an integer row (zero
     past the rank), so v -> (U·v mod d_i) maps Z^m onto Z^m / mat·Z^n.
     Dense: intended for small matrices."""
-    A = to_object_array(mat)
-    U = np.identity(A.shape[0], dtype=object)
+    A = [[int(v) for v in row] for row in mat]
+    m, n = len(A), len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
     _diagonalize(A, U)
-    _repair_chain(A, U)
+    diag = [A[i][i] for i in range(min(m, n))]
+    _repair_chain(diag, U)
+    for i, d in enumerate(diag):
+        A[i][i] = d
     return A, U
 
 

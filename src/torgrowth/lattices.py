@@ -249,7 +249,7 @@ def quotient(gamma: Subgroup) -> FinAbGroup:
     # columns generate Gamma; FinAbGroup rejects a Gamma not of full rank
     mat = [[g[i] for g in gamma.gens] for i in range(n)]
     D, U = snf_with_transforms(mat)
-    return FinAbGroup(n, [D[i, i] for i in range(min(n, len(gamma.gens)))], U)
+    return FinAbGroup(n, [D[i][i] for i in range(min(n, len(gamma.gens)))], U)
 
 
 def size_reduce(basis: list[list[int]]) -> list[list[int]]:

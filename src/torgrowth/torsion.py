@@ -111,23 +111,42 @@ def expand(matrix, gamma) -> list[list[int]]:
     return out
 
 
-def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
-    """(|Tor|, Betti) of Z[t]/(f, t^ell - 1) = coker(C^ell - I) on Z^D, for
-    the companion matrix C of f (leading coefficient ±1) on the basis 1, t,
-    ..., t^(D-1)."""
+def _companion_minus_identity(f: LaurentPoly, ell: int) -> list[list[int]]:
+    """C^ell - I for the companion matrix C of f (leading coefficient ±1) on
+    the basis 1, t, ..., t^(D-1) of Z[t]/(f): column j of C^ell holds
+    t^(ell+j) mod f, from t^ell mod f by square-and-multiply in Z[t]/(f)."""
     lo, hi = f.min_exponents()[0], f.max_exponents()[0]
     D, lead = hi - lo, f.coeff((hi,))
-    C = [[int(r == i + 1) for i in range(D - 1)] + [-lead * f.coeff((lo + r,))] for r in range(D)]
-    P = C
-    for bit in bin(ell)[3:]:  # C^ell by square-and-multiply
-        P = matmul(P, P)
-        if bit == "1":
-            P = matmul(P, C)
-    P = [[x - (r == i) for i, x in enumerate(row)] for r, row in enumerate(P)]
+    low = [-lead * f.coeff((lo + r,)) for r in range(D)]  # t^D = sum low[r] t^r mod f
+
+    def reduce(a):  # coefficients, lowest first, to those of the residue mod f
+        for k in range(len(a) - 1, D - 1, -1):
+            if x := a[k]:
+                for r, c in enumerate(low, k - D):
+                    a[r] += x * c
+        return a[:D]
+
+    P = reduce([0, 1] + [0] * D)
+    for bit in bin(ell)[3:]:  # t^ell by square-and-multiply
+        sq = [0] * (2 * D)
+        for i, x in enumerate(P):
+            for j, y in enumerate(P, i):
+                sq[j] += x * y
+        P = reduce([0] + sq if bit == "1" else sq)
+    cols = [P]
+    for _ in range(D - 1):
+        cols.append(reduce([0] + cols[-1]))
+    return [[col[r] - (r == j) for j, col in enumerate(cols)] for r in range(D)]
+
+
+def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
+    """(|Tor|, Betti) of Z[t]/(f, t^ell - 1) = coker(C^ell - I) on Z^D, for
+    the companion matrix C of f (leading coefficient ±1)."""
+    P = _companion_minus_identity(f, ell)
     if det := bareiss_det(P):  # SNF only for the rare singular block
         return abs(det), 0
     res = snf(P)
-    return res.torsion_order(), D - res.rank
+    return res.torsion_order(), len(P) - res.rank
 
 
 def live_columns(mod: PresentedModule) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -85,7 +86,7 @@ def test_snf_sparse_phase_matches_dense_path():
     for _ in range(200):
         M = random_sparse_matrix(rng)
         D, _ = snf_with_transforms(M)
-        assert snf_diagonal(M) == [int(D[i, i]) for i in range(min(len(M), len(M[0])))]
+        assert snf_diagonal(M) == [D[i][i] for i in range(min(len(M), len(M[0])))]
 
 
 def test_eliminate_units_same_moves_over_z_and_r():
@@ -101,12 +102,15 @@ def test_eliminate_units_same_moves_over_z_and_r():
         assert not any(j in r for r in rows_z for j in pivots)
 
 
-def check_row_transform(M, D, U):
+def check_row_transform(M, D, U, brute=True):
     """U is unimodular and row i of U·M is d_i times an integer row (zero
-    past the rank); the diagonal is the brute-force invariant factors."""
+    past the rank); the diagonal is the invariant factors of `snf_diagonal`
+    and, with `brute`, of the minors."""
     m, n = len(M), len(M[0])
-    diag = [int(D[i, i]) for i in range(min(m, n))]
-    assert diag == brute_invariant_factors(M) == snf_diagonal(M)
+    diag = [D[i][i] for i in range(min(m, n))]
+    assert diag == snf_diagonal(M)
+    if brute:
+        assert diag == brute_invariant_factors(M)
     assert abs(bareiss_det([list(map(int, r)) for r in U])) == 1
     d = [x for x in diag if x]
     for i, row in enumerate(matmul([list(r) for r in U], M)):
@@ -124,10 +128,36 @@ def test_snf_transforms_unimodular():
         check_row_transform(M, *snf_with_transforms(M))
 
 
+def test_snf_transforms_on_larger_matrices():
+    # 5 x 5 to 8 x 8 have too many minors for the brute-force reference;
+    # snf_diagonal, which runs phase 1 first, is the reference instead
+    rng = random.Random(17)
+    for _ in range(60):
+        m, n = rng.randint(5, 8), rng.randint(5, 8)
+        M = [[rng.choice([0, 0, 1, -1, 2, -3, 4, 6, -9]) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            M[-1] = [2 * x - y for x, y in zip(M[0], M[1])]
+        D, U = snf_with_transforms(M)
+        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        check_row_transform(M, D, U, brute=False)
+
+
+def test_snf_transforms_pinned_row_moves():
+    # U records every pivot, swap and promotion, so it pins the moves of
+    # phase 2 (as made on numpy object arrays before the port to lists)
+    rng = random.Random(18)
+    h = hashlib.sha256()
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        h.update(repr(snf_with_transforms(M)[1]).encode())
+    assert h.hexdigest() == "ad21d525632c70d8377b4edb3301a3a364abfd4c8cc2e5ddc5543d389ac31c86"
+
+
 def test_snf_transforms_repair_divisibility_chain():
     # diagonal entries with no divisibility chain, e.g. (6, 4, 10) -> (2, 2, 60)
     D, U = snf_with_transforms([[6, 0, 0], [0, 4, 0], [0, 0, 10]])
-    assert [D[i, i] for i in range(3)] == [2, 2, 60]
+    assert [D[i][i] for i in range(3)] == [2, 2, 60]
     rng = random.Random(15)
     for _ in range(120):
         m, n = rng.randint(2, 5), rng.randint(2, 5)

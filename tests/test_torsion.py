@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -104,7 +105,7 @@ class TestSnfApi:
         def watching(A, U=None, limit=0, modulus=0):
             done = original(A, U, limit, modulus)
             if limit and not done:
-                failed.append(A.shape)
+                failed.append((len(A), len(A[0])))
             return done
 
         monkeypatch.setattr(intlinalg, "_diagonalize", watching)
@@ -138,6 +139,16 @@ class TestSnfApi:
 
         monkeypatch.setattr(intlinalg, "_diagonalize", give_up_at_limit)
         assert [intlinalg.snf_diagonal(M) for M in mats] == want
+
+    def test_pinned_factors_of_diagonal_3_t1_t2(self):
+        # the invariant factors that phase 2 on numpy object arrays gave for
+        # 3 + t1 + t2 over Z^2 / 16 Z^2, pinned across the port to lists
+        E = expand(PresentedModule(2, ((3 + t1 + t2,),)), Subgroup.diagonal(2, 16))
+        diag = intlinalg.snf_diagonal(E)
+        rest = ",".join(str(d) for d in diag if d != 1)
+        assert (len(diag), diag.count(1)) == (256, 240)
+        assert hashlib.sha256(rest.encode()).hexdigest() == (
+            "bf0c3da071c4c131f4340a5a7b03cd84776fb4441d990100fb5be1b9c025496e")
 
 
 class TestTorsionOrder:
@@ -350,6 +361,33 @@ class TestCompanionRoute:
         tor, b = torsion_and_betti(fig8, Subgroup.cyclic(ell))
         assert time.perf_counter() - start < 2.0
         assert (tor, b) == (lucas(ell) ** 2 - 4, ell)
+
+    @staticmethod
+    def _companion_power_by_matmul(f, ell):
+        """C^ell - I by square-and-multiply of the companion matrix itself."""
+        lo, hi = f.min_exponents()[0], f.max_exponents()[0]
+        D, lead = hi - lo, f.coeff((hi,))
+        C = [[int(r == i + 1) for i in range(D - 1)] + [-lead * f.coeff((lo + r,))]
+             for r in range(D)]
+        P = C
+        for bit in bin(ell)[3:]:
+            P = intlinalg.matmul(P, P)
+            if bit == "1":
+                P = intlinalg.matmul(P, C)
+        return [[x - (r == i) for i, x in enumerate(row)] for r, row in enumerate(P)]
+
+    @pytest.mark.parametrize("D", [0, 1, 2, 9, 20])
+    def test_power_of_t_mod_g_matches_matrix_powers(self, D):
+        rng = random.Random(1700 + D)
+        for _ in range(4):
+            coeffs = [rng.choice([1, -1, 2, -3, 5])] + [rng.randint(-4, 4) for _ in range(D)]
+            coeffs[D] = rng.choice([1, -1])
+            lo = rng.randint(-3, 3)
+            g = LaurentPoly(1, {(lo + i,): c for i, c in enumerate(coeffs)})
+            assert g.max_exponents()[0] - g.min_exponents()[0] == D
+            for ell in (1, 2, 3, rng.randint(4, 500)):
+                assert torsion._companion_minus_identity(g, ell) == (
+                    self._companion_power_by_matmul(g, ell)), (g, ell)
 
 
 class TestCyclicQuotientRoute:
