@@ -19,10 +19,7 @@ and the unit moves of `presmod.reduce_presentation` over R.
 `snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
 pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
 remainder with `_diagonalize` on nested lists: one list comprehension per
-row move, one C-level `min` per row searched for a pivot.  Should a block's
-entries ever pass Hadamard's bound (no input is known to make them), phase
-2 starts again modulo a nonzero rank-minor D of the block (Hafner and
-McCurley, SIAM J. Comput. 20, 1991), which bounds them.
+row move, one C-level `min` per row searched for a pivot.
 `snf_with_transforms` uses the dense path alone.
 """
 
@@ -61,8 +58,7 @@ def nearest_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None,
-                 limit: int = 0, modulus: int = 0) -> bool:
+def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None) -> None:
     """Reduce A in place to diagonal form by unimodular row/column moves.
 
     Pivots are chosen as the first entry of least absolute value, in
@@ -74,18 +70,13 @@ def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None,
     trace coefficient growth to these rules).  Off the trailing block only
     the diagonal is nonzero, so rows are swapped and searched whole.  When
     given, U accumulates the row operations (U·A_in = A_out·W for some
-    unimodular W).  With a limit, it stops and returns False when a new
-    pivot's row holds an entry beyond it.  With a modulus D, the trailing
-    block is taken to symmetric residues mod D before each pivot, which
-    diagonalizes [A | D·I] instead.  Returns True when A is diagonal.
+    unimodular W).  Each promotion strictly lowers |pivot|, so the loop
+    ends on every input.
     """
     m, n = len(A), len(A[0]) if A else 0
     if U is None:  # empty rows take every row move at no cost
         U = [[] for _ in A]
     for s in range(min(m, n)):
-        if modulus:
-            h = modulus // 2
-            A[s:] = [[(x + h) % modulus - h for x in row] for row in A[s:]]
         best, r = math.inf, s
         for i in range(s, m):
             if (least := min(map(abs, filter(None, A[i])), default=math.inf)) < best:
@@ -99,8 +90,6 @@ def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None,
         U[s], U[r] = U[r], U[s]
         for row in A[s:]:
             row[s], row[c] = row[c], row[s]
-        if limit and max(map(abs, A[s][s:])) > limit:
-            return False
         while True:
             if A[s][s] < 0:
                 A[s], U[s] = [-x for x in A[s]], [-x for x in U[s]]
@@ -130,7 +119,6 @@ def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None,
             j = min(rem, key=lambda k: abs(piv[k]))
             for row in A[s:]:
                 row[s], row[j] = row[j], row[s]
-    return True
 
 
 def _repair_chain(d: list[int], U: list[list[int]] | None = None) -> None:
@@ -235,9 +223,7 @@ def snf_diagonal(mat) -> list[int]:
     Nonzero entries form a divisibility chain d1 | d2 | ...; zeros trail.
     Two phases: sparse elimination on ±1 pivots (`eliminate_units`), then
     `_diagonalize` on the dense block of the rows and columns that are still
-    nonzero.  Should the block's entries pass its Hadamard bound, which no
-    known input makes them do, the block is finished modulo a nonzero
-    rank-minor instead.
+    nonzero.
     """
     rows, n = _sparse_rows(mat)
     k = min(len(rows), n)
@@ -246,20 +232,11 @@ def snf_diagonal(mat) -> list[int]:
     ones = len(eliminate_units(rows, _int_unit_inverse))
     tail = [r for r in rows if r]
     cols = sorted({j for r in tail for j in r})
-    block = [[r.get(j, 0) for j in cols] for r in tail]
-    A = [r[:] for r in block]
-    hadamard_sq = math.prod(sum(x * x for x in r.values()) for r in tail)
-    D, rank = 0, len(A)  # no modulus: gcd(d, 0) = d, and diag[:len(A)] keeps all
-    if not _diagonalize(A, limit=math.isqrt(hadamard_sq) + 1):
-        # coker(block) ⊗ Z/D has the factors d_1 | ... | d_rank, D, ..., D for
-        # a nonzero rank-minor D, which every d_i divides; A is still the
-        # block up to unimodular moves
-        rank, det = eliminate(block, len(cols))
-        D = abs(det)
-        _diagonalize(A, modulus=D)
-    diag = [math.gcd(A[i][i], D) for i in range(min(len(A), len(cols)))]
+    A = [[r.get(j, 0) for j in cols] for r in tail]
+    _diagonalize(A)
+    diag = [A[i][i] for i in range(min(len(A), len(cols)))]
     _repair_chain(diag)
-    diag = [1] * ones + diag[:rank]
+    diag = [1] * ones + diag
     return diag + [0] * (k - len(diag))
 
 

@@ -28,6 +28,7 @@ one exponent matrix of the characters, lifted to the integer by CRT.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -266,7 +267,7 @@ class GrowthSample:
     def growth_stat(self) -> float:
         return self.log_torsion / self.index
 
-    CSV_HEADER = "gamma;index;min_norm;torsion_order;log_torsion;growth_stat;betti"
+    CSV_HEADER = "gamma;index;min_norm;torsion_order;log_torsion;growth_stat;betti;direction"
 
     def to_json(self) -> dict:
         """The sample's fields and statistics, the torsion order as a decimal string."""
@@ -287,13 +288,19 @@ class GrowthSample:
 
     @classmethod
     def from_csv_row(cls, row: str) -> "GrowthSample":
+        """The inverse of `csv_row`; a row of the first seven fields has no direction."""
         parts = row.split(";")
+        cell = parts[7] if len(parts) > 7 else "None"
+        direction = None if cell == "None" else json.loads(cell)
+        if direction is not None and not isinstance(direction, list):
+            raise ValueError(f"direction is neither a JSON list nor None: {cell!r}")
         return cls(
             gamma=parts[0],
             index=int(parts[1]),
             min_norm=float(parts[2]),
             torsion_order=decimal_int(parts[3]),
             betti=int(parts[6]),
+            direction=None if direction is None else tuple(direction),
         )
 
 

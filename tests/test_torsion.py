@@ -9,11 +9,11 @@ import time
 
 import pytest
 
-from conftest import lucas, planted_presentations, random_laurent
+from conftest import DATA, lucas, planted_presentations, random_laurent
 from torgrowth import intlinalg, torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
-from torgrowth.laurent import LaurentPoly, variables
+from torgrowth.laurent import LaurentPoly, div_exact, variables
 from torgrowth.presmod import (
     ChainComplex,
     PresentedModule,
@@ -53,6 +53,18 @@ def blow_up_expansion():
         (t ** 2 + 2 * t ** -1, 1 - t, 3 * t - 3),
     ))
     return expand(mod, Subgroup.cyclic(54))
+
+
+def link_module(name):
+    """The Alexander module of a 2-bridge link from tests/data."""
+    return alexander_module(parse_presentation((DATA / f"{name}.txt").read_text()))
+
+
+# 2-bridge links b(p, q) and their Alexander polynomials
+LINKS = {
+    "link_12_5": 2 * t1 * t2 - t1 - t2 + 2,
+    "link_20_9": 3 * t1 * t2 - 2 * t1 - 2 * t2 + 3,
+}
 
 
 class TestExpand:
@@ -97,48 +109,34 @@ class TestSnfApi:
         assert snf([list(c) for c in zip(*E)]) == res
 
     def test_phase_two_stays_within_hadamard_bound(self, monkeypatch):
-        # random presentations like the one above: the dense phase never
-        # gives up at the block's Hadamard bound
-        failed = []
-        original = intlinalg._diagonalize
+        # every entry phase 2 reduces stays within the incoming block's
+        # Hadamard bound, on random presentations like the one above, on that
+        # one, and on the link modules
+        bound = [0]
+        diagonalize, nearest_div = intlinalg._diagonalize, intlinalg.nearest_div
 
-        def watching(A, U=None, limit=0, modulus=0):
-            done = original(A, U, limit, modulus)
-            if limit and not done:
-                failed.append((len(A), len(A[0])))
-            return done
+        def bounded(A, U=None):
+            bound[0] = math.isqrt(math.prod(sum(x * x for x in r) for r in A)) + 1
+            diagonalize(A, U)
 
-        monkeypatch.setattr(intlinalg, "_diagonalize", watching)
+        def watched(a, b):
+            big = max(abs(a), abs(b))
+            assert big <= bound[0], (
+                f"{big.bit_length()}-bit entry against a {bound[0].bit_length()}-bit bound")
+            return nearest_div(a, b)
+
+        monkeypatch.setattr(intlinalg, "_diagonalize", bounded)
+        monkeypatch.setattr(intlinalg, "nearest_div", watched)
         rng = random.Random(15)
         for _ in range(150):
             m1, m0 = rng.randint(1, 3), rng.randint(1, 3)
             mod = PresentedModule(1, tuple(tuple(random_laurent(rng, 1) for _ in range(m0))
                                            for _ in range(m1)))
             snf(expand(mod, Subgroup.cyclic(rng.randint(10, 60))))
-        assert failed == []
-
-    def test_modular_finish_matches_phase_two(self, monkeypatch):
-        # the finish modulo a rank-minor, forced by a phase 2 that gives up
-        # at once, gives the same invariant factors as phase 2 itself
-        E = blow_up_expansion()
-        rng = random.Random(16)
-        mats = [E, [list(c) for c in zip(*E)]]
-        for _ in range(60):
-            m, n = rng.randint(1, 9), rng.randint(1, 9)
-            M = [[rng.choice([0, 2, -3, 4, 6, -9, 10]) for _ in range(n)] for _ in range(m)]
-            if m > 2 and rng.random() < 0.5:
-                M[-1] = [2 * x - 3 * y for x, y in zip(M[0], M[1])]
-            mats.append(M)
-        want = [intlinalg.snf_diagonal(M) for M in mats]
-        original = intlinalg._diagonalize
-
-        def give_up_at_limit(A, U=None, limit=0, modulus=0):
-            if limit:
-                return False
-            return original(A, U, limit, modulus)
-
-        monkeypatch.setattr(intlinalg, "_diagonalize", give_up_at_limit)
-        assert [intlinalg.snf_diagonal(M) for M in mats] == want
+        snf(blow_up_expansion())
+        for name in LINKS:
+            for d in range(2, 7):
+                snf(expand(link_module(name), Subgroup.diagonal(2, d)))
 
     def test_pinned_factors_of_diagonal_3_t1_t2(self):
         # the invariant factors that phase 2 on numpy object arrays gave for
@@ -312,6 +310,37 @@ class TestReducedPresentation:
             assert torsion_and_betti(unknot, Subgroup.cyclic(ell)) == (1, ell)
         t_squared = PresentedModule.quotient_by_ideal(1, [t ** 2])
         assert torsion_and_betti(t_squared, Subgroup.cyclic(6)) == (1, 0)
+
+
+class TestLinkModules:
+    """The Silver–Williams half of the paper: Alexander modules of 2-bridge
+    links, whose groups have the Schubert normal form <a, b | a·w = w·a>."""
+
+    @pytest.mark.parametrize("name", LINKS)
+    def test_alexander_polynomial(self, name):
+        assert delta(link_module(name)).poly == LINKS[name]
+
+    @pytest.mark.parametrize("name", LINKS)
+    def test_reduces_to_one_row(self, name):
+        # Fox's fundamental formula: the row is Δ·(1 − t2, t1 − 1) up to a unit
+        h = LINKS[name]
+        [(a, b)] = reduce_presentation(link_module(name)).matrix
+        u = div_exact(a, h * (1 - t2))
+        assert u is not None and u.is_unit()
+        assert b == u * h * (t1 - 1)
+
+    @pytest.mark.parametrize("name", LINKS)
+    def test_matches_unreduced_snf(self, name):
+        mod = link_module(name)
+        for d in range(2, 7):
+            res = snf(expand(mod, Subgroup.diagonal(2, d)))
+            assert torsion_and_betti(mod, Subgroup.diagonal(2, d)) == (
+                res.torsion_order(), mod.m0 * d * d - res.rank)
+
+    def test_known_values_of_20_9(self):
+        mod = link_module("link_20_9")
+        assert torsion_and_betti(mod, Subgroup.diagonal(2, 2)) == (5, 7)
+        assert torsion_and_betti(mod, Subgroup.diagonal(2, 4)) == (1800000, 19)
 
 
 class TestCompanionRoute:
@@ -661,6 +690,18 @@ class TestGrowthSample:
         for bad in ("1.5", "1e3", "nan", " 7", ""):
             with pytest.raises(ValueError):
                 GrowthSample.from_csv_row(f"x;1;1.0;{bad};0.0;0.0;0")
+
+    def test_csv_roundtrip_keeps_the_direction(self):
+        M = PresentedModule(2, ((3 + t1 + t2,),))
+        s = growth_sample(M, gamma_sj((2, 1), 3), "gamma_sj")
+        assert s.direction is not None
+        assert GrowthSample.from_csv_row(s.csv_row()) == s
+        # rows written before the direction column read back without one
+        assert GrowthSample.from_csv_row(s.csv_row().rsplit(";", 1)[0]) == GrowthSample(
+            s.gamma, s.index, s.min_norm, s.torsion_order, s.betti)
+        for bad in ("3", "{}", "[1.0"):
+            with pytest.raises(ValueError):
+                GrowthSample.from_csv_row(f"x;1;1.0;1;0.0;0.0;0;{bad}")
 
     def test_invariants(self):
         with pytest.raises(ValueError):
