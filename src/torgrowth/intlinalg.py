@@ -12,20 +12,23 @@ Two eliminations run unchanged over Z and over R = Z[t1^±1, ..., tn^±1].
 minors of presentations with it); determinants are its last pivot, so no
 rational arithmetic is needed anywhere.  `eliminate_units` makes Tietze
 moves on unit pivots over sparse `{column: entry}` rows, with the pivot in
-the shortest row that has one (approximate Markowitz pivoting, as in Dumas,
-Saunders and Villard, J. Symbolic Comput. 32, 2001): phase 1 of SNF over Z,
-and the unit moves of `presmod.reduce_presentation` over R.
+the first row of the shortest length bucket that has one, so no step scans
+every row (approximate Markowitz pivoting, as in Dumas, Saunders and
+Villard, J. Symbolic Comput. 32, 2001): phase 1 of SNF over Z, and the unit
+moves of `presmod.reduce_presentation` over R.
 
 `snf_diagonal` runs in two phases.  Phase 1 is `eliminate_units` on ±1
 pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
 remainder with `_diagonalize` on nested lists: one list comprehension per
-row move, one C-level `min` per row searched for a pivot.
-`snf_with_transforms` uses the dense path alone.
+row move, one C-level `min` per row searched for a pivot, and no row
+transform kept.  `snf_with_transforms` uses the dense path alone, with
+its transform.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 _LN2 = math.log(2)
 
@@ -74,8 +77,7 @@ def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None) -> None:
     ends on every input.
     """
     m, n = len(A), len(A[0]) if A else 0
-    if U is None:  # empty rows take every row move at no cost
-        U = [[] for _ in A]
+    track = U is not None
     for s in range(min(m, n)):
         best, r = math.inf, s
         for i in range(s, m):
@@ -87,36 +89,42 @@ def _diagonalize(A: list[list[int]], U: list[list[int]] | None = None) -> None:
             break
         c = list(map(abs, A[r])).index(best)
         A[s], A[r] = A[r], A[s]
-        U[s], U[r] = U[r], U[s]
+        if track:
+            U[s], U[r] = U[r], U[s]
         for row in A[s:]:
             row[s], row[c] = row[c], row[s]
         while True:
             if A[s][s] < 0:
-                A[s], U[s] = [-x for x in A[s]], [-x for x in U[s]]
+                A[s] = [-x for x in A[s]]
+                if track:
+                    U[s] = [-x for x in U[s]]
             piv = A[s]
             p, tail = piv[s], piv[s:]
-            # clear the column below the pivot
+            # clear the column below the pivot, noting the first least remainder
+            least, k = p, 0
             for i in range(s + 1, m):
                 row = A[i]
                 if row[s] and (q := nearest_div(row[s], p)):
                     row[s:] = [x - q * y for x, y in zip(row[s:], tail)]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[s])]
-            rem = [i for i in range(s + 1, m) if A[i][s]]
-            if rem:
+                    if track:
+                        U[i] = [x - q * y for x, y in zip(U[i], U[s])]
+                if 0 < abs(row[s]) < least:
+                    least, k = abs(row[s]), i
+            if k:
                 # a remainder smaller than the pivot exists; promote it
-                i = min(rem, key=lambda k: abs(A[k][s]))
-                A[s], A[i] = A[i], A[s]
-                U[s], U[i] = U[i], U[s]
+                A[s], A[k] = A[k], A[s]
+                if track:
+                    U[s], U[k] = U[k], U[s]
                 continue
             # clear the row by the same rule (column s below is zero now,
             # so these column moves only touch row s); the residue in
             # [-p/2, p/2) is x - nearest_div(x, p) * p
             h = p // 2
             piv[s + 1:] = [(x + h) % p - h for x in piv[s + 1:]]
-            rem = [j for j in range(s + 1, n) if piv[j]]
-            if not rem:
+            least = min(map(abs, filter(None, piv[s + 1:])), default=0)
+            if not least:
                 break
-            j = min(rem, key=lambda k: abs(piv[k]))
+            j = list(map(abs, piv)).index(least, s + 1)
             for row in A[s:]:
                 row[s], row[j] = row[j], row[s]
 
@@ -148,7 +156,7 @@ def _sparse_rows(mat) -> tuple[list[dict[int, int]], int]:
     for row in mat:
         if len(row) != n:
             raise ValueError("ragged matrix")
-        rows.append({j: int(v) for j, v in enumerate(row) if v})
+        rows.append({j: int(row[j]) for j in compress(range(n), row)})
     return rows, n
 
 
@@ -156,59 +164,69 @@ def eliminate_units(rows: list[dict], inverse) -> list[int]:
     """Sparse elimination on unit pivots over Z or R = Z[t^±], in place.
 
     `rows` are {column: nonzero entry} dicts and `inverse(e)` is e^-1 when
-    e is a unit, else None.  Each step takes the first unit in the shortest
-    live row that has one (the search stops at a row of length <= 2:
-    approximate Markowitz pivoting), clears its column with row moves by
-    entry·u^-1, and deletes the pivot row and column.  A unit pivot clears
-    its own row by column moves that touch nothing else, so the cokernel
-    keeps its isomorphism type.  Returns the pivot columns in order; the
-    rows left nonempty hold the remaining block.
+    e is a unit, else None.  Rows wait in insertion-ordered buckets by
+    length; a row move that changes a row's length moves it to the end of
+    its new bucket, and a row found to hold no unit leaves until a row move
+    changes it.  Each step takes the first unit in the first row of the
+    shortest bucket that has one (approximate Markowitz pivoting), clears
+    its column with row moves by entry·u^-1, and deletes the pivot row and
+    column.  A unit pivot clears its own row by column moves that touch
+    nothing else, so the cokernel keeps its isomorphism type.  Returns the
+    pivot columns in order; the rows left nonempty hold the remaining block.
     """
     cols: dict[int, set[int]] = {}
+    queue: dict[int, dict[int, None]] = {}  # length -> rows, insertion-ordered
     for i, r in enumerate(rows):
         for j in r:
             cols.setdefault(j, set()).add(i)
-    live = {i for i, r in enumerate(rows) if r}
+        if r:
+            queue.setdefault(len(r), {})[i] = None
     pivots = []
     while True:
-        pivot, best = None, 0
-        for i in live:
-            r = rows[i]
-            if pivot is not None and len(r) >= best:
+        pivot = None
+        while queue and pivot is None:
+            n = min(queue)
+            bucket = queue[n]
+            if not bucket:
+                del queue[n]
                 continue
-            for j, v in r.items():
-                u = inverse(v)
-                if u is not None:
-                    pivot, best = (i, j, u), len(r)
+            i = next(iter(bucket))
+            for j, v in rows[i].items():
+                if (u := inverse(v)) is not None:
+                    pivot = i, j, u
                     break
-            if pivot is not None and best <= 2:
-                break
+            else:
+                del bucket[i]
         if pivot is None:
             return pivots
         p, c, u = pivot
         prow = rows[p]
+        del queue[len(prow)][p]
+        rest = [(j, v, cols[j]) for j, v in prow.items() if j != c]
         for i in cols.pop(c):
             if i == p:
                 continue
             r = rows[i]
-            f = r[c] * u
-            for j, v in prow.items():
-                x = r.get(j, 0) - f * v
-                if x:
-                    if j not in r:
-                        cols[j].add(i)
-                    r[j] = x
+            n = len(r)
+            f = r.pop(c) * u
+            for j, v, col in rest:
+                if j in r:
+                    if x := r[j] - f * v:
+                        r[j] = x
+                    else:
+                        del r[j]
+                        col.discard(i)
                 else:
-                    del r[j]
-                    if j != c:
-                        cols[j].discard(i)
-            if not r:
-                live.discard(i)
-        for j in prow:
-            if j != c:
-                cols[j].discard(p)
+                    r[j] = -f * v
+                    col.add(i)
+            bucket = queue.get(n, {})
+            if len(r) != n or i not in bucket:
+                bucket.pop(i, None)
+                if r:
+                    queue.setdefault(len(r), {})[i] = None
+        for _, _, col in rest:
+            col.discard(p)
         rows[p] = {}
-        live.discard(p)
         pivots.append(c)
 
 

@@ -32,7 +32,9 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -93,22 +95,14 @@ def expand(matrix, gamma) -> list[list[int]]:
     over R becomes (m1*|A|) x (m0*|A|) over Z.
     """
     group = _resolve_group(gamma)
-    if isinstance(matrix, PresentedModule):
-        rows = matrix.matrix
-        m0 = matrix.m0
-    else:
-        rows = tuple(tuple(r) for r in matrix)
-        m0 = len(rows[0]) if rows else 0
+    rows = matrix.matrix if isinstance(matrix, PresentedModule) else matrix
     N = group.order
-    m1 = len(rows)
-    out = [[0] * (m0 * N) for _ in range(m1 * N)]
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            block = mult_matrix(project_poly(entry, group))
-            for a, src in enumerate(block):
-                out[i * N + a][j * N:(j + 1) * N] = src
+    out = []
+    for row in rows:
+        # each output row is its block rows joined, so one column copies nothing
+        blocks = [[[0] * N for _ in range(N)] if e.is_zero()
+                  else mult_matrix(project_poly(e, group)) for e in row]
+        out += [reduce(add, parts) for parts in zip(*blocks)] if row else [[] for _ in range(N)]
     return out
 
 

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from conftest import planted_presentations, random_laurent
 from torgrowth.intlinalg import (
+    _int_unit_inverse,
     bareiss_det,
     eliminate_units,
     hnf_coordinates,
@@ -100,6 +102,55 @@ def test_eliminate_units_same_moves_over_z_and_r():
         assert eliminate_units(rows_r, lambda e: e ** -1 if e.is_unit() else None) == pivots
         assert rows_r == [{j: LaurentPoly.constant(1, v) for j, v in r.items()} for r in rows_z]
         assert not any(j in r for r in rows_z for j in pivots)
+
+
+def check_pivot_rule(rows, inverse) -> None:
+    """Run `eliminate_units` on rows and check that each pivot is the first
+    unit of a shortest row that holds one.  `inverse` returns a unit exactly
+    once per pivot, before that step moves any row, so copies taken then
+    are the rows each step starts from."""
+    states = []
+
+    def watched(v):
+        u = inverse(v)
+        if u is not None:
+            states.append([dict(r) for r in rows])
+        return u
+
+    def first_unit(r):
+        return next((j for j, v in r.items() if inverse(v) is not None), None)
+
+    pivots = eliminate_units(rows, watched)
+    assert len(states) == len(pivots)
+    for c, before, after in zip(pivots, states, states[1:] + [rows]):
+        # the pivot row is emptied, and so is every row that is a multiple of
+        # it (same support); no other row is
+        emptied = [r for r, s in zip(before, after) if c in r and not s]
+        shortest = min(len(r) for r in before if first_unit(r) is not None)
+        assert {len(r) for r in emptied} == {shortest}
+        assert c in map(first_unit, emptied)
+    assert not any(first_unit(r) is not None for r in rows)
+
+
+def test_eliminate_units_pivots_on_a_shortest_row_with_a_unit():
+    rng = random.Random(19)
+    for _ in range(150):
+        M = random_sparse_matrix(rng)
+        check_pivot_rule([{j: v for j, v in enumerate(r) if v} for r in M], _int_unit_inverse)
+        D, _ = snf_with_transforms(M)
+        assert snf_diagonal(M) == [D[i][i] for i in range(min(len(M), len(M[0])))]
+    # over R: small planted presentations, then up to 6 x 6 ones in which
+    # about a third of the entries are units ±t^k
+    presentations = [mod.matrix for mod in planted_presentations(seed=19, count=100)]
+    for _ in range(100):
+        nvars, m1, m0 = rng.randint(1, 2), rng.randint(1, 6), rng.randint(1, 6)
+        presentations.append([
+            [LaurentPoly.monomial([rng.randint(-1, 1) for _ in range(nvars)], rng.choice([-1, 1]))
+             if rng.random() < 0.3 else random_laurent(rng, nvars) for _ in range(m0)]
+            for _ in range(m1)])
+    for matrix in presentations:
+        check_pivot_rule([{j: e for j, e in enumerate(r) if e} for r in matrix],
+                         lambda e: e ** -1 if e.is_unit() else None)
 
 
 def check_row_transform(M, D, U, brute=True):

@@ -87,6 +87,27 @@ class TestExpand:
         E = expand(M, Subgroup.cyclic(3))
         assert len(E) == 6 and len(E[0]) == 6
 
+    def test_matches_blocks_placed_by_index(self):
+        # entry (i, j)'s multiplication block at rows i*|A|.., columns
+        # j*|A|..; zero entries, zero-width rows, and no shared row lists
+        rng = random.Random(19)
+        zero = LaurentPoly.zero(2)
+        for group in (quotient(Subgroup.diagonal(2, 3)), quotient(gamma_sj((1, 2), 2))):
+            N = group.order
+            for m1, m0 in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 0)]:
+                rows = tuple(tuple(zero if rng.random() < 0.3 else random_laurent(rng, 2)
+                                   for _ in range(m0)) for _ in range(m1))
+                ref = [[0] * (m0 * N) for _ in range(m1 * N)]
+                for i, row in enumerate(rows):
+                    for j, e in enumerate(row):
+                        for a, block_row in enumerate(mult_matrix(project_poly(e, group))):
+                            for b, x in enumerate(block_row):
+                                ref[i * N + a][j * N + b] = x
+                for matrix in (PresentedModule(2, rows, m0), [list(r) for r in rows]):
+                    E = expand(matrix, group)
+                    assert E == ref
+                    assert len({id(r) for r in E}) == len(E)
+
 
 class TestSnfApi:
     def test_divisibility_normalization(self):
@@ -137,6 +158,32 @@ class TestSnfApi:
         for name in LINKS:
             for d in range(2, 7):
                 snf(expand(link_module(name), Subgroup.diagonal(2, d)))
+
+    def test_phase_two_moves_do_not_depend_on_the_transform(self, monkeypatch):
+        # _diagonalize skips U's bookkeeping when none is asked for; the
+        # moves on A are the same either way, on the blocks phase 1 leaves
+        blocks = []
+        diagonalize = intlinalg._diagonalize
+
+        def captured(A, U=None):
+            blocks.append([list(r) for r in A])
+            diagonalize(A, U)
+
+        monkeypatch.setattr(intlinalg, "_diagonalize", captured)
+        rng = random.Random(19)
+        for _ in range(40):
+            m1, m0 = rng.randint(1, 3), rng.randint(1, 3)
+            mod = PresentedModule(1, tuple(tuple(random_laurent(rng, 1) for _ in range(m0))
+                                           for _ in range(m1)))
+            snf(expand(mod, Subgroup.cyclic(rng.randint(10, 40))))
+        snf(blow_up_expansion())
+        snf(expand(PresentedModule(2, ((3 + t1 + t2,),)), Subgroup.diagonal(2, 16)))
+        assert any(len(B) == 109 for B in blocks)
+        for B in blocks:
+            plain, tracked = [list(r) for r in B], [list(r) for r in B]
+            diagonalize(plain)
+            diagonalize(tracked, [[int(i == j) for j in range(len(B))] for i in range(len(B))])
+            assert plain == tracked
 
     def test_pinned_factors_of_diagonal_3_t1_t2(self):
         # the invariant factors that phase 2 on numpy object arrays gave for
