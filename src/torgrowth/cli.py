@@ -113,7 +113,7 @@ def cmd_branched(args) -> int:
 
 def cmd_mahler(args) -> int:
     f = _read_poly(args.poly, args.nvars)
-    schedule = json.loads(args.schedule) if args.schedule else None
+    schedule = growthlab.parse_schedule(json.loads(args.schedule)) if args.schedule else None
     est = growthlab.mahler_target(f, args.method, args.samples, args.seed, schedule)
     print(json.dumps(est.to_json(), indent=2))
     return 0

@@ -5,10 +5,10 @@ Multiplication by a group element is one primitive, the translation table
 subgroup ideals are all built on it.  Also here: the characters, one
 integer exponent matrix (`character_exponents`), the complementary ideals
 attached to a subgroup B (the principal ideal of the norm element u_B = sum
-of B, and the augmentation-style ideal generated by 1-b), lattice volumes,
-and quotient orders.  These furnish the exact order identities
-|Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|) used as a test surface by the
-growth experiments.  Ideals are `lattices.Subgroup`s of Z^|A| stored by
+of B, and the augmentation-style ideal generated by 1-b), and lattice
+volumes.  These furnish the exact order identities
+|Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|), read off as
+`Subgroup.index()`, used as a test surface by the growth experiments.  Ideals are `lattices.Subgroup`s of Z^|A| stored by
 their canonical Hermite rows, and sums and intersections come from
 `hnf_rows`.
 """
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intlinalg import bareiss_det, hnf_coordinates, hnf_rows, matmul
+from .intlinalg import bareiss_det, hnf_rows, matmul
 from .lattices import FinAbGroup, Subgroup
 from .laurent import LaurentPoly
 
@@ -50,16 +50,9 @@ class GroupAlgElem:
         c[group.index_of(tuple(elem))] = 1
         return cls(group, tuple(c))
 
-    def __add__(self, other: "GroupAlgElem") -> "GroupAlgElem":
-        self._check(other)
-        return GroupAlgElem(self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "GroupAlgElem") -> "GroupAlgElem":
         self._check(other)
         return GroupAlgElem(self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "GroupAlgElem":
-        return GroupAlgElem(self.group, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "GroupAlgElem") -> "GroupAlgElem":
         self._check(other)
@@ -156,19 +149,6 @@ def vol(lat: Subgroup) -> float:
     if lat.rank() == 0:
         return 1.0
     return math.sqrt(gram_det(lat))
-
-
-def quotient_order(outer: Subgroup, inner: Subgroup) -> int:
-    """|outer / inner| for a finite-index sublattice of equal rank."""
-    if inner.rank() != outer.rank():
-        raise ValueError("quotient_order requires equal ranks (finite index)")
-    coords = []
-    for v in inner.basis():
-        x = hnf_coordinates(outer.basis(), v)
-        if x is None:
-            raise ValueError("inner lattice is not contained in outer lattice")
-        coords.append(x)
-    return abs(bareiss_det(coords))
 
 
 def sum_ideals(lats: Sequence[Subgroup]) -> Subgroup:

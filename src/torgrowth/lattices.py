@@ -202,10 +202,6 @@ class FinAbGroup:
         self._check_rank(a, b)
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
-    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        self._check_rank(a)
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
-
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Image of an integer vector under Z^n -> A."""
         if len(vec) != self.nvars:
@@ -254,7 +250,8 @@ def quotient(gamma: Subgroup) -> FinAbGroup:
 
 def size_reduce(basis: list[list[int]]) -> list[list[int]]:
     """The same lattice's basis after pairwise size reduction (Lagrange's
-    reduction in rank 2), shortest vector first."""
+    reduction in rank 2), shortest vector first.  The vectors must be
+    independent (a Hermite basis is), so no step makes a zero vector."""
     vecs = [list(v) for v in basis]
 
     def norm2(v):
@@ -268,10 +265,7 @@ def size_reduce(basis: list[list[int]]) -> list[list[int]]:
             for j in range(len(vecs)):
                 if i == j:
                     continue
-                denom = norm2(vecs[j])
-                if denom == 0:
-                    continue
-                mu = nearest_div(sum(a * b for a, b in zip(vecs[i], vecs[j])), denom)
+                mu = nearest_div(sum(a * b for a, b in zip(vecs[i], vecs[j])), norm2(vecs[j]))
                 if mu:
                     cand = [a - mu * b for a, b in zip(vecs[i], vecs[j])]
                     if norm2(cand) < norm2(vecs[i]):

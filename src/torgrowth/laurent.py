@@ -42,7 +42,7 @@ class LaurentPoly:
                 c = clean.get(exp, 0) + coeff
                 if c:
                     clean[exp] = c
-                elif exp in clean:
+                else:
                     del clean[exp]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
@@ -311,12 +311,6 @@ class UnitNormalForm:
             raise ValueError("not unit-normalized: minimum exponents nonzero")
         if p.coeff(max(e for e, _ in p.terms)) <= 0:
             raise ValueError("not unit-normalized: leading coefficient not positive")
-
-    def is_one(self) -> bool:
-        return self.poly.is_one()
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
 
     def __str__(self) -> str:
         return str(self.poly)

@@ -31,6 +31,7 @@ from .laurent import LaurentPoly, div_exact, normalize_unit
 
 JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
 ABERTH_BLOCK = 4096  # entries of the z_i - z_j array the Aberth sum holds at once
+ABERTH_SWEEPS = 10_000  # cap on the sweeps of the one Aberth run per certification
 QUADRATURE_SHARDS = 16  # median-of-means groups of the Monte Carlo estimate
 
 
@@ -111,9 +112,10 @@ def _start_points(coeffs: Sequence[int]) -> list[complex]:
     return points
 
 
-def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[complex], list[float]]:
-    """All roots of a polynomial (coeffs low->high, ends nonzero) plus
-    per-root inclusion radii d*|p(z)|/|p'(z)| (each disk contains a root).
+def _aberth_roots(coeffs: Sequence[int]) -> tuple[list[complex], list[float]]:
+    """All roots of a degree >= 1 polynomial (coeffs low->high, ends nonzero)
+    and inclusion disks of radius d*|p(z)|/|p'(z)|, from one run of at most
+    ABERTH_SWEEPS sweeps (no retry).
 
     Every sweep updates all roots at once (Ehrlich-Aberth in numpy):
     one Horner loop over the nonzero coefficients gives p and p' on the
@@ -127,8 +129,6 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
     early, since further sweeps cannot repair the root it leaves.
     """
     deg = len(coeffs) - 1
-    if deg == 0:
-        return [], []
     c = _float_coeffs(coeffs)
     z = np.array(_start_points(coeffs))
     radius = float(np.abs(z).max())
@@ -168,7 +168,7 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
         return pv, dv
 
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(ABERTH_SWEEPS):
             pv, dv = evaluate(z)
             newton = pv / dv
             s = np.empty(deg, dtype=np.complex128)
@@ -195,39 +195,34 @@ def _aberth_roots(coeffs: Sequence[int], max_iter: int = 400) -> tuple[list[comp
 def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
     """Jensen's formula: log|lead| plus the log of every root outside the
     unit circle, with an error bound from certified per-root inclusion disks.
+    One Aberth run, no retry: it is deterministic, so a rerun would replay it.
     """
     if f.nvars != 1:
         raise ValueError("mahler_univariate takes a one-variable polynomial")
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")
     coeffs = _poly_coeffs(f)
-    deg = len(coeffs) - 1
-    if deg == 0:
+    if len(coeffs) == 1:
         return MahlerEstimate(math.log(abs(coeffs[0])), "jensen", 0.0, {"roots": []})
-    for iters in (400, 2000, 10000):
-        roots, bounds = _aberth_roots(coeffs, max_iter=iters)
-        value = math.log(abs(coeffs[-1]))
-        err = 0.0
-        for z, b in zip(roots, bounds):
-            r = abs(z)
-            # an overflowed iteration leaves NaN, which max(1.0, nan) would hide
-            if not (math.isfinite(r) and math.isfinite(b)):
-                err = math.inf
-                break
-            value += math.log(max(1.0, r))
-            hi = math.log(max(1.0, r + b))
-            lo = math.log(max(1.0, max(r - b, 1e-300)))
-            err += hi - lo
-        if err <= JENSEN_TOL:
-            return MahlerEstimate(
-                value,
-                "jensen",
-                err,
-                {"roots": [(z.real, z.imag) for z in roots], "residual_bounds": bounds},
-            )
-    raise NonconvergenceError(
-        f"root certification stalled: error bound {err} above tolerance {JENSEN_TOL}"
-    )
+    roots, bounds = _aberth_roots(coeffs)
+    value = math.log(abs(coeffs[-1]))
+    err = 0.0
+    for z, b in zip(roots, bounds):
+        r = abs(z)
+        # an overflowed iteration leaves NaN, which max(1.0, nan) would hide
+        if not (math.isfinite(r) and math.isfinite(b)):
+            err = math.inf
+            break
+        value += math.log(max(1.0, r))
+        hi = math.log(max(1.0, r + b))
+        lo = math.log(max(1.0, max(r - b, 1e-300)))
+        err += hi - lo
+    if err > JENSEN_TOL:
+        raise NonconvergenceError(
+            f"root certification stalled: error bound {err} above tolerance {JENSEN_TOL}"
+        )
+    diagnostics = {"roots": [(z.real, z.imag) for z in roots], "residual_bounds": bounds}
+    return MahlerEstimate(value, "jensen", err, diagnostics)
 
 
 def is_kronecker(f: LaurentPoly) -> bool:

@@ -17,7 +17,6 @@ from torgrowth.groupalg import (
     mult_matrix,
     norm_element,
     project_poly,
-    quotient_order,
     sum_ideals,
     vol,
 )
@@ -71,7 +70,6 @@ class TestTranslation:
         for call in (
             lambda: Z22.translation((1,)),
             lambda: Z22.add((1,), (1, 1)),
-            lambda: Z22.neg((1, 0, 1)),
         ):
             with pytest.raises(ValueError, match="rank 2"):
                 call()
@@ -192,7 +190,7 @@ class TestOrderIdentities:
         B = A.subgroup_closure(bgens)
         al, be = alpha_ideal(A, bgens), beta_ideal(A, bgens)
         assert al.rank() == A.order // len(B)
-        got = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([al, be]))
+        got = sum_ideals([al, be]).index()
         assert got == len(B) ** (A.order // len(B))
 
     def test_sum_with_zero(self):
@@ -233,7 +231,7 @@ class TestOrderIdentities:
             al = sum_ideals([alpha_ideal(A, b1), alpha_ideal(A, b2)])
             be = intersect_ideals([beta_ideal(A, b1), beta_ideal(A, b2)])
             assert be.perp() == al
-            got = quotient_order(Subgroup.diagonal(A.order, 1), sum_ideals([al, be]))
+            got = sum_ideals([al, be]).index()
             bound = len(B1) ** (A.order // len(B1)) * len(B2) ** (A.order // len(B2))
             assert got <= bound
 
@@ -244,7 +242,7 @@ class TestVolume:
 
     def test_quotient_order_example(self):
         inner = Subgroup.from_generators(2, [[2, 0], [0, 3]])
-        assert quotient_order(Subgroup.diagonal(2, 1), inner) == 6
+        assert inner.index() == 6
 
     def test_primitivity_identity(self):
         # vol(L)^2 = |Z^n / (L + L^perp)| for saturated L
@@ -260,7 +258,7 @@ class TestVolume:
                 continue
             comp = L.perp()
             total = sum_ideals([L, comp])
-            assert gram_det(L) == quotient_order(Subgroup.diagonal(n, 1), total)
+            assert gram_det(L) == total.index()
 
 
 class TestCharacters:

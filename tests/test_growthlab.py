@@ -378,6 +378,39 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "max_order" in err["message"]
 
+    def test_groupalg_check_verbose_prints_every_check(self, capsys):
+        assert cli_main(["groupalg-check", "--cases", "2", "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and all(line.startswith("[PASS] case ") for line in lines[:8])
+        assert lines[8] == "passed 8 / 8 checks (0 failures)"
+
+    def test_torsion_cyclic_on_two_variables_is_json_error(self, capsys, tmp_path):
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps({"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}))
+        assert cli_main(["torsion", "--matrix", str(p), "--cyclic", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": "--cyclic needs a one-variable module"}
+
+    @pytest.mark.parametrize("schedule", ["5", "[5]", "[[1, 2], 3]", '["18", "19"]',
+                                          "[[1, 2.0]]", "[[1, true]]"])
+    def test_mahler_malformed_schedule_is_json_error(self, capsys, schedule):
+        assert cli_main(["mahler", "--poly", "1 + t1 + t2", "--nvars", "2",
+                         "--schedule", schedule]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "'schedule'" in err["message"]
+
+    def test_mahler_schedule_is_read_as_integer_vectors(self, capsys):
+        args = ["mahler", "--poly", "1 + t1 + t2", "--nvars", "2"]
+        assert cli_main(args) == 0
+        default = json.loads(capsys.readouterr().out)
+        schedule = json.dumps(default["diagnostics"]["schedule"])
+        assert cli_main(args + ["--schedule", schedule]) == 0
+        assert json.loads(capsys.readouterr().out) == default
+
     def test_error_is_machine_readable(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
         assert cli_main(["torsion", "--matrix", str(missing), "--cyclic", "2"]) == 1
@@ -435,6 +468,8 @@ class TestCli:
         (config_dict(sequence={"diagonal": {"ds": [None]}}), "'ds'"),
         (config_dict(sequence={"gamma_sj": {"kappa": 1, "js": [1]}}), "'kappa'"),
         (config_dict(sequence={"gamma_sj": {"kappa": [1], "js": 2}}), "'js'"),
+        (config_dict(mahler={"schedule": [[1, 2], 3]}), "'schedule'"),
+        (config_dict(mahler={"schedule": ["18", "19"]}), "'schedule'"),
     ])
     def test_growth_config_shape_is_json_error(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "config.json"

@@ -43,6 +43,10 @@ class TestRingOps:
         p = LaurentPoly(1, {(0,): 0, (1,): 2})
         assert p.terms == (((1,), 2),)
 
+    def test_repeated_exponents_cancel(self):
+        p = LaurentPoly(1, [((1,), 2), ((1,), -2), ((0,), 1)])
+        assert p == 1 and p.terms == (((0,), 1),)
+
     def test_unit_inverse_power(self):
         u = LaurentPoly.monomial((2, -3), -1)
         assert u * u ** -1 == LaurentPoly.one(2)
@@ -306,6 +310,9 @@ class TestParseAndJson:
             f = random_laurent(rng, nv)
             blob = json.dumps(poly_to_json(f))
             assert poly_from_json(json.loads(blob), nv) == f
+
+    def test_json_repeated_exponents_cancel(self):
+        assert poly_from_json([[[1], "2"], [[1], "-2"], [[0], "1"]]) == 1
 
     def test_pickle_roundtrip(self):
         rng = random.Random(10)

@@ -25,7 +25,7 @@ t1, t2 = variables(2)
 LOG_GOLDEN_SQ = math.log((3 + math.sqrt(5)) / 2)
 
 
-def nan_root_finder(coeffs, max_iter=400):
+def nan_root_finder(coeffs):
     """An Aberth result that overflowed: one root is NaN, every bound is 0."""
     deg = len(coeffs) - 1
     return [complex("nan")] + [1j] * (deg - 1), [0.0] * deg
@@ -69,6 +69,20 @@ class TestJensen:
         monkeypatch.setattr(mahler, "_aberth_roots", nan_root_finder)
         with pytest.raises(NonconvergenceError):
             mahler_univariate(t ** 40 - 10 ** 30 * t + 1)
+
+    def test_one_root_finder_run_per_certification(self, monkeypatch):
+        # finite roots whose disks are too wide to certify: no retry follows
+        calls = []
+
+        def wide_root_finder(coeffs):
+            calls.append(coeffs)
+            deg = len(coeffs) - 1
+            return [2.0 + 0j] * deg, [1.0] * deg
+
+        monkeypatch.setattr(mahler, "_aberth_roots", wide_root_finder)
+        with pytest.raises(NonconvergenceError):
+            mahler_univariate(t ** 2 - 3 * t + 1)
+        assert len(calls) == 1
 
     def test_wide_coefficient_range_certifies(self):
         # one root of modulus 1e-30 and 39 of modulus ~5.9: the Aberth start
