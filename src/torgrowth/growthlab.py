@@ -36,7 +36,6 @@ from .presmod import (
     branched_module,
     delta,
     parse_presentation,
-    reduce_presentation,
 )
 from .torsion import GrowthSample, growth_sample, live_columns, route
 
@@ -68,12 +67,16 @@ def _json_list(value, expected: str, cast=int) -> list:
     raise ConfigError(f"{expected}, not {value!r}")
 
 
-def _json_int(value, key: str) -> int:
-    """int(value) for a scalar config field, else a ConfigError naming it."""
+def _json_int(value, key: str, least: int | None = None) -> int:
+    """int(value) for a scalar config field, at least `least` if given, else a
+    ConfigError naming it."""
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be an integer, not {value!r}") from None
+    if least is not None and n < least:
+        raise ConfigError(f"{key!r} must be at least {least}, not {n}")
+    return n
 
 
 def _json_bool(value, key: str) -> bool:
@@ -93,12 +96,11 @@ def parse_schedule(value) -> tuple[tuple[int, ...], ...]:
 
 
 def _spec_range(spec: dict, kind: str) -> range:
-    """start..stop inclusive by step, from a cyclic or diagonal spec."""
-    step = _json_int(spec.get("step", 1), "step")
-    if step == 0:
-        raise ConfigError(f"the {kind!r} sequence needs a nonzero 'step'")
-    return range(_json_int(spec.get("start", 1), "start"),
-                 _json_int(_required(spec, "stop", kind), "stop") + 1, step)
+    """start..stop inclusive by a positive step, from a cyclic or diagonal
+    spec; a size of 0 is left for the full-rank check to refuse."""
+    return range(_json_int(spec.get("start", 1), "start", 0),
+                 _json_int(_required(spec, "stop", kind), "stop", 0) + 1,
+                 _json_int(spec.get("step", 1), "step", 1))
 
 
 def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str, bool]:
@@ -169,7 +171,7 @@ class ExperimentConfig:
         elif kind == "diagonal":
             ds = (_json_list(spec["ds"], "'ds' must be a list of integers") if "ds" in spec
                   else _spec_range(spec, kind))
-            for d in ds:
+            for d in (_json_int(x, "ds", 0) for x in ds):
                 subgroups.append((f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)))
         elif kind == "gamma_sj":
             kappa = Direction.from_vector(_json_list(
@@ -262,7 +264,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     an output directory is given."""
     t_start = time.perf_counter()
     mod = config.module
-    reduced = reduce_presentation(mod)
+    reduced = mod.reduced
     live = len(live_columns(reduced))  # SNF expands an |A| x |A| block per live column
     for _, gamma in config.sequence:
         cells = gamma.index() * live
@@ -271,7 +273,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
                 f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
                 "pass force to override"
             )
-    dpoly = delta(mod).poly
+    dpoly = delta(reduced).poly  # the reduction keeps every Fitting ideal
     t_delta = time.perf_counter()
     target = mahler_target(
         dpoly,
@@ -286,9 +288,9 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
 
         descs, gammas = zip(*config.sequence)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            samples = list(pool.map(growth_sample, repeat(reduced), gammas, descs))
+            samples = list(pool.map(growth_sample, repeat(mod), gammas, descs))
     else:
-        samples = [growth_sample(reduced, gamma, desc) for desc, gamma in config.sequence]
+        samples = [growth_sample(mod, gamma, desc) for desc, gamma in config.sequence]
     samples.sort(key=lambda s: (s.index, s.gamma))
     final_gap = abs(samples[-1].growth_stat - target.value)
     t_end = time.perf_counter()

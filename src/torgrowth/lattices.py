@@ -5,9 +5,9 @@ Gamma of the growth experiments, their orthogonal lattices, and the
 subgroup ideals of Z[A] (sublattices of Z^|A|, see `groupalg`).  Its rank,
 index, containment and orthogonal lattice all come from one Hermite basis.
 Also here: the quotient decomposition A = Z^n/Gamma with its projection map
-(the row transform of a Smith form), exact shortest-vector norms by bounded
-enumeration, coordinate orders, and the explicit converging families
-Gamma_{s,j} = (k)^perp + j*k used by the growth experiments.
+(the row transform of a Smith form), exact shortest-vector norms (Lagrange
+in rank <= 2, bounded enumeration in rank 3-4), coordinate orders, and the
+converging families Gamma_{s,j} = (k)^perp + j*k of the growth experiments.
 
 No inverse is needed here: the enumeration box reads R^2·adj(G)_ii / det(G)
 off the Gram matrix G, and adj(G)_ii is the principal minor of G without
@@ -277,8 +277,9 @@ def size_reduce(basis: list[list[int]]) -> list[list[int]]:
 def min_norm_sq(gamma: Subgroup) -> int:
     """Exact squared norm of a shortest nonzero vector of Gamma.
 
-    Bounded exhaustive enumeration after pairwise size reduction; guarded to
-    ambient dimension <= 4 (desk scale).
+    After pairwise size reduction a basis of rank <= 2 is Lagrange-reduced,
+    so its first vector is a shortest one; rank 3 and 4 take a bounded
+    exhaustive enumeration.  Guarded to ambient dimension <= 4 (desk scale).
     """
     if gamma.nvars > MIN_NORM_MAX_DIM:
         raise ValueError(f"min_norm enumeration is guarded to n <= {MIN_NORM_MAX_DIM}")
@@ -287,6 +288,8 @@ def min_norm_sq(gamma: Subgroup) -> int:
         raise ValueError("zero lattice has no shortest vector")
     basis = size_reduce(basis)
     r = len(basis)
+    if r <= 2:
+        return sum(x * x for x in basis[0])
     gram = matmul(basis, [list(c) for c in zip(*basis)])
     radius2 = min(gram[i][i] for i in range(r))
     # coefficient box from the inverse Gram: c^T G c <= R^2 implies

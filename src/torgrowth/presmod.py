@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .intlinalg import eliminate, eliminate_units, matmul
@@ -82,6 +83,11 @@ class PresentedModule:
     @property
     def m1(self) -> int:
         return len(self.matrix)
+
+    @cached_property
+    def reduced(self) -> "PresentedModule":
+        """`reduce_presentation(self)`, computed once per instance."""
+        return reduce_presentation(self)
 
     @classmethod
     def free(cls, nvars: int, rank: int) -> "PresentedModule":

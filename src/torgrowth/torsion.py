@@ -1,11 +1,11 @@
 """The central quantity: |Tor_Z(M ⊗ Z[A_Gamma])| and its growth statistic.
 
-Every torsion query runs `presmod.reduce_presentation` first: its moves stay
-invertible over Z[A_Gamma], so the cokernel is unchanged, but a unit of R is
-no longer |A_Gamma| unit pivots for SNF to find again.  Each zero column of
-the reduced presentation adds |A_Gamma| to the Betti number; two routes give
-the rest, and `route` alone picks one (for the size guard of `growthlab.run`
-too):
+Every torsion query reads `PresentedModule.reduced`, the module's
+`presmod.reduce_presentation` kept once per module: its moves stay invertible
+over Z[A_Gamma], so the cokernel is unchanged, and a unit of R is not
+|A_Gamma| SNF pivots.  Each zero column of the reduced presentation adds
+|A_Gamma| to the Betti number; two routes give the rest, and `route` alone
+picks one (for the size guard of `growthlab.run` too):
 
 * companion, when A_Gamma = Z/N is cyclic.  For y in Z x + N Z^n (x_i the
   image of e_i) with gcd(y, N) = 1, t_i -> t^y_i onto Z[t]/(t^N - 1) is the
@@ -204,7 +204,7 @@ def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     live columns; each zero column adds |A| to the Betti number.
     """
     group = _resolve_group(gamma)
-    mod = reduce_presentation(mod)
+    mod = mod.reduced
     if (companion := route(mod, group)) is not None:
         g, free = companion
         tor, b = _companion_block(g, group.order)

@@ -15,7 +15,13 @@ from torgrowth.growthlab import (
     run,
 )
 from torgrowth.laurent import poly_to_json, variables
-from torgrowth.presmod import alexander_module, branched_module, parse_presentation, reduce_presentation
+from torgrowth.presmod import (
+    alexander_module,
+    branched_module,
+    delta,
+    parse_presentation,
+    reduce_presentation,
+)
 from torgrowth.torsion import GrowthSample
 
 t, = variables(1)
@@ -222,6 +228,36 @@ class TestRun:
             del blob["metadata"]["timings"]
             reports.append(json.dumps(blob, sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_module_is_reduced_once_per_run(self, monkeypatch):
+        from torgrowth import presmod
+
+        calls = []
+        original = presmod.eliminate_units
+        monkeypatch.setattr(presmod, "eliminate_units",
+                            lambda rows, inverse: calls.append(1) or original(rows, inverse))
+        counts = []
+        for stop in (6, 12):
+            cfg = config_dict(module={"presentation": "fig8.txt", "branched": True},
+                              sequence={"cyclic": {"start": 2, "stop": stop}}, jobs=1)
+            calls.clear()
+            report = run(ExperimentConfig.from_dict(cfg, DATA))
+            assert len(report.samples) == stop - 1
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("module, sequence", [
+        ({"presentation": "fig8.txt", "branched": True}, {"cyclic": {"start": 2, "stop": 6}}),
+        ({"presentation": "trefoil.txt", "branched": True}, {"cyclic": {"start": 2, "stop": 6}}),
+        ({"presentation": "link_12_5.txt"}, {"diagonal": {"ds": [2, 3]}}),
+        ({"presentation": "hopf.txt", "branched": True}, {"diagonal": {"ds": [2, 3]}}),
+    ])
+    def test_report_delta_is_that_of_the_raw_module(self, tmp_path, module, sequence):
+        config = ExperimentConfig.from_dict(config_dict(module=module, sequence=sequence), DATA)
+        run(config, out_dir=tmp_path)
+        blob = json.loads((tmp_path / "report.json").read_text())
+        want = delta(config.module).poly  # the minors of the raw presentation
+        assert blob["delta"] == {"nvars": want.nvars, "poly": poly_to_json(want)}
 
     def test_figure_eight_branched_sweep(self, tmp_path, fig8_text):
         (tmp_path / "fig8.txt").write_text(fig8_text)
@@ -495,6 +531,14 @@ class TestCli:
         (config_dict(module=dict(T_MINUS_2, branched="no")), "ConfigError", "'branched'"),
         (config_dict(module={"presentation": "fig8.txt", "branched": "no"}), "ConfigError",
          "'branched'"),
+        # a range runs from start up to stop, so sizes and steps below 1 are refused
+        (config_dict(sequence={"cyclic": {"start": 6, "stop": 2, "step": -1}}), "ConfigError",
+         "'step'"),
+        (config_dict(sequence={"cyclic": {"start": -4, "stop": -1}}), "ConfigError", "'start'"),
+        (config_dict(sequence={"cyclic": {"start": 1, "stop": -3}}), "ConfigError", "'stop'"),
+        (config_dict(sequence={"diagonal": {"start": 4, "stop": 2, "step": -2}}), "ConfigError",
+         "'step'"),
+        (config_dict(sequence={"diagonal": {"ds": [2, -2]}}), "ConfigError", "'ds'"),
     ])
     def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
                                                       field):

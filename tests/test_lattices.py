@@ -176,6 +176,43 @@ class TestMinNorm:
             v = min_norm_sq(Subgroup(n, gens))
             assert v == brute(n, gens, 3) < min(sum(x * x for x in g) for g in gens)
 
+    @staticmethod
+    def brute_min_norm_sq(gamma):
+        """The least squared norm of a nonzero lattice point, by testing every
+        point of Z^n no longer than the shortest generator."""
+        r2 = min(sum(x * x for x in g) for g in gamma.gens if any(g))
+        b = math.isqrt(r2)
+        return min(q for x in itertools.product(range(-b, b + 1), repeat=gamma.nvars)
+                   if 0 < (q := sum(a * a for a in x)) <= r2 and gamma.contains(x))
+
+    def rank_two_lattices(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            gens = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 2)))
+            if any(map(any, gens)):
+                yield Subgroup(n, gens)
+        for k in [(1, 1), (1, 2), (3, 4), (5, -2), (7, 3), (2, 9)]:
+            for j in (1, 2, 3, 7):
+                yield gamma_sj(k, j)
+        for k in [(1, 0), (3, 4), (-5, 2), (1, 1, 1), (1, 2, 3), (2, -3, 5), (0, 4, 7), (6, 10, 15)]:
+            yield perp(k)
+
+    def test_rank_at_most_two_matches_brute_force(self):
+        for gamma in self.rank_two_lattices():
+            assert gamma.rank() <= 2
+            assert min_norm_sq(gamma) == self.brute_min_norm_sq(gamma), gamma
+
+    def test_rank_at_most_two_skips_the_enumeration(self, monkeypatch):
+        from torgrowth import lattices
+
+        def no_enumeration(mat):
+            raise AssertionError("the Gram minors are for rank 3 and 4 only")
+
+        monkeypatch.setattr(lattices, "bareiss_det", no_enumeration)
+        lattices_ = (gamma_sj((3, 4), 2), perp((1, 2, 3)), Subgroup.cyclic(7))
+        assert [min_norm_sq(g) for g in lattices_] == [25, 3, 49]
+
     def test_zero_lattice(self):
         with pytest.raises(ValueError):
             min_norm(Subgroup(2, ((0, 0),)))

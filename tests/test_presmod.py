@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_presentations, random_laurent, random_nonzero_laurent
+from conftest import DATA, planted_presentations, random_laurent, random_nonzero_laurent
 from torgrowth.intlinalg import eliminate
 from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
@@ -304,13 +304,23 @@ class TestReducePresentation:
         red = reduce_presentation(PresentedModule.quotient_by_ideal(1, [t ** 2, t - 2]))
         assert (red.m1, red.m0) == (0, 0)
 
-    def test_fitting_ideals_unchanged(self, hopf_text):
-        hopf = alexander_module(parse_presentation(hopf_text))
-        mods = [hopf, branched_module(hopf, 2), *planted_presentations()]
+    def test_fitting_ideals_unchanged(self):
+        # every tests/data presentation, raw and branched, and the planted ones
+        data = [alexander_module(parse_presentation(p.read_text())) for p in DATA.glob("*.txt")]
+        mods = [*data, *(branched_module(m, m.nvars) for m in data), *planted_presentations()]
         for mod in mods:
-            red = reduce_presentation(mod)
+            red = mod.reduced
             for j in range(mod.m0 + 1):
                 assert alexander(red, j) == alexander(mod, j)
+            assert delta(red) == delta(mod)
+
+    def test_reduced_is_kept_outside_the_fields(self, fig8_text):
+        mod = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
+        same = PresentedModule(mod.nvars, mod.matrix, mod.m0)
+        assert mod.reduced is mod.reduced
+        assert mod.reduced == reduce_presentation(mod)
+        assert (mod, hash(mod), mod.to_json()) == (same, hash(same), same.to_json())
+        assert pickle.loads(pickle.dumps(mod)) == same
 
 
 class TestParsePresentation:
