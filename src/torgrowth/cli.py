@@ -128,9 +128,8 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    config = growthlab.ExperimentConfig.from_file(
-        args.config, seed=args.seed, jobs=args.jobs, force=args.force
-    )
+    given = {k: v for k in ("seed", "jobs", "force") if (v := getattr(args, k)) is not None}
+    config = growthlab.ExperimentConfig.from_file(args.config, given)
     report = growthlab.run(config, out_dir=args.out)
     summary = {
         "delta": str(report.delta_poly),
@@ -164,14 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_module_source(p, branched_flag=True):
+    def add_module_source(p):
         p.add_argument("--matrix", help="JSON file with a presentation matrix")
         p.add_argument("--presentation", help="group presentation text file")
-        if branched_flag:
-            p.add_argument(
-                "--branched", action="store_true",
-                help="use the branched-cover module of the presentation",
-            )
+        p.add_argument(
+            "--branched", action="store_true",
+            help="use the branched-cover module of the presentation",
+        )
 
     p = sub.add_parser("alexander", help="Alexander polynomials of a module")
     add_module_source(p)
@@ -189,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mahler", help="Mahler measure of a Laurent polynomial")
     p.add_argument("--poly", required=True, help="polynomial string or JSON terms")
     p.add_argument("--nvars", type=int)
-    p.add_argument("--method", choices=["auto", "jensen", "lawton", "quadrature"],
-                   default="auto")
+    p.add_argument("--method", choices=growthlab.MAHLER_METHODS, default="auto")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", help="JSON list of k-vectors for lawton")
@@ -208,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory for samples.csv / report.json")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--force", action="store_true", help="override the SNF size guard")
+    p.add_argument("--force", action="store_true", default=None,
+                   help="override the SNF size guard")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("groupalg-check", help="randomized group-algebra identity suite")

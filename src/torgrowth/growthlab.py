@@ -50,57 +50,60 @@ class SizeGuardExceeded(RuntimeError):
     """An SNF-route subgroup would expand past the size guard (use force=True)."""
 
 
-def _required(spec: dict, key: str, kind: str):
-    """A mandatory field of a sequence spec, or a ConfigError naming it."""
+_REQUIRED = object()
+_SHAPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                bool: ("true or false", "booleans"), str: ("a string", "strings"),
+                dict: ("an object", "objects")}
+MAHLER_METHODS = ("auto", "jensen", "lawton", "quadrature")
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, list):
+        return type(value) is list and all(_fits(x, shape[0]) for x in value)
+    return type(value) in ((int, float) if shape is float else (shape,))
+
+
+def _describe(shape, plural: bool = False) -> str:
+    if isinstance(shape, list):
+        return ("lists of " if plural else "a list of ") + _describe(shape[0], True)
+    return _SHAPE_NAMES[shape][plural]
+
+
+def _field(spec: dict, key: str, shape, default=_REQUIRED, least: int | None = None):
+    """spec[key], or `default` when the key is absent, else a ConfigError
+    naming the field.
+
+    `shape` is the exact JSON type: int, float (any number), bool, str, dict,
+    or [shape] for a list of those.  An integer is exactly a JSON integer:
+    true, 2.7 and "3" are not read as 1, 2 and 3.  `least` bounds an integer
+    or every entry of an integer list from below.
+    """
     if key not in spec:
-        raise ConfigError(f"the {kind!r} sequence needs {key!r}")
-    return spec[key]
-
-
-def _json_list(value, expected: str, cast=int) -> list:
-    """[cast(x) for x in value] for a JSON list, else a ConfigError."""
-    if isinstance(value, list):
-        try:
-            return [cast(x) for x in value]
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{expected}, not {value!r}")
-
-
-def _json_int(value, key: str, least: int | None = None) -> int:
-    """int(value) for a scalar config field, at least `least` if given, else a
-    ConfigError naming it."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be an integer, not {value!r}") from None
-    if least is not None and n < least:
-        raise ConfigError(f"{key!r} must be at least {least}, not {n}")
-    return n
-
-
-def _json_bool(value, key: str) -> bool:
-    """A JSON boolean config field, else a ConfigError naming it."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key!r} must be true or false, not {value!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {key!r}")
+        return default
+    value = spec[key]
+    if not _fits(value, shape):
+        raise ConfigError(f"{key!r} must be {_describe(shape)}, not {value!r}")
+    if least is not None:
+        low = min(value, default=least) if isinstance(value, list) else value
+        if low < least:
+            raise ConfigError(f"{key!r} must be at least {least}, not {low}")
     return value
 
 
 def parse_schedule(value) -> tuple[tuple[int, ...], ...]:
     """A Lawton schedule (the config's 'schedule', the CLI's --schedule): a
     JSON list of integer lists, else a ConfigError."""
-    if not (isinstance(value, list) and all(
-            isinstance(k, list) and all(type(x) is int for x in k) for k in value)):
-        raise ConfigError(f"'schedule' must be a list of integer lists, not {value!r}")
-    return tuple(map(tuple, value))
+    return tuple(map(tuple, _field({"schedule": value}, "schedule", [[int]])))
 
 
-def _spec_range(spec: dict, kind: str) -> range:
+def _spec_range(spec: dict) -> range:
     """start..stop inclusive by a positive step, from a cyclic or diagonal
     spec; a size of 0 is left for the full-rank check to refuse."""
-    return range(_json_int(spec.get("start", 1), "start", 0),
-                 _json_int(_required(spec, "stop", kind), "stop", 0) + 1,
-                 _json_int(spec.get("step", 1), "step", 1))
+    return range(_field(spec, "start", int, 1, least=0),
+                 _field(spec, "stop", int, least=0) + 1,
+                 _field(spec, "step", int, 1, least=1))
 
 
 def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModule, str, bool]:
@@ -116,16 +119,14 @@ def load_module(spec, base_dir: str | pathlib.Path = ".") -> tuple[PresentedModu
     sources = [k for k in ("matrix", "presentation") if k in spec]
     if len(sources) != 1:
         raise ConfigError("module must have exactly one source: 'matrix' or 'presentation'")
-    branched = _json_bool(spec.get("branched", False), "branched")
+    branched = _field(spec, "branched", bool, False)
     if sources[0] == "matrix":
         if "nvars" not in spec:
             raise ConfigError("inline matrix module needs 'nvars'")
         if branched:
             raise ConfigError("branched mode needs a group presentation source")
         return PresentedModule.from_json(spec), "inline-matrix", False
-    if not isinstance(spec["presentation"], str):
-        raise ConfigError(f"'presentation' must be a file path, not {spec['presentation']!r}")
-    path = pathlib.Path(base_dir) / spec["presentation"]
+    path = pathlib.Path(base_dir) / _field(spec, "presentation", str)
     try:
         pres = parse_presentation(path.read_text())
     except OSError as exc:
@@ -150,38 +151,29 @@ class ExperimentConfig:
     force: bool = False
 
     @classmethod
-    def from_dict(cls, data: dict, base_dir: str | pathlib.Path = ".",
-                  seed: int | None = None, jobs: int | None = None,
-                  force: bool = False) -> "ExperimentConfig":
+    def from_dict(cls, data: dict, base_dir: str | pathlib.Path = ".") -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("a config must be a JSON object")
         mod, source, branched = load_module(data.get("module"), base_dir)
         seq = data.get("sequence")
         if not isinstance(seq, dict) or len(seq) != 1:
             raise ConfigError("config needs exactly one sequence spec")
-        kind, spec = next(iter(seq.items()))
-        subgroups: list[tuple[str, Subgroup]] = []
-        if not isinstance(spec, dict):
-            raise ConfigError(f"the {kind!r} sequence spec must be an object")
+        kind = next(iter(seq))
+        spec = _field(seq, kind, dict)
         if kind == "cyclic":
             if mod.nvars != 1:
                 raise ConfigError("cyclic sequences need a one-variable module")
-            for ell in _spec_range(spec, kind):
-                subgroups.append((f"cyclic:{ell}", Subgroup.cyclic(ell)))
+            subgroups = [(f"cyclic:{ell}", Subgroup.cyclic(ell)) for ell in _spec_range(spec)]
         elif kind == "diagonal":
-            ds = (_json_list(spec["ds"], "'ds' must be a list of integers") if "ds" in spec
-                  else _spec_range(spec, kind))
-            for d in (_json_int(x, "ds", 0) for x in ds):
-                subgroups.append((f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)))
+            ds = _field(spec, "ds", [int], least=0) if "ds" in spec else _spec_range(spec)
+            subgroups = [(f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)) for d in ds]
         elif kind == "gamma_sj":
-            kappa = Direction.from_vector(_json_list(
-                _required(spec, "kappa", kind), "'kappa' must be a list of numbers", float))
+            kappa = Direction.from_vector(_field(spec, "kappa", [float]))
             if len(kappa.coords) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
-            js = _json_list(_required(spec, "js", kind), "'js' must be a list of integers")
-            s_start = _json_int(spec.get("s_start", 1), "s_start")
-            for offset, j in enumerate(js):
-                s = s_start + offset
+            js = _field(spec, "js", [int])
+            subgroups = []
+            for s, j in enumerate(js, _field(spec, "s_start", int, 1)):
                 k = converging_k_sequence(kappa, s)
                 subgroups.append((f"gamma_sj:s={s},k={list(k)},j={j}", gamma_sj(k, j)))
         else:
@@ -191,34 +183,36 @@ class ExperimentConfig:
         for desc, gamma in subgroups:
             if gamma.index() == 0:
                 raise ConfigError(f"{desc}: subgroup is not of full rank; quotient is infinite")
-        msettings = data.get("mahler", {})
-        if not isinstance(msettings, dict):
-            raise ConfigError("'mahler' must be an object")
-        method = msettings.get("method", "auto")
-        if method not in ("auto", "jensen", "lawton", "quadrature"):
+        msettings = _field(data, "mahler", dict, {})
+        method = _field(msettings, "method", str, "auto")
+        if method not in MAHLER_METHODS:
             raise ConfigError(f"unknown mahler method {method!r}")
-        schedule = msettings.get("schedule")
         return cls(
             module=mod,
             module_source=source,
             branched=branched,
             sequence=tuple(subgroups),
             mahler_method=method,
-            mahler_samples=_json_int(msettings.get("samples", 1_000_000), "samples"),
-            mahler_schedule=None if schedule is None else parse_schedule(schedule),
-            seed=_json_int(data.get("seed", 0) if seed is None else seed, "seed"),
-            jobs=_json_int(data.get("jobs", 1) if jobs is None else jobs, "jobs"),
-            force=_json_bool(data.get("force", False), "force") or force,
+            mahler_samples=_field(msettings, "samples", int, 1_000_000),
+            mahler_schedule=(parse_schedule(msettings["schedule"])
+                             if "schedule" in msettings else None),
+            seed=_field(data, "seed", int, 0, least=0),
+            jobs=_field(data, "jobs", int, 1, least=1),
+            force=_field(data, "force", bool, False),
         )
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "ExperimentConfig":
+    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        """The config in a JSON file, with `overrides` (the CLI's --seed,
+        --jobs and --force, where given) written over its top-level fields."""
         p = pathlib.Path(path)
         try:
             data = json.loads(p.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load config {p}: {exc}") from exc
-        return cls.from_dict(data, base_dir=p.parent, **kwargs)
+        if isinstance(data, dict):
+            data.update(overrides or {})
+        return cls.from_dict(data, base_dir=p.parent)
 
 
 @dataclass

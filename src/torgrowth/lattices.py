@@ -59,11 +59,15 @@ class Subgroup:
     @classmethod
     def cyclic(cls, ell: int) -> "Subgroup":
         """ell*Z inside Z^1."""
+        if ell < 0:
+            raise ValueError(f"a cyclic subgroup needs ell >= 0, not {ell}")
         return cls(1, ((ell,),))
 
     @classmethod
     def diagonal(cls, nvars: int, d: int) -> "Subgroup":
         """d*Z^n inside Z^n."""
+        if d < 0:
+            raise ValueError(f"a diagonal subgroup needs d >= 0, not {d}")
         gens = tuple(
             tuple(d if i == j else 0 for i in range(nvars)) for j in range(nvars)
         )
@@ -106,7 +110,7 @@ class Subgroup:
     def from_json(cls, data) -> "Subgroup":
         """Generators from a JSON list of integer lists."""
         if not isinstance(data, list) or not all(
-            isinstance(g, list) and all(isinstance(x, int) for x in g) for g in data
+            isinstance(g, list) and all(type(x) is int for x in g) for g in data
         ):
             raise ValueError("generators must be a JSON list of integer lists")
         if not data:

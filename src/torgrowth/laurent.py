@@ -572,8 +572,8 @@ def poly_from_json(data, nvars: int | None = None) -> LaurentPoly:
         exp, coeff = term if isinstance(term, list) and len(term) == 2 else (None, None)
         if nvars is None and isinstance(exp, list):
             nvars = len(exp)
-        if not (isinstance(exp, list) and len(exp) == nvars and isinstance(coeff, (int, str))
-                and all(isinstance(e, int) for e in exp)):
+        if not (isinstance(exp, list) and len(exp) == nvars and type(coeff) in (int, str)
+                and all(type(e) is int for e in exp)):
             raise ValueError(
                 f"a polynomial term is [{nvars or 'n'} integer exponents, integer], not {term!r}")
         terms.append((exp, int(coeff)))

@@ -116,14 +116,12 @@ class PresentedModule:
 
     @classmethod
     def from_json(cls, data: dict) -> "PresentedModule":
-        nvars, matrix = data["nvars"], data["matrix"]
-        if not (isinstance(nvars, int) and isinstance(matrix, list)
+        nvars, matrix, m0 = data["nvars"], data["matrix"], data.get("m0", -1)
+        if not (type(nvars) is int and isinstance(matrix, list)
                 and all(isinstance(row, list) for row in matrix)):
             raise ValueError("an inline module needs an integer 'nvars' and a list of rows")
-        try:
-            m0 = int(data.get("m0", -1))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"'m0' must be an integer, not {data['m0']!r}") from None
+        if type(m0) is not int:
+            raise ValueError(f"'m0' must be an integer, not {m0!r}")
         rows = tuple(
             tuple(poly_from_json(e, nvars) for e in row) for row in matrix
         )

@@ -5,6 +5,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import DATA, lucas
+from torgrowth import growthlab
 from torgrowth.cli import main as cli_main
 from torgrowth.growthlab import (
     ConfigError,
@@ -28,6 +29,7 @@ t, = variables(1)
 t1, t2 = variables(2)
 
 T_MINUS_2 = {"nvars": 1, "matrix": [[poly_to_json(t - 2)]]}
+THREE_T = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
 
 
 def config_dict(**overrides):
@@ -118,6 +120,40 @@ class TestConfig:
             cfg["module"] = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
         with pytest.raises(ConfigError, match=f"^{descriptor}: .*quotient is infinite"):
             ExperimentConfig.from_dict(cfg)
+
+    @staticmethod
+    def with_integer_field(field, value):
+        """A valid config whose integer field `field` holds `value`."""
+        if field in ("start", "stop", "step"):
+            return config_dict(sequence={"cyclic": {"start": 1, "stop": 4, field: value}})
+        if field == "ds":
+            return config_dict(module=THREE_T, sequence={"diagonal": {"ds": [2, value]}})
+        if field in ("js", "s_start"):
+            spec = {"kappa": [0.6, 0.8], "js": [1, 2], "s_start": 1}
+            spec[field] = [1, value] if field == "js" else value
+            return config_dict(module=THREE_T, sequence={"gamma_sj": spec})
+        if field in ("samples", "schedule"):
+            value = [[1, value]] if field == "schedule" else value
+            return config_dict(module=THREE_T, sequence={"diagonal": {"ds": [2]}},
+                               mahler={field: value})
+        return config_dict(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, "2", True], ids=["float", "string", "boolean"])
+    @pytest.mark.parametrize("field", ["start", "stop", "step", "ds", "js", "s_start", "seed",
+                                       "jobs", "samples", "schedule"])
+    def test_integer_field_takes_only_a_json_integer(self, field, value):
+        ExperimentConfig.from_dict(self.with_integer_field(field, 2))
+        with pytest.raises(ConfigError, match=f"^'{field}' must be"):
+            ExperimentConfig.from_dict(self.with_integer_field(field, value))
+
+    def test_file_overrides_replace_its_fields_and_are_checked(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_dict(seed=3, jobs=2, force=False)))
+        config = ExperimentConfig.from_file(path, {"seed": 7, "jobs": 1, "force": True})
+        assert (config.seed, config.jobs, config.force) == (7, 1, True)
+        assert ExperimentConfig.from_file(path).seed == 3
+        with pytest.raises(ConfigError, match="'seed'"):
+            ExperimentConfig.from_file(path, {"seed": 1.5})
 
 
 class TestRun:
@@ -224,7 +260,7 @@ class TestRun:
         cfg["sequence"] = {"diagonal": {"ds": [3, 1, 2, 4]}}
         reports = []
         for jobs in (1, 2):
-            blob = run(ExperimentConfig.from_dict(cfg, jobs=jobs)).to_json_dict()
+            blob = run(ExperimentConfig.from_dict(dict(cfg, jobs=jobs))).to_json_dict()
             del blob["metadata"]["timings"]
             reports.append(json.dumps(blob, sort_keys=True))
         assert reports[0] == reports[1]
@@ -404,6 +440,29 @@ class TestCli:
         assert (outdir / "samples.csv").exists()
         assert (outdir / "report.json").exists()
 
+    def test_growth_flags_replace_the_config_fields(self, capsys, tmp_path, monkeypatch):
+        # 2t - 3 takes the SNF route, so a guard below |A| refuses it unless
+        # forced; the file's jobs 2 would start a pool, which is stubbed out
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the file's jobs won over --jobs 1")
+
+        monkeypatch.setattr(growthlab, "SIZE_GUARD", 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        module = {"nvars": 1, "matrix": [[poly_to_json(2 * t - 3)]]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(
+            module=module, sequence={"cyclic": {"start": 2, "stop": 4}},
+            seed=3, jobs=2, force=False)))
+        argv = ["growth", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SizeGuardExceeded"
+        assert cli_main(argv + ["--seed", "7", "--jobs", "1", "--force"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["metadata"]["seed"] == 7
+
     def test_groupalg_check(self, capsys):
         assert cli_main(["groupalg-check", "--cases", "5", "--max-order", "30"]) == 0
         out = capsys.readouterr().out
@@ -488,6 +547,18 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "quotient is infinite" in err["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["--presentation", str(DATA / "fig8.txt"), "--branched", "--cyclic", "-5"],
+        ["--presentation", str(DATA / "hopf.txt"), "--diagonal", "-2"],
+    ])
+    def test_torsion_negative_subgroup_size_is_json_error(self, capsys, args):
+        # -5*Z = 5*Z, so keeping the sign would answer for the size 5
+        assert cli_main(["torsion"] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and ">= 0" in err["message"]
+
     def test_growth_config_without_stop_is_json_error(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config_dict(sequence={"cyclic": {"start": 1}})))
@@ -539,6 +610,18 @@ class TestCli:
         (config_dict(sequence={"diagonal": {"start": 4, "stop": 2, "step": -2}}), "ConfigError",
          "'step'"),
         (config_dict(sequence={"diagonal": {"ds": [2, -2]}}), "ConfigError", "'ds'"),
+        # an integer field takes a JSON integer: 2.7 and "3" are not cast
+        (config_dict(module=THREE_T, sequence={"diagonal": {"ds": [2.7, "3"]}}), "ConfigError",
+         "'ds'"),
+        (config_dict(sequence={"cyclic": {"start": 1.9, "stop": 4}}), "ConfigError", "'start'"),
+        (config_dict(mahler={"samples": 1e6}), "ConfigError", "'samples'"),
+        # numpy refuses a negative seed without naming the field; no pool has 0 workers
+        (config_dict(seed=-1, mahler={"method": "quadrature", "samples": 100}), "ConfigError",
+         "'seed'"),
+        (config_dict(jobs=0), "ConfigError", "'jobs'"),
+        # "m0": 2.7 or "2" read as 2 made a free module of rank 2
+        (config_dict(module={"nvars": 1, "matrix": [], "m0": 2.7}), "ValueError", "'m0'"),
+        (config_dict(module={"nvars": 1, "matrix": [], "m0": "2"}), "ValueError", "'m0'"),
     ])
     def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
                                                       field):
@@ -647,7 +730,7 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and "exactly one source" in err["message"]
 
-    @pytest.mark.parametrize("gamma", ["[1]", "[[1], 2]", '[["a"]]', "5", "[[null]]"])
+    @pytest.mark.parametrize("gamma", ["[1]", "[[1], 2]", '[["a"]]', "5", "[[null]]", "[[true]]"])
     def test_torsion_malformed_gamma_is_json_error(self, capsys, tmp_path, gamma):
         p = tmp_path / "mod.json"
         p.write_text(json.dumps(T_MINUS_2))

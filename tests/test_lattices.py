@@ -343,3 +343,17 @@ class TestDirection:
 def test_subgroup_json_roundtrip():
     g = Subgroup(2, ((1, -1), (1, 1)))
     assert Subgroup.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("data", [[[True]], [[2, False], [0, 2]], [[1.0]]])
+def test_subgroup_json_rejects_non_integers(data):
+    with pytest.raises(ValueError, match="integer lists"):
+        Subgroup.from_json(data)
+
+
+@pytest.mark.parametrize("make", [lambda: Subgroup.cyclic(-5), lambda: Subgroup.diagonal(2, -2)],
+                         ids=["cyclic", "diagonal"])
+def test_negative_subgroup_size_is_refused(make):
+    # -5*Z = 5*Z, so keeping the sign would answer for the size 5
+    with pytest.raises(ValueError, match=">= 0"):
+        make()

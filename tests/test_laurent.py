@@ -314,6 +314,13 @@ class TestParseAndJson:
     def test_json_repeated_exponents_cancel(self):
         assert poly_from_json([[[1], "2"], [[1], "-2"], [[0], "1"]]) == 1
 
+    @pytest.mark.parametrize("data", [[[[True], True]], [[[1], True]], [[[True], "1"]],
+                                      [[[1], 1.0]], [[[1.0], "1"]]])
+    def test_json_rejects_booleans_and_floats(self, data):
+        # true is not read as the integer 1, so [[[true], true]] is not t
+        with pytest.raises(ValueError, match="polynomial term"):
+            poly_from_json(data)
+
     def test_pickle_roundtrip(self):
         rng = random.Random(10)
         for _ in range(50):

@@ -365,6 +365,19 @@ def test_module_json_roundtrip():
     assert PresentedModule.from_json(F.to_json()) == F
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"nvars": 1, "matrix": [], "m0": 2.7}, "'m0'"),
+    ({"nvars": 1, "matrix": [], "m0": "2"}, "'m0'"),
+    ({"nvars": 1, "matrix": [], "m0": True}, "'m0'"),
+    ({"nvars": True, "matrix": [[[[[1], "1"]]]]}, "'nvars'"),
+    ({"nvars": 1.0, "matrix": [[[[[1], "1"]]]]}, "'nvars'"),
+])
+def test_module_json_needs_exact_integers(data, field):
+    # "m0": 2.7 would otherwise read as the free module of rank 2
+    with pytest.raises(ValueError, match=field):
+        PresentedModule.from_json(data)
+
+
 def test_module_pickle_roundtrip():
     rng = random.Random(45)
     for _ in range(20):
