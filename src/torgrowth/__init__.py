@@ -28,7 +28,6 @@ from .lattices import (
     quotient,
 )
 from .groupalg import (
-    GroupAlgElem,
     alpha_ideal,
     beta_ideal,
     mult_matrix,
@@ -73,7 +72,7 @@ __all__ = [
     "parse_poly", "variables",
     "Direction", "FinAbGroup", "Subgroup", "converging_k_sequence",
     "coordinate_order", "gamma_sj", "min_norm", "perp", "quotient",
-    "GroupAlgElem", "alpha_ideal", "beta_ideal", "mult_matrix", "project_poly",
+    "alpha_ideal", "beta_ideal", "mult_matrix", "project_poly",
     "ChainComplex", "GroupPresentation", "PresentedModule", "alexander",
     "alexander_complex", "alexander_module", "branched_module", "delta",
     "fox_derivative", "is_pseudo_zero_torsion", "parse_presentation", "rank",

@@ -1,8 +1,8 @@
 """Command-line interface: the `growthlab` entry point.
 
 Subcommands: alexander, fox, branched, mahler, torsion, growth,
-groupalg-check.  Errors exit nonzero with a machine-readable JSON object on
-stderr.
+groupalg-check.  Errors, usage errors included, exit 1 with a
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -156,8 +156,16 @@ def cmd_groupalg_check(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, for `main` to report;
+    `add_subparsers` gives the subcommand parsers the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="growthlab",
         description="Torsion growth of modules over Laurent polynomial rings",
     )
@@ -220,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -1,22 +1,22 @@
 """The integer group algebra Z[A] of a finite abelian group.
 
-Multiplication by a group element is one primitive, the translation table
-`FinAbGroup.translation`; regular-representation matrices, products and the
-subgroup ideals are all built on it.  Also here: the characters, one
-integer exponent matrix (`character_exponents`), the complementary ideals
-attached to a subgroup B (the principal ideal of the norm element u_B = sum
-of B, and the augmentation-style ideal generated by 1-b), and lattice
-volumes.  These furnish the exact order identities
+An element of Z[A] is a tuple of integer coefficients in
+`FinAbGroup.elements()` order.  The one product is `mult_matrix(coeffs,
+group)`, the matrix of x -> a*x built on the translation table
+`FinAbGroup.translation`: a*b is that matrix times b.  Also here: the
+characters, one integer exponent matrix (`character_exponents`), the
+complementary ideals attached to a subgroup B (the principal ideal of the
+norm element u_B = sum of B, and the augmentation-style ideal generated by
+1-b), and lattice volumes.  These furnish the exact order identities
 |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|), read off as
-`Subgroup.index()`, used as a test surface by the growth experiments.  Ideals are `lattices.Subgroup`s of Z^|A| stored by
-their canonical Hermite rows, and sums and intersections come from
-`hnf_rows`.
+`Subgroup.index()`, used as a test surface by the growth experiments.
+Ideals are `lattices.Subgroup`s of Z^|A| stored by their canonical Hermite
+rows, and sums and intersections come from `hnf_rows`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,54 +26,7 @@ from .lattices import FinAbGroup, Subgroup
 from .laurent import LaurentPoly
 
 
-@dataclass(frozen=True)
-class GroupAlgElem:
-    """An element of Z[A]: coefficients over the canonical element order."""
-
-    group: FinAbGroup
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.group.order:
-            raise ValueError("coefficient vector length differs from |A|")
-
-    @classmethod
-    def identity(cls, group: FinAbGroup) -> "GroupAlgElem":
-        c = [0] * group.order
-        c[group.index_of(group.identity())] = 1
-        return cls(group, tuple(c))
-
-    @classmethod
-    def basis_element(cls, group: FinAbGroup, elem: Sequence[int]) -> "GroupAlgElem":
-        c = [0] * group.order
-        c[group.index_of(tuple(elem))] = 1
-        return cls(group, tuple(c))
-
-    def __sub__(self, other: "GroupAlgElem") -> "GroupAlgElem":
-        self._check(other)
-        return GroupAlgElem(self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "GroupAlgElem") -> "GroupAlgElem":
-        self._check(other)
-        A = self.group
-        elems = A.elements()
-        out = [0] * A.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, k in enumerate(A.translation(elems[i])):
-                    out[k] += a * other.coeffs[j]
-        return GroupAlgElem(A, tuple(out))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other):
-        if other.group is not self.group and other.group.invariant_factors != self.group.invariant_factors:
-            raise ValueError("elements of different group algebras")
-
-
-def project_poly(f: LaurentPoly, group: FinAbGroup) -> GroupAlgElem:
+def project_poly(f: LaurentPoly, group: FinAbGroup) -> tuple[int, ...]:
     """Push a Laurent polynomial along Z[t1^±,...] -> Z[A_Gamma].
 
     Sums coefficients over exponent classes mod Gamma.
@@ -83,31 +36,33 @@ def project_poly(f: LaurentPoly, group: FinAbGroup) -> GroupAlgElem:
     out = [0] * group.order
     for exp, c in f.terms:
         out[group.index_of(group.project(exp))] += c
-    return GroupAlgElem(group, tuple(out))
+    return tuple(out)
 
 
-def mult_matrix(a: GroupAlgElem) -> list[list[int]]:
-    """Matrix of x -> a*x on Z[A] in the canonical basis (columns = images).
+def mult_matrix(coeffs: Sequence[int], group: FinAbGroup) -> list[list[int]]:
+    """Matrix of x -> a*x on Z[A] in the canonical basis (columns = images),
+    for the element a with coefficients `coeffs`; a*b is this matrix times b.
 
     Dense |A| x |A| output: memory is O(|A|^2).
     """
-    A = a.group
-    n = A.order
-    elems = A.elements()
+    n = group.order
+    if len(coeffs) != n:
+        raise ValueError(f"{len(coeffs)} coefficients for a group of order {n}")
+    elems = group.elements()
     out = [[0] * n for _ in range(n)]
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(coeffs):
         if c:
-            for j, k in enumerate(A.translation(elems[i])):
+            for j, k in enumerate(group.translation(elems[i])):
                 out[k][j] += c
     return out
 
 
-def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> GroupAlgElem:
+def norm_element(group: FinAbGroup, subgroup_elems: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """u_B: the sum of the elements of B inside Z[A]."""
     c = [0] * group.order
     for b in subgroup_elems:
         c[group.index_of(tuple(b))] += 1
-    return GroupAlgElem(group, tuple(c))
+    return tuple(c)
 
 
 def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
@@ -117,7 +72,7 @@ def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     u_B; its Z-rank is |A|/|B|.
     """
     B = group.subgroup_closure(b_gens)
-    vecs = list(dict.fromkeys(zip(*mult_matrix(norm_element(group, B)))))
+    vecs = list(dict.fromkeys(zip(*mult_matrix(norm_element(group, B), group))))
     lat = Subgroup.from_generators(group.order, vecs)
     assert lat.rank() == group.order // len(B)
     return lat
@@ -129,11 +84,12 @@ def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     Spanned by {g*(1-b)}, the columns of the matrices of the 1 - b; the
     kernel lattice of Z[A] -> Z[A/B].
     """
-    one = GroupAlgElem.identity(group)
     vecs = []
     for b in b_gens:
-        b = group.add(group.identity(), b)  # generators may be unreduced digits
-        cols = zip(*mult_matrix(one - GroupAlgElem.basis_element(group, b)))
+        one_minus_b = [0] * group.order
+        one_minus_b[group.index_of(group.identity())] = 1
+        one_minus_b[group.index_of(group.add(group.identity(), b))] -= 1  # b may be unreduced
+        cols = zip(*mult_matrix(one_minus_b, group))
         vecs.extend(v for v in cols if any(v))
     return Subgroup.from_generators(group.order, vecs)
 

@@ -19,14 +19,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import mul
 from . import __version__
-from .groupalg import (
-    GroupAlgElem,
-    alpha_ideal,
-    beta_ideal,
-    intersect_ideals,
-    sum_ideals,
-)
+from .groupalg import alpha_ideal, beta_ideal, intersect_ideals, mult_matrix, sum_ideals
 from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj, quotient
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
@@ -171,9 +166,9 @@ class ExperimentConfig:
             kappa = Direction.from_vector(_field(spec, "kappa", [float]))
             if len(kappa.coords) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
-            js = _field(spec, "js", [int])
+            js = _field(spec, "js", [int], least=1)
             subgroups = []
-            for s, j in enumerate(js, _field(spec, "s_start", int, 1)):
+            for s, j in enumerate(js, _field(spec, "s_start", int, 1, least=1)):
                 k = converging_k_sequence(kappa, s)
                 subgroups.append((f"gamma_sj:s={s},k={list(k)},j={j}", gamma_sj(k, j)))
         else:
@@ -193,7 +188,7 @@ class ExperimentConfig:
             branched=branched,
             sequence=tuple(subgroups),
             mahler_method=method,
-            mahler_samples=_field(msettings, "samples", int, 1_000_000),
+            mahler_samples=_field(msettings, "samples", int, 1_000_000, least=1),
             mahler_schedule=(parse_schedule(msettings["schedule"])
                              if "schedule" in msettings else None),
             seed=_field(data, "seed", int, 0, least=0),
@@ -343,10 +338,13 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
     Per case: the exact order |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|),
     the rank |A|/|B| of alpha, mutual annihilation of the two ideals, and
     the multi-subgroup order bound.  Returns one result dict per check.
-    The random groups have order at least 2, so `max_order` must be too.
+    The random groups have order at least 2, so `max_order` must be too,
+    and `cases` must be at least 1.
     """
     if max_order < 2:
         raise ValueError(f"max_order must be at least 2, got {max_order}")
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     rng = random.Random(seed)
     results = []
     for case in range(cases):
@@ -369,12 +367,9 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
                f"got {got}, expected {expected}")
         record("rank alpha = |A|/|B|", al.rank() == A.order // len(B),
                f"rank {al.rank()} vs {A.order // len(B)}")
-        annihilates = True
-        for va in al.basis()[:2]:
-            for vb in be.basis()[:2]:
-                if not (GroupAlgElem(A, va) * GroupAlgElem(A, vb)).is_zero():
-                    annihilates = False
-        record("alpha * beta = 0", annihilates, "")
+        products = [sum(map(mul, row, vb)) for va in al.basis()[:2]
+                    for row in mult_matrix(va, A) for vb in be.basis()[:2]]
+        record("alpha * beta = 0", not any(products), "")
         bgens2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
         B2 = A.subgroup_closure(bgens2)
         alsum = sum_ideals([al, alpha_ideal(A, bgens2)])

@@ -100,8 +100,7 @@ def expand(matrix, gamma) -> list[list[int]]:
     out = []
     for row in rows:
         # each output row is its block rows joined, so one column copies nothing
-        blocks = [[[0] * N for _ in range(N)] if e.is_zero()
-                  else mult_matrix(project_poly(e, group)) for e in row]
+        blocks = [mult_matrix(project_poly(e, group), group) for e in row]
         out += [reduce(add, parts) for parts in zip(*blocks)] if row else [[] for _ in range(N)]
     return out
 

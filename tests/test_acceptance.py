@@ -209,8 +209,8 @@ def test_criterion_9_lawton_convergence_and_koszul():
         A = FinAbGroup.from_invariant_factors(rng.choice([[2], [3], [4], [2, 2], [6], [2, 4]]))
         p = random_laurent(rng, A.nvars, max_terms=3, exp_range=(0, 2)) + 3
         q = random_laurent(rng, A.nvars, max_terms=3, exp_range=(0, 2))
-        P = mult_matrix(project_poly(p, A))
-        Q = mult_matrix(project_poly(q, A))
+        P = mult_matrix(project_poly(p, A), A)
+        Q = mult_matrix(project_poly(q, A), A)
         try:
             h1, h0 = koszul_orders(P, Q)
         except ValueError:

@@ -473,6 +473,35 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "max_order" in err["message"]
 
+    def test_groupalg_check_rejects_negative_cases(self, capsys):
+        # no case runs no check, and "passed 0 / 0" would read as a pass
+        assert cli_main(["groupalg-check", "--cases", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "cases" in err["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["torsion", "--presentation", str(DATA / "fig8.txt"), "--cyclic", "2.5"],
+         "invalid int value: '2.5'"),
+        (["mahler", "--poly", "t-2", "--method", "foo"], "invalid choice: 'foo'"),
+        (["growth"], "required: --config"),
+        ([], "required: command"),
+    ], ids=["non-integer-flag", "unknown-choice", "missing-flag", "no-subcommand"])
+    def test_usage_error_is_json_error(self, capsys, argv, message):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and message in err["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["torsion", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: growthlab")
+
     def test_groupalg_check_verbose_prints_every_check(self, capsys):
         assert cli_main(["groupalg-check", "--cases", "2", "--verbose"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -622,6 +651,15 @@ class TestCli:
         # "m0": 2.7 or "2" read as 2 made a free module of rank 2
         (config_dict(module={"nvars": 1, "matrix": [], "m0": 2.7}), "ValueError", "'m0'"),
         (config_dict(module={"nvars": 1, "matrix": [], "m0": "2"}), "ValueError", "'m0'"),
+        # samples, j and s below 1 are refused by field name, before Delta or any subgroup
+        (config_dict(mahler={"samples": -7}), "ConfigError", "'samples'"),
+        (config_dict(module=THREE_T, sequence={"diagonal": {"ds": [2]}},
+                     mahler={"method": "quadrature", "samples": 0}), "ConfigError", "'samples'"),
+        (config_dict(module=THREE_T, sequence={"gamma_sj": {"kappa": [0.6, 0.8], "js": [0]}}),
+         "ConfigError", "'js'"),
+        (config_dict(module=THREE_T,
+                     sequence={"gamma_sj": {"kappa": [0.6, 0.8], "js": [1], "s_start": 0}}),
+         "ConfigError", "'s_start'"),
     ])
     def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
                                                       field):

@@ -100,7 +100,8 @@ class TestExpand:
                 ref = [[0] * (m0 * N) for _ in range(m1 * N)]
                 for i, row in enumerate(rows):
                     for j, e in enumerate(row):
-                        for a, block_row in enumerate(mult_matrix(project_poly(e, group))):
+                        block = mult_matrix(project_poly(e, group), group)
+                        for a, block_row in enumerate(block):
                             for b, x in enumerate(block_row):
                                 ref[i * N + a][j * N + b] = x
                 for matrix in (PresentedModule(2, rows, m0), [list(r) for r in rows]):
@@ -687,8 +688,8 @@ class TestKoszul:
             f = random_laurent(rng, A.nvars, max_terms=3, exp_range=(0, 2))
             g = random_laurent(rng, A.nvars, max_terms=3, exp_range=(0, 2))
             f = f + 3  # push away from vanishing characters
-            P = mult_matrix(project_poly(f, A))
-            Q = mult_matrix(project_poly(g, A))
+            P = mult_matrix(project_poly(f, A), A)
+            Q = mult_matrix(project_poly(g, A), A)
             try:
                 h1, h0 = koszul_orders(P, Q)
             except ValueError:
