@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .laurent import (
     LaurentPoly,
-    UnitNormalForm,
     div_exact,
     gcd,
     normalize_unit,
@@ -49,7 +48,6 @@ from .presmod import (
 )
 from .torsion import (
     GrowthSample,
-    SnfResult,
     betti,
     chain_torsion,
     cyclic_branched_oracle,
@@ -68,7 +66,7 @@ from .mahler import (
 from .growthlab import ExperimentConfig, ExperimentReport, run
 
 __all__ = [
-    "LaurentPoly", "UnitNormalForm", "div_exact", "gcd", "normalize_unit",
+    "LaurentPoly", "div_exact", "gcd", "normalize_unit",
     "parse_poly", "variables",
     "Direction", "FinAbGroup", "Subgroup", "converging_k_sequence",
     "coordinate_order", "gamma_sj", "min_norm", "perp", "quotient",
@@ -76,7 +74,7 @@ __all__ = [
     "ChainComplex", "GroupPresentation", "PresentedModule", "alexander",
     "alexander_complex", "alexander_module", "branched_module", "delta",
     "fox_derivative", "is_pseudo_zero_torsion", "parse_presentation", "rank",
-    "GrowthSample", "SnfResult", "betti", "chain_torsion",
+    "GrowthSample", "betti", "chain_torsion",
     "cyclic_branched_oracle", "expand", "growth_sample",
     "snf", "torsion_order",
     "MahlerEstimate", "is_kronecker", "mahler_lawton", "mahler_quadrature",

@@ -68,8 +68,8 @@ def cmd_alexander(args) -> int:
     r = rank(mod)
     out = {
         "rank": r,
-        "alexander": [str(p.poly) for p in polys],
-        "delta": str(delta(mod).poly),
+        "alexander": [str(p) for p in polys],
+        "delta": str(delta(mod)),
     }
     if args.presentation and not getattr(args, "branched", False):
         out["note"] = (
@@ -114,7 +114,10 @@ def cmd_branched(args) -> int:
 def cmd_mahler(args) -> int:
     f = _read_poly(args.poly, args.nvars)
     schedule = growthlab.parse_schedule(json.loads(args.schedule)) if args.schedule else None
-    est = growthlab.mahler_target(f, args.method, args.samples, args.seed, schedule)
+    # the config's bounds on mahler.samples and seed, whatever the method
+    samples = growthlab._field(vars(args), "samples", int, least=1)
+    seed = growthlab._field(vars(args), "seed", int, least=0)
+    est = growthlab.mahler_target(f, args.method, samples, seed, schedule)
     print(json.dumps(est.to_json(), indent=2))
     return 0
 

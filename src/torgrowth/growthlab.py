@@ -16,6 +16,7 @@ import json
 import pathlib
 import platform
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -46,7 +47,7 @@ class SizeGuardExceeded(RuntimeError):
 
 
 _REQUIRED = object()
-_SHAPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+_SHAPE_NAMES = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
                 bool: ("true or false", "booleans"), str: ("a string", "strings"),
                 dict: ("an object", "objects")}
 MAHLER_METHODS = ("auto", "jensen", "lawton", "quadrature")
@@ -55,7 +56,9 @@ MAHLER_METHODS = ("auto", "jensen", "lawton", "quadrature")
 def _fits(value, shape) -> bool:
     if isinstance(shape, list):
         return type(value) is list and all(_fits(x, shape[0]) for x in value)
-    return type(value) in ((int, float) if shape is float else (shape,))
+    if shape is float:  # NaN, ±Infinity and integers past the float range fail
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is shape
 
 
 def _describe(shape, plural: bool = False) -> str:
@@ -68,10 +71,10 @@ def _field(spec: dict, key: str, shape, default=_REQUIRED, least: int | None = N
     """spec[key], or `default` when the key is absent, else a ConfigError
     naming the field.
 
-    `shape` is the exact JSON type: int, float (any number), bool, str, dict,
-    or [shape] for a list of those.  An integer is exactly a JSON integer:
-    true, 2.7 and "3" are not read as 1, 2 and 3.  `least` bounds an integer
-    or every entry of an integer list from below.
+    `shape` is the exact JSON type: int, float (any finite number), bool,
+    str, dict, or [shape] for a list of those.  An integer is exactly a JSON
+    integer: true, 2.7 and "3" are not read as 1, 2 and 3.  `least` bounds an
+    integer or every entry of an integer list from below.
     """
     if key not in spec:
         if default is _REQUIRED:
@@ -262,7 +265,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
                 f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
                 "pass force to override"
             )
-    dpoly = delta(reduced).poly  # the reduction keeps every Fitting ideal
+    dpoly = delta(reduced)  # the reduction keeps every Fitting ideal
     t_delta = time.perf_counter()
     target = mahler_target(
         dpoly,

@@ -371,6 +371,8 @@ class Direction:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
+        if not all(map(math.isfinite, self.coords)):
+            raise ValueError("direction coordinates must be finite")
         if any(x < 0 for x in self.coords):
             raise ValueError("direction coordinates must be nonnegative")
         n = math.sqrt(sum(x * x for x in self.coords))

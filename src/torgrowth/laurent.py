@@ -5,10 +5,11 @@ vectors (integer n-tuples) to nonzero arbitrary-precision integer
 coefficients; the zero polynomial is the empty map.  Values are immutable
 after construction, so everything here is safe to share across threads.
 
-Units of the ring are the signed monomials ±t^k.  `normalize_unit` picks a
-canonical representative of the orbit {±t^k · f}: shift every variable's
-minimum exponent to 0 and flip the global sign so the lexicographically
-greatest exponent vector carries a positive coefficient.  GCDs are computed
+Units of the ring are the signed monomials ±t^k.  `normalize_unit` returns
+the canonical `LaurentPoly` of the orbit {±t^k · f}: every variable's
+minimum exponent shifted to 0 and the global sign flipped so the
+lexicographically greatest exponent vector carries a positive coefficient.
+`gcd` and `gcd_list` return that same canonical form.  GCDs are computed
 with a content/primitive-part recursion over subresultant remainder
 sequences, exact over Z throughout.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 
@@ -292,44 +292,18 @@ def variables(nvars: int) -> tuple[LaurentPoly, ...]:
     return tuple(LaurentPoly.variable(i, nvars) for i in range(nvars))
 
 
-@dataclass(frozen=True)
-class UnitNormalForm:
-    """Canonical representative of {±t^k · f}.
-
-    Every variable's minimum exponent is 0 and the coefficient of the
-    lexicographically greatest exponent vector is positive (zero maps to
-    zero).
-    """
-
-    poly: LaurentPoly
-
-    def __post_init__(self):
-        p = self.poly
-        if p.is_zero():
-            return
-        if any(m != 0 for m in p.min_exponents()):
-            raise ValueError("not unit-normalized: minimum exponents nonzero")
-        if p.coeff(max(e for e, _ in p.terms)) <= 0:
-            raise ValueError("not unit-normalized: leading coefficient not positive")
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-
-def normalize_unit(f: LaurentPoly) -> UnitNormalForm:
-    """Canonical form of f up to multiplication by units ±t^k (idempotent)."""
+def normalize_unit(f: LaurentPoly) -> LaurentPoly:
+    """Canonical form of f up to multiplication by units ±t^k (idempotent):
+    every variable's minimum exponent 0, the coefficient of the
+    lexicographically greatest exponent vector positive, zero kept as zero."""
     if f.is_zero():
-        return UnitNormalForm(f)
-    shifted = f.shift(tuple(-m for m in f.min_exponents()))
-    lead = max(e for e, _ in shifted.terms)
-    if shifted.coeff(lead) < 0:
-        shifted = -shifted
-    return UnitNormalForm(shifted)
+        return f
+    return _sign_norm(f.shift(tuple(-m for m in f.min_exponents())))
 
 
 def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
     """True when f and g agree up to a unit ±t^k."""
-    return normalize_unit(f).poly == normalize_unit(g).poly
+    return normalize_unit(f) == normalize_unit(g)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +437,7 @@ def _poly_gcd(f: LaurentPoly, g: LaurentPoly, i: int) -> LaurentPoly:
     return _sign_norm(result * c)
 
 
-def gcd(f: LaurentPoly, g: LaurentPoly) -> UnitNormalForm:
+def gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Greatest common divisor in Z[t1^±1,...,tn^±1], unit-normalized.
 
     gcd(f, 0) = normalize_unit(f); integer content is included, so
@@ -475,17 +449,17 @@ def gcd(f: LaurentPoly, g: LaurentPoly) -> UnitNormalForm:
         return normalize_unit(g)
     if g.is_zero():
         return normalize_unit(f)
-    return normalize_unit(_poly_gcd(normalize_unit(f).poly, normalize_unit(g).poly, 0))
+    return normalize_unit(_poly_gcd(normalize_unit(f), normalize_unit(g), 0))
 
 
-def gcd_list(polys: Iterable[LaurentPoly], nvars: int) -> UnitNormalForm:
+def gcd_list(polys: Iterable[LaurentPoly], nvars: int) -> LaurentPoly:
     """GCD of a (possibly empty) family; the empty family gives 0."""
     acc = LaurentPoly.zero(nvars)
     for p in polys:
-        acc = gcd(acc, p).poly
+        acc = gcd(acc, p)
         if acc.is_one():
             break
-    return normalize_unit(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------

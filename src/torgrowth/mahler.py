@@ -63,7 +63,7 @@ class MahlerEstimate:
 
 def _poly_coeffs(f: LaurentPoly) -> list[int]:
     """Dense coefficients (low to high) of the unit-normalized polynomial."""
-    p = normalize_unit(f).poly
+    p = normalize_unit(f)
     deg = p.max_exponents()[0]
     out = [0] * (deg + 1)
     for (e,), c in p.terms:
@@ -330,8 +330,9 @@ def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0) -
     """Median-of-means Monte Carlo estimate of the torus integral of log|f|.
 
     Sampling uses counter-based Philox streams spawned deterministically from
-    the seed, one per shard; the value is the median of the shard means and
-    the error bound is the standard error of that median
+    the seed, one per shard; the first samples % shards shards draw one
+    point more than the rest.  The value is the median of the shard means
+    and the error bound is the standard error of that median
     (1.2533 * std(means) / sqrt(shards)).  Samples where log|f| is not
     finite (underflow at a zero of f) are resampled and counted.
     """
@@ -340,14 +341,15 @@ def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0) -
     if samples < 1:
         raise ValueError("quadrature needs at least one sample")
     shards = min(QUADRATURE_SHARDS, samples)
-    per_shard = samples // shards
+    per_shard, extra = divmod(samples, shards)
     root = np.random.SeedSequence(seed)
     children = root.spawn(shards)
     means = []
     rejected = 0
-    for child in children:
+    for i, child in enumerate(children):
         rng = np.random.Generator(np.random.Philox(child))
-        remaining = per_shard
+        count = per_shard + (i < extra)
+        remaining = count
         total = 0.0
         while remaining > 0:
             chunk = min(remaining, 1 << 19)
@@ -359,7 +361,7 @@ def mahler_quadrature(f: LaurentPoly, samples: int = 1_000_000, seed: int = 0) -
                 rejected += bad
             total += float(logs[good].sum())
             remaining -= int(good.sum())
-        means.append(total / per_shard)
+        means.append(total / count)
     means_arr = np.asarray(means)
     value = float(np.median(means_arr))
     if shards > 1:

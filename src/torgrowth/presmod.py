@@ -31,10 +31,8 @@ from typing import Sequence
 from .intlinalg import eliminate, eliminate_units, matmul
 from .laurent import (
     LaurentPoly,
-    UnitNormalForm,
     div_exact,
     gcd_list,
-    normalize_unit,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -164,15 +162,15 @@ def rank(mod: PresentedModule) -> int:
     return mod.m0 - eliminate(mod.matrix, mod.m0)[0]
 
 
-def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
+def alexander(mod: PresentedModule, j: int) -> LaurentPoly:
     """The j-th Alexander polynomial: GCD of the (m0-j)-minors, normalized."""
     if j < 0:
         raise ValueError("j must be nonnegative")
     k = mod.m0 - j
     if k <= 0:
-        return normalize_unit(LaurentPoly.one(mod.nvars))
+        return LaurentPoly.one(mod.nvars)
     if k > mod.m1:
-        return normalize_unit(LaurentPoly.zero(mod.nvars))
+        return LaurentPoly.zero(mod.nvars)
     if mod.m0 > MINOR_GUARD or mod.m1 > MINOR_GUARD:
         raise ValueError(
             f"minor enumeration guarded to presentations of size <= {MINOR_GUARD}"
@@ -183,22 +181,22 @@ def alexander(mod: PresentedModule, j: int) -> UnitNormalForm:
             sub = [[mod.matrix[i][c] for c in cols_idx] for i in rows_idx]
             r, pivot = eliminate(sub, k)
             minor = pivot if r == k else LaurentPoly.zero(mod.nvars)
-            acc = (gcd_list([acc, minor], mod.nvars)).poly
+            acc = gcd_list([acc, minor], mod.nvars)
             if acc.is_one():
-                return normalize_unit(acc)
-    return normalize_unit(acc)
+                return acc
+    return acc
 
 
-def all_alexander(mod: PresentedModule) -> list[UnitNormalForm]:
+def all_alexander(mod: PresentedModule) -> list[LaurentPoly]:
     """Delta_j for j = 0..m0 (the last one is always 1)."""
     return [alexander(mod, j) for j in range(mod.m0 + 1)]
 
 
-def delta(mod: PresentedModule) -> UnitNormalForm:
+def delta(mod: PresentedModule) -> LaurentPoly:
     """The first non-vanishing Alexander polynomial Delta(M) = Delta_rank(M)."""
     r = rank(mod)
     d = alexander(mod, r)
-    assert not d.poly.is_zero()
+    assert not d.is_zero()
     return d
 
 
@@ -209,7 +207,7 @@ def is_pseudo_zero_torsion(mod: PresentedModule) -> bool:
     """
     if rank(mod) != 0:
         raise ValueError("pseudo-zero criterion applies to torsion modules only")
-    return alexander(mod, 0).poly.is_one()
+    return alexander(mod, 0).is_one()
 
 
 # ---------------------------------------------------------------------------

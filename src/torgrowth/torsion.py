@@ -17,7 +17,8 @@ picks one (for the size guard of `growthlab.run` too):
   D x D matrix when it is 0.  One variable (knots) needs no substitution;
 * SNF, for every other presentation, of the integer matrix `expand` makes
   by replacing each entry with the regular-representation block of its
-  image in Z[A_Gamma].
+  image in Z[A_Gamma].  `snf` returns the pair (torsion order, rank): the
+  product and the count of the nonzero entries of `intlinalg.snf_diagonal`.
 
 Two exact oracles check these routes with no floating point: the product of
 f over the characters of A_Gamma (`character_product`) and Fox's product for
@@ -58,25 +59,11 @@ class OracleDegenerateError(ValueError):
     """The product formula is undefined: Delta vanishes at a root of unity."""
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Invariant factors (divisibility chain, zeros trailing) and the rank."""
-
-    invariant_factors: tuple[int, ...]
-    rank: int
-
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            if d:
-                out *= d
-        return out
-
-
-def snf(matrix) -> SnfResult:
-    """Smith normal form data of an integer matrix (nested lists)."""
-    diag = snf_diagonal(matrix)
-    return SnfResult(tuple(diag), sum(1 for d in diag if d))
+def snf(matrix) -> tuple[int, int]:
+    """(torsion order, rank) of an integer matrix (nested lists): the product
+    and the count of the nonzero entries of its Smith normal form."""
+    diag = [d for d in snf_diagonal(matrix) if d]
+    return math.prod(diag), len(diag)
 
 
 def _resolve_group(gamma) -> FinAbGroup:
@@ -139,8 +126,8 @@ def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
     P = _companion_minus_identity(f, ell)
     if det := bareiss_det(P):  # SNF only for the rare singular block
         return abs(det), 0
-    res = snf(P)
-    return res.torsion_order(), len(P) - res.rank
+    tor, rank = snf(P)
+    return tor, len(P) - rank
 
 
 def live_columns(mod: PresentedModule) -> list[int]:
@@ -211,8 +198,8 @@ def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     live = live_columns(mod)
     if not live:
         return 1, mod.m0 * group.order
-    res = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
-    return res.torsion_order(), mod.m0 * group.order - res.rank
+    tor, rank = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
+    return tor, mod.m0 * group.order - rank
 
 
 def torsion_order(mod: PresentedModule, gamma) -> int:
@@ -433,10 +420,9 @@ def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tup
     if bareiss_det(P) == 0:
         raise ValueError("P must be injective")
     d1 = [list(P[i]) + list(Q[i]) for i in range(r)]
-    res = snf(d1)
-    if res.rank < r:
+    h0, rank = snf(d1)
+    if rank < r:
         raise ValueError("homology is infinite (d1 not of full rank)")
-    h0 = res.torsion_order()
     # |det| of the coordinates does not depend on the basis of ker(d1)
     basis = kernel_basis(d1, 2 * r)
     coords = []

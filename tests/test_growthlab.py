@@ -292,7 +292,7 @@ class TestRun:
         config = ExperimentConfig.from_dict(config_dict(module=module, sequence=sequence), DATA)
         run(config, out_dir=tmp_path)
         blob = json.loads((tmp_path / "report.json").read_text())
-        want = delta(config.module).poly  # the minors of the raw presentation
+        want = delta(config.module)  # the minors of the raw presentation
         assert blob["delta"] == {"nvars": want.nvars, "poly": poly_to_json(want)}
 
     def test_figure_eight_branched_sweep(self, tmp_path, fig8_text):
@@ -660,6 +660,11 @@ class TestCli:
         (config_dict(module=THREE_T,
                      sequence={"gamma_sj": {"kappa": [0.6, 0.8], "js": [1], "s_start": 0}}),
          "ConfigError", "'s_start'"),
+        # json reads NaN and Infinity; a non-finite kappa had run as a boundary
+        # direction, and an integer past the float range had raised OverflowError
+        *[(config_dict(module=THREE_T, sequence={"gamma_sj": {"kappa": [x, 1], "js": [1, 2]}}),
+           "ConfigError", "'kappa' must be a list of finite numbers")
+          for x in (math.nan, math.inf, 10 ** 400)],
     ])
     def test_growth_config_scalar_field_is_json_error(self, capsys, tmp_path, config, error,
                                                       field):
@@ -717,7 +722,21 @@ class TestCli:
             "mahler", "--poly", "3 + t1 + t2", "--nvars", "2",
             "--method", "quadrature", "--samples", "0",
         ]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("args, field", [
+        # the count had been ignored outside quadrature, and numpy had refused
+        # the negative seed without naming the flag
+        (["--poly", "t-2", "--samples", "-7"], "'samples'"),
+        (["--poly", "3+t1+t2", "--method", "quadrature", "--samples", "100", "--seed", "-1"],
+         "'seed'"),
+    ])
+    def test_mahler_flags_take_the_config_bounds(self, capsys, args, field):
+        assert cli_main(["mahler", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and field in err["message"]
 
     def test_mahler_coefficient_beyond_float_range_is_json_error(self, capsys):
         assert cli_main(["mahler", "--poly", f"t^2 - {10 ** 400}*t + 1"]) == 1

@@ -334,6 +334,12 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction((-1.0, 0.0))
 
+    @pytest.mark.parametrize("coords", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0),
+                                        (0.0, -math.inf)])
+    def test_refuses_non_finite_coordinates(self, coords):
+        with pytest.raises(ValueError, match="finite"):
+            Direction(coords)
+
     def test_direction_of_quotient(self):
         A = quotient(Subgroup(2, ((3, 0), (0, 4))))
         d = direction_of(A)

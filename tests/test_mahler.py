@@ -278,6 +278,22 @@ class TestQuadrature:
             assert abs(j.value - q.value) <= tol, (str(f), j.value, q.value)
             checked += 1
 
+    @pytest.mark.parametrize("samples", [20, 31, 33])
+    def test_evaluates_as_many_points_as_it_reports(self, monkeypatch, samples):
+        # 16 shards: the first samples % 16 of them draw one point more
+        counts = []
+        real = mahler._torus_eval_log
+
+        def counting(f, thetas):
+            counts.append(len(thetas))
+            return real(f, thetas)
+
+        monkeypatch.setattr(mahler, "_torus_eval_log", counting)
+        est = mahler_quadrature(3 + t1 + t2, samples=samples, seed=1)
+        extra = samples % 16
+        assert counts == [samples // 16 + 1] * extra + [samples // 16] * (16 - extra)
+        assert sum(counts) == est.diagnostics["samples"] == samples
+
     def test_rejection_accounting(self):
         # f vanishing on a positive-measure-free set still integrates; the
         # cyclotomic zero set has measure zero so rejections stay rare

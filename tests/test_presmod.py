@@ -105,24 +105,24 @@ class TestEliminate:
 
 class TestAlexander:
     def test_principal(self):
-        assert alexander(PresentedModule(1, ((t - 2,),)), 0).poly == t - 2
+        assert alexander(PresentedModule(1, ((t - 2,),)), 0) == t - 2
 
     def test_trefoil_matrix(self):
         f = TREFOIL_DELTA
         M = PresentedModule(1, ((f, -f),))
-        assert alexander(M, 0).poly.is_zero()
-        assert alexander(M, 1).poly == f
+        assert alexander(M, 0).is_zero()
+        assert alexander(M, 1) == f
 
     def test_free_conventions(self):
         F = PresentedModule.free(1, 2)
-        assert alexander(F, 0).poly.is_zero()
-        assert alexander(F, 1).poly.is_zero()
-        assert alexander(F, 2).poly.is_one()
-        assert alexander(F, 5).poly.is_one()
+        assert alexander(F, 0).is_zero()
+        assert alexander(F, 1).is_zero()
+        assert alexander(F, 2).is_one()
+        assert alexander(F, 5).is_one()
 
     def test_ideal_quotient_is_generator_gcd(self):
         M = PresentedModule.quotient_by_ideal(1, [t ** 2 - 1, t ** 2 - 2 * t + 1])
-        assert alexander(M, 0).poly == t - 1
+        assert alexander(M, 0) == t - 1
 
     def test_divisibility_chain(self):
         rng = random.Random(40)
@@ -130,7 +130,7 @@ class TestAlexander:
             M = random_presentation(rng, rng.choice([1, 2]))
             polys = all_alexander(M)
             for j in range(1, len(polys)):
-                hi, lo = polys[j].poly, polys[j - 1].poly
+                hi, lo = polys[j], polys[j - 1]
                 if lo.is_zero():
                     continue
                 assert not hi.is_zero()
@@ -142,8 +142,8 @@ class TestAlexander:
             M = random_presentation(rng, rng.choice([1, 2]))
             r = rank(M)
             for j in range(r):
-                assert alexander(M, j).poly.is_zero()
-            assert not alexander(M, r).poly.is_zero()
+                assert alexander(M, j).is_zero()
+            assert not alexander(M, r).is_zero()
 
     def test_guard(self):
         huge = PresentedModule(1, tuple((LaurentPoly.one(1),) * 9 for _ in range(9)))
@@ -153,16 +153,16 @@ class TestAlexander:
 
 class TestDelta:
     def test_examples(self):
-        assert delta(PresentedModule(1, ((t - 2,),))).poly == t - 2
+        assert delta(PresentedModule(1, ((t - 2,),))) == t - 2
         f = TREFOIL_DELTA
-        assert delta(PresentedModule(1, ((f, -f),))).poly == f
+        assert delta(PresentedModule(1, ((f, -f),))) == f
 
     def test_row_and_column_operations(self):
         rng = random.Random(42)
         for _ in range(60):
             nv = rng.choice([1, 2])
             M = random_presentation(rng, nv)
-            d0 = delta(M).poly
+            d0 = delta(M)
             mat = [list(r) for r in M.matrix]
             if M.m1 >= 2:
                 i, j = rng.sample(range(M.m1), 2)
@@ -174,18 +174,18 @@ class TestDelta:
                                          rng.choice([1, -1]))
                 for row in mat:
                     row[i] = row[i] + u * row[j]
-            assert delta(PresentedModule(nv, tuple(map(tuple, mat)))).poly == d0
+            assert delta(PresentedModule(nv, tuple(map(tuple, mat)))) == d0
 
     def test_stabilization(self):
         rng = random.Random(43)
         for _ in range(60):
             nv = rng.choice([1, 2])
             M = random_presentation(rng, nv)
-            d0 = delta(M).poly
+            d0 = delta(M)
             z = LaurentPoly.zero(nv)
             mat = [list(r) + [z] for r in M.matrix]
             mat.append([z] * M.m0 + [LaurentPoly.one(nv)])
-            assert delta(PresentedModule(nv, tuple(map(tuple, mat)))).poly == d0
+            assert delta(PresentedModule(nv, tuple(map(tuple, mat)))) == d0
 
 
 class TestPseudoZero:
@@ -252,8 +252,8 @@ class TestAlexanderComplex:
     def test_figure_eight(self, fig8_text):
         pres = parse_presentation(fig8_text)
         mod = alexander_module(pres)
-        assert delta(mod).poly == FIG8_DELTA
-        assert alexander(mod, 1).poly == FIG8_DELTA
+        assert delta(mod) == FIG8_DELTA
+        assert alexander(mod, 1) == FIG8_DELTA
 
     def test_composition_validated(self):
         with pytest.raises(ValueError):
@@ -272,17 +272,17 @@ class TestBranchedModule:
         # the unit column absorbs the 1-t factor; the Mahler measure of
         # Delta is unchanged because measure(1-t) = 0
         bm = branched_module(alexander_module(parse_presentation(trefoil_text)), 1)
-        assert delta(bm).poly == TREFOIL_DELTA
+        assert delta(bm) == TREFOIL_DELTA
 
     def test_unknot(self):
         bm = branched_module(PresentedModule.free(1, 1), 1)
         assert (bm.m1, bm.m0) == (1, 2)
-        assert delta(bm).poly.is_one()
+        assert delta(bm).is_one()
 
     def test_hopf_link_picks_up_torus_factors(self, hopf_text):
         mod = alexander_module(parse_presentation(hopf_text))
         bm = branched_module(mod, 2)
-        assert delta(bm).poly == normalize_unit((1 - t1) * (1 - t2)).poly
+        assert delta(bm) == normalize_unit((1 - t1) * (1 - t2))
 
     def test_shape_errors(self, trefoil_text):
         mod = alexander_module(parse_presentation(trefoil_text))
@@ -353,7 +353,7 @@ class TestParsePresentation:
         pres = parse_presentation(
             "gens: a b\nrho: a -> t1^3, b -> t1^2\nrel: a^2 b^-3\n"
         )
-        assert delta(alexander_module(pres)).poly == TREFOIL_DELTA
+        assert delta(alexander_module(pres)) == TREFOIL_DELTA
 
 
 def test_module_json_roundtrip():
@@ -394,4 +394,4 @@ def test_direct_sum_block_structure():
     assert (S.m1, S.m0) == (3, 2)
     # B is pseudo-zero (Delta_0 = 1), so the sum keeps A's order
     assert is_pseudo_zero_torsion(B)
-    assert delta(S).poly == t - 2
+    assert delta(S) == t - 2

@@ -27,7 +27,6 @@ from torgrowth.presmod import (
 from torgrowth.torsion import (
     GrowthSample,
     OracleDegenerateError,
-    SnfResult,
     betti,
     chain_torsion,
     character_product,
@@ -79,8 +78,7 @@ class TestExpand:
 
     def test_permutation_difference_rank(self):
         M = PresentedModule(2, ((1 - t1,),))
-        res = snf(expand(M, Subgroup.diagonal(2, 2)))
-        assert res.rank == 2
+        assert snf(expand(M, Subgroup.diagonal(2, 2)))[1] == 2
 
     def test_block_shape(self):
         M = PresentedModule(1, ((t, 1 - t), (LaurentPoly.one(1), t)))
@@ -112,23 +110,23 @@ class TestExpand:
 
 class TestSnfApi:
     def test_divisibility_normalization(self):
-        assert snf([[2, 0], [0, 3]]) == SnfResult((1, 6), 2)
+        assert intlinalg.snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
+        assert snf([[2, 0], [0, 3]]) == (6, 2)
 
     def test_zero(self):
-        assert snf([[0, 0], [0, 0]]) == SnfResult((0, 0), 0)
+        assert snf([[0, 0], [0, 0]]) == (1, 0)
 
     def test_torsion_seven(self):
         E = expand(PresentedModule(1, ((t - 2,),)), Subgroup.cyclic(3))
-        assert snf(E).torsion_order() == 7
+        assert snf(E) == (7, 3)
 
     def test_phase_two_blow_up_finishes(self):
         # phase 1 leaves a singular 109 x 109 block on which pivoting that
         # clears a row by its first remainder grew entries past Hadamard's bound
         E = blow_up_expansion()
-        res = snf(E)
-        assert (res.torsion_order(), len(E) - res.rank) == (
-            3381391912475193807335887249798732248006856415633265, 1)
-        assert snf([list(c) for c in zip(*E)]) == res
+        tor, rank = snf(E)
+        assert (tor, len(E) - rank) == (3381391912475193807335887249798732248006856415633265, 1)
+        assert snf([list(c) for c in zip(*E)]) == (tor, rank)
 
     def test_phase_two_stays_within_hadamard_bound(self, monkeypatch):
         # every entry phase 2 reduces stays within the incoming block's
@@ -220,20 +218,20 @@ class TestTorsionOrder:
         M = PresentedModule.quotient_by_ideal(2, [f])
         for d in range(1, 13):
             gamma = Subgroup.diagonal(2, d)
-            res = snf(expand(M, gamma))
+            tor, rank = snf(expand(M, gamma))
             if f == 1 + t1 + t2 and d % 3 == 0:
-                assert res.rank < d * d
+                assert rank < d * d
                 continue
-            assert res.rank == d * d
-            assert res.torsion_order() == character_product(f, gamma)
+            assert rank == d * d
+            assert tor == character_product(f, gamma)
 
     def test_snf_time_budget_at_index_1024(self):
         M = PresentedModule.quotient_by_ideal(2, [3 + t1 + t2])
         start = time.perf_counter()
-        res = snf(expand(M, Subgroup.diagonal(2, 32)))
+        diag = intlinalg.snf_diagonal(expand(M, Subgroup.diagonal(2, 32)))
         elapsed = time.perf_counter() - start
-        assert res.rank == 1024
-        assert max(res.invariant_factors).bit_length() == 706
+        assert len(diag) == 1024 and all(diag)
+        assert max(diag).bit_length() == 706
         assert elapsed < 5.0
 
     def test_torsion_free_module_negligible(self):
@@ -280,24 +278,24 @@ class TestChainTorsion:
 
     def test_trefoil_unbranched(self, trefoil_text):
         cx = alexander_complex(parse_presentation(trefoil_text))
-        dpoly = delta(alexander_module(parse_presentation(trefoil_text))).poly
+        dpoly = delta(alexander_module(parse_presentation(trefoil_text)))
         for ell in (2, 3, 5, 7):
             assert chain_torsion(cx, 1, Subgroup.cyclic(ell)) == cyclic_branched_oracle(dpoly, ell)
 
 
 class TestOracle:
     def test_trefoil_values(self, trefoil_text):
-        dpoly = delta(alexander_module(parse_presentation(trefoil_text))).poly
+        dpoly = delta(alexander_module(parse_presentation(trefoil_text)))
         assert cyclic_branched_oracle(dpoly, 1) == 1
         assert cyclic_branched_oracle(dpoly, 2) == 3
         assert cyclic_branched_oracle(dpoly, 3) == 4
 
     def test_fig8_values(self, fig8_text):
-        dpoly = delta(alexander_module(parse_presentation(fig8_text))).poly
+        dpoly = delta(alexander_module(parse_presentation(fig8_text)))
         assert cyclic_branched_oracle(dpoly, 2) == 5
 
     def test_degenerate(self, trefoil_text):
-        dpoly = delta(alexander_module(parse_presentation(trefoil_text))).poly
+        dpoly = delta(alexander_module(parse_presentation(trefoil_text)))
         with pytest.raises(OracleDegenerateError):
             cyclic_branched_oracle(dpoly, 6)
         assert cyclic_branched_oracle(dpoly, 5) == 1  # the Poincare sphere
@@ -343,8 +341,8 @@ class TestReducedPresentation:
                 gamma = gamma_sj(k, rng.randint(1, 64 // (k[0] ** 2 + k[1] ** 2)))
             order = quotient(gamma).order
             assert order <= 64
-            res = snf(expand(mod, gamma))
-            assert torsion_and_betti(mod, gamma) == (res.torsion_order(), mod.m0 * order - res.rank)
+            tor, rank = snf(expand(mod, gamma))
+            assert torsion_and_betti(mod, gamma) == (tor, mod.m0 * order - rank)
         assert min(fired.values()) >= 20, fired
 
     def test_known_answers(self, fig8_text):
@@ -366,7 +364,7 @@ class TestLinkModules:
 
     @pytest.mark.parametrize("name", LINKS)
     def test_alexander_polynomial(self, name):
-        assert delta(link_module(name)).poly == LINKS[name]
+        assert delta(link_module(name)) == LINKS[name]
 
     @pytest.mark.parametrize("name", LINKS)
     def test_reduces_to_one_row(self, name):
@@ -381,9 +379,8 @@ class TestLinkModules:
     def test_matches_unreduced_snf(self, name):
         mod = link_module(name)
         for d in range(2, 7):
-            res = snf(expand(mod, Subgroup.diagonal(2, d)))
-            assert torsion_and_betti(mod, Subgroup.diagonal(2, d)) == (
-                res.torsion_order(), mod.m0 * d * d - res.rank)
+            tor, rank = snf(expand(mod, Subgroup.diagonal(2, d)))
+            assert torsion_and_betti(mod, Subgroup.diagonal(2, d)) == (tor, mod.m0 * d * d - rank)
 
     def test_known_values_of_20_9(self):
         mod = link_module("link_20_9")
@@ -409,8 +406,8 @@ class TestCompanionRoute:
         for ell in range(1, 61):
             group = quotient(Subgroup.cyclic(ell))
             assert torsion.route(reduce_presentation(mod), group) is not None
-            res = snf(expand([[f]], group))
-            assert torsion_and_betti(mod, group) == (res.torsion_order(), ell - res.rank), ell
+            tor, rank = snf(expand([[f]], group))
+            assert torsion_and_betti(mod, group) == (tor, ell - rank), ell
 
     @pytest.mark.parametrize("f", [2 * t - 3, 3 * t ** -1 - 2 + 2 * t])
     def test_non_unit_end_coefficients_take_snf(self, f, snf_calls):
@@ -474,8 +471,8 @@ class TestCyclicQuotientRoute:
 
     @staticmethod
     def _expected(mod, group):
-        res = snf(expand(mod, group))
-        return res.torsion_order(), mod.m0 * group.order - res.rank
+        tor, rank = snf(expand(mod, group))
+        return tor, mod.m0 * group.order - rank
 
     @staticmethod
     def _cyclic_subgroup(rng, nvars):
@@ -575,11 +572,11 @@ class TestExactProductDifferential:
             f = random_laurent(rng, gamma.nvars, max_terms=4, coeff_max=4)
             if f.is_zero():
                 continue
-            res = snf(expand(PresentedModule.quotient_by_ideal(gamma.nvars, [f]), gamma))
-            order = len(res.invariant_factors)
-            assert order <= 144
-            if res.rank == order:
-                assert character_product(f, gamma) == res.torsion_order()
+            diag = intlinalg.snf_diagonal(
+                expand(PresentedModule.quotient_by_ideal(gamma.nvars, [f]), gamma))
+            assert len(diag) <= 144
+            if all(diag):
+                assert character_product(f, gamma) == math.prod(diag)
                 kinds.add("full rank")
             else:
                 assert character_product(f, gamma) == 0
@@ -665,7 +662,7 @@ class TestOracleEquivalence:
     def test_trefoil_branched(self, trefoil_text):
         mod = alexander_module(parse_presentation(trefoil_text))
         bm = branched_module(mod, 1)
-        dpoly = delta(mod).poly
+        dpoly = delta(mod)
         for ell in range(1, 13):
             got = torsion_order(bm, Subgroup.cyclic(ell))
             if ell % 6 == 0:
