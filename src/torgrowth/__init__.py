@@ -16,7 +16,6 @@ from .laurent import (
     variables,
 )
 from .lattices import (
-    Direction,
     FinAbGroup,
     Subgroup,
     converging_k_sequence,
@@ -25,6 +24,7 @@ from .lattices import (
     min_norm,
     perp,
     quotient,
+    unit_vector,
 )
 from .groupalg import (
     alpha_ideal,
@@ -68,8 +68,8 @@ from .growthlab import ExperimentConfig, ExperimentReport, run
 __all__ = [
     "LaurentPoly", "div_exact", "gcd", "normalize_unit",
     "parse_poly", "variables",
-    "Direction", "FinAbGroup", "Subgroup", "converging_k_sequence",
-    "coordinate_order", "gamma_sj", "min_norm", "perp", "quotient",
+    "FinAbGroup", "Subgroup", "converging_k_sequence",
+    "coordinate_order", "gamma_sj", "min_norm", "perp", "quotient", "unit_vector",
     "alpha_ideal", "beta_ideal", "mult_matrix", "project_poly",
     "ChainComplex", "GroupPresentation", "PresentedModule", "alexander",
     "alexander_complex", "alexander_module", "branched_module", "delta",

@@ -21,7 +21,6 @@ from .presmod import (
     alexander_module,
     all_alexander,
     branched_module,
-    delta,
     parse_presentation,
     rank,
 )
@@ -69,7 +68,7 @@ def cmd_alexander(args) -> int:
     out = {
         "rank": r,
         "alexander": [str(p) for p in polys],
-        "delta": str(delta(mod)),
+        "delta": str(polys[r]),
     }
     if args.presentation and not getattr(args, "branched", False):
         out["note"] = (

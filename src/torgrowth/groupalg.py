@@ -10,8 +10,8 @@ norm element u_B = sum of B, and the augmentation-style ideal generated by
 1-b), and lattice volumes.  These furnish the exact order identities
 |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|), read off as
 `Subgroup.index()`, used as a test surface by the growth experiments.
-Ideals are `lattices.Subgroup`s of Z^|A| stored by their canonical Hermite
-rows, and sums and intersections come from `hnf_rows`.
+Ideals are `lattices.Subgroup`s of Z^|A|, so canonical Hermite rows; a sum
+is the `Subgroup` of both row sets, an intersection comes from `hnf_rows`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def alpha_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     """
     B = group.subgroup_closure(b_gens)
     vecs = list(dict.fromkeys(zip(*mult_matrix(norm_element(group, B), group))))
-    lat = Subgroup.from_generators(group.order, vecs)
+    lat = Subgroup(group.order, vecs)
     assert lat.rank() == group.order // len(B)
     return lat
 
@@ -91,13 +91,12 @@ def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
         one_minus_b[group.index_of(group.add(group.identity(), b))] -= 1  # b may be unreduced
         cols = zip(*mult_matrix(one_minus_b, group))
         vecs.extend(v for v in cols if any(v))
-    return Subgroup.from_generators(group.order, vecs)
+    return Subgroup(group.order, vecs)
 
 
 def gram_det(lat: Subgroup) -> int:
     """Exact Gram determinant det(<v_i, v_j>) of the Hermite basis."""
-    basis = lat.basis()
-    return bareiss_det(matmul(basis, list(zip(*basis))))
+    return bareiss_det(matmul(lat.gens, list(zip(*lat.gens))))
 
 
 def vol(lat: Subgroup) -> float:
@@ -117,7 +116,7 @@ def sum_ideals(lats: Sequence[Subgroup]) -> Subgroup:
         if lat.nvars != ambient:
             raise ValueError("ambient rank mismatch")
         vecs.extend(lat.gens)
-    return Subgroup.from_generators(ambient, vecs)
+    return Subgroup(ambient, vecs)
 
 
 def intersect_ideals(lats: Sequence[Subgroup]) -> Subgroup:
@@ -133,7 +132,7 @@ def intersect_ideals(lats: Sequence[Subgroup]) -> Subgroup:
             raise ValueError("ambient rank mismatch")
         rows = [x + x for x in acc.gens] + [y + (0,) * ambient for y in lat.gens]
         basis = [r[ambient:] for r in hnf_rows(rows) if not any(r[:ambient])]
-        acc = Subgroup(ambient, tuple(basis))
+        acc = Subgroup(ambient, basis)
     return acc
 
 

@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import mul
 from . import __version__
 from .groupalg import alpha_ideal, beta_ideal, intersect_ideals, mult_matrix, sum_ideals
-from .lattices import Direction, FinAbGroup, Subgroup, converging_k_sequence, gamma_sj, quotient
+from .lattices import FinAbGroup, Subgroup, converging_k_sequence, gamma_sj, quotient, unit_vector
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
 from .presmod import (
@@ -166,8 +166,8 @@ class ExperimentConfig:
             ds = _field(spec, "ds", [int], least=0) if "ds" in spec else _spec_range(spec)
             subgroups = [(f"diagonal:{d}", Subgroup.diagonal(mod.nvars, d)) for d in ds]
         elif kind == "gamma_sj":
-            kappa = Direction.from_vector(_field(spec, "kappa", [float]))
-            if len(kappa.coords) != mod.nvars:
+            kappa = unit_vector(_field(spec, "kappa", [float]))
+            if len(kappa) != mod.nvars:
                 raise ConfigError("kappa length must match the module's variables")
             js = _field(spec, "js", [int], least=1)
             subgroups = []
@@ -370,8 +370,8 @@ def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0)
                f"got {got}, expected {expected}")
         record("rank alpha = |A|/|B|", al.rank() == A.order // len(B),
                f"rank {al.rank()} vs {A.order // len(B)}")
-        products = [sum(map(mul, row, vb)) for va in al.basis()[:2]
-                    for row in mult_matrix(va, A) for vb in be.basis()[:2]]
+        products = [sum(map(mul, row, vb)) for va in al.gens[:2]
+                    for row in mult_matrix(va, A) for vb in be.gens[:2]]
         record("alpha * beta = 0", not any(products), "")
         bgens2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
         B2 = A.subgroup_closure(bgens2)

@@ -2,12 +2,12 @@
 
 `Subgroup` is the package's one lattice type: the finite-index subgroups
 Gamma of the growth experiments, their orthogonal lattices, and the
-subgroup ideals of Z[A] (sublattices of Z^|A|, see `groupalg`).  Its rank,
-index, containment and orthogonal lattice all come from one Hermite basis.
-Also here: the quotient decomposition A = Z^n/Gamma with its projection map
-(the row transform of a Smith form), exact shortest-vector norms (Lagrange
-in rank <= 2, bounded enumeration in rank 3-4), coordinate orders, and the
-converging families Gamma_{s,j} = (k)^perp + j*k of the growth experiments.
+subgroup ideals of Z[A] (sublattices of Z^|A|, see `groupalg`).  It is
+its canonical Hermite basis, so equal lattices are equal values.  Also
+here: the quotient A = Z^n/Gamma with its projection map (rows of a Smith
+row transform), exact shortest-vector norms (Lagrange in rank <= 2,
+bounded enumeration in rank 3-4), coordinate orders and unit directions
+(float tuples), and the converging families Gamma_{s,j} = (k)^perp + j*k.
 
 No inverse is needed here: the enumeration box reads R^2·adj(G)_ii / det(G)
 off the Gram matrix G, and adj(G)_ii is the principal minor of G without
@@ -37,10 +37,10 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of Z^nvars given by generating vectors (matrix columns).
+    """The subgroup of Z^nvars spanned by the given vectors.
 
-    `from_generators` stores the canonical Hermite rows as `gens`, so two
-    lattices built that way are equal iff they span the same subgroup.
+    `gens` holds the canonical Hermite rows of those vectors, so two
+    subgroups are equal (and hash equal) iff they are the same lattice.
     """
 
     nvars: int
@@ -49,12 +49,9 @@ class Subgroup:
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("nvars must be positive")
-        object.__setattr__(
-            self, "gens", tuple(tuple(int(x) for x in g) for g in self.gens)
-        )
-        for g in self.gens:
-            if len(g) != self.nvars:
-                raise ValueError("generator has wrong length")
+        if any(len(g) != self.nvars for g in self.gens):
+            raise ValueError("generator has wrong length")
+        object.__setattr__(self, "gens", tuple(map(tuple, hnf_rows(self.gens))))
 
     @classmethod
     def cyclic(cls, ell: int) -> "Subgroup":
@@ -73,31 +70,17 @@ class Subgroup:
         )
         return cls(nvars, gens)
 
-    @classmethod
-    def from_generators(cls, nvars: int, vecs: Sequence[Sequence[int]]) -> "Subgroup":
-        """The lattice spanned by `vecs`, stored by its canonical Hermite rows."""
-        return cls(nvars, tuple(hnf_rows(vecs)))
-
-    @cached_property
-    def _hermite(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, hnf_rows(self.gens)))
-
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """Independent basis vectors (canonical Hermite form rows), computed once."""
-        return self._hermite
-
     def rank(self) -> int:
-        return len(self.basis())
+        return len(self.gens)
 
     def index(self) -> int:
         """|Z^nvars / Gamma|: the product of the Hermite pivots, 0 below full rank."""
-        basis = self.basis()
-        if len(basis) < self.nvars:
+        if len(self.gens) < self.nvars:
             return 0
-        return math.prod(row[i] for i, row in enumerate(basis))
+        return math.prod(row[i] for i, row in enumerate(self.gens))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return hnf_coordinates(self.basis(), vec) is not None
+        return hnf_coordinates(self.gens, vec) is not None
 
     def perp(self) -> "Subgroup":
         """The saturated lattice {x : x·g = 0 for every g in Gamma}, in Hermite form."""
@@ -122,21 +105,19 @@ class FinAbGroup:
     """A finite abelian group A = Z^n / Gamma in invariant-factor form.
 
     Elements are digit tuples over the invariant factors d1 | d2 | ... (all
-    >= 2), enumerated lexicographically; the stored unimodular change of
-    basis U realizes the projection Z^n -> A, v -> (U·v mod d_i).
+    >= 2), enumerated lexicographically.  Of a Smith form's diagonal `dfull`
+    and row transform U, the rows with d_i > 1 realize Z^n -> A, v -> (U_i·v mod d_i).
     """
 
     def __init__(self, nvars: int, dfull: Sequence[int], U):
-        self.nvars = nvars
-        self._dfull = tuple(int(d) for d in dfull)
-        if any(d == 0 for d in self._dfull) or len(self._dfull) < nvars:
+        dfull = [int(d) for d in dfull]
+        if any(d == 0 for d in dfull) or len(dfull) < nvars:
             raise ValueError("quotient is infinite: subgroup not of full rank")
-        self._U = [list(map(int, row)) for row in U]
-        self._keep = tuple(i for i, d in enumerate(self._dfull) if d > 1)
-        self.invariant_factors = tuple(self._dfull[i] for i in self._keep)
+        self.nvars = nvars
+        kept = [(d, list(map(int, row))) for d, row in zip(dfull, U) if d > 1]
+        self.invariant_factors = tuple(d for d, _ in kept)
+        self._U = [row for _, row in kept]
         self.order = math.prod(self.invariant_factors)
-        self._elements: list[tuple[int, ...]] | None = None
-        self._index: dict[tuple[int, ...], int] | None = None
 
     @classmethod
     def from_invariant_factors(cls, factors: Sequence[int]) -> "FinAbGroup":
@@ -160,18 +141,20 @@ class FinAbGroup:
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
+    @cached_property
+    def _elements(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(*(range(d) for d in self.invariant_factors)))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {a: i for i, a in enumerate(self._elements)}
+
     def elements(self) -> list[tuple[int, ...]]:
         """All elements, lexicographic over invariant-factor digit vectors."""
-        if self._elements is None:
-            self._elements = list(
-                itertools.product(*(range(d) for d in self.invariant_factors))
-            )
         return self._elements
 
     def index_of(self, elem: Sequence[int]) -> int:
         e = tuple(elem)
-        if self._index is None:
-            self._index = {a: i for i, a in enumerate(self.elements())}
         try:
             return self._index[e]
         except KeyError:
@@ -210,11 +193,8 @@ class FinAbGroup:
         """Image of an integer vector under Z^n -> A."""
         if len(vec) != self.nvars:
             raise ValueError("vector has wrong length")
-        coords = [
-            sum(self._U[i][j] * int(vec[j]) for j in range(self.nvars))
-            for i in range(self.nvars)
-        ]
-        return tuple(coords[i] % self._dfull[i] for i in self._keep)
+        return tuple(sum(u * int(x) for u, x in zip(row, vec)) % d
+                     for row, d in zip(self._U, self.invariant_factors))
 
     def order_of(self, elem: Sequence[int]) -> int:
         o = 1
@@ -246,10 +226,10 @@ class FinAbGroup:
 def quotient(gamma: Subgroup) -> FinAbGroup:
     """Invariant-factor decomposition of Z^n / Gamma for full-rank Gamma."""
     n = gamma.nvars
-    # columns generate Gamma; FinAbGroup rejects a Gamma not of full rank
+    # the Hermite rows are the columns; FinAbGroup rejects fewer than n of them
     mat = [[g[i] for g in gamma.gens] for i in range(n)]
     D, U = snf_with_transforms(mat)
-    return FinAbGroup(n, [D[i][i] for i in range(min(n, len(gamma.gens)))], U)
+    return FinAbGroup(n, [D[i][i] for i in range(gamma.rank())], U)
 
 
 def size_reduce(basis: list[list[int]]) -> list[list[int]]:
@@ -287,10 +267,9 @@ def min_norm_sq(gamma: Subgroup) -> int:
     """
     if gamma.nvars > MIN_NORM_MAX_DIM:
         raise ValueError(f"min_norm enumeration is guarded to n <= {MIN_NORM_MAX_DIM}")
-    basis = gamma.basis()
-    if not basis:
+    if not gamma.gens:
         raise ValueError("zero lattice has no shortest vector")
-    basis = size_reduce(basis)
+    basis = size_reduce(gamma.gens)
     r = len(basis)
     if r <= 2:
         return sum(x * x for x in basis[0])
@@ -363,37 +342,29 @@ def gamma_sj(k: Sequence[int], j: int) -> Subgroup:
     return Subgroup(len(k), base.gens + (jk,))
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector with nonnegative coordinates."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(x) for x in self.coords))
-        if not all(map(math.isfinite, self.coords)):
-            raise ValueError("direction coordinates must be finite")
-        if any(x < 0 for x in self.coords):
-            raise ValueError("direction coordinates must be nonnegative")
-        n = math.sqrt(sum(x * x for x in self.coords))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("direction must have Euclidean norm 1")
-
-    @classmethod
-    def from_vector(cls, vec: Sequence[float]) -> "Direction":
-        n = math.sqrt(sum(float(x) ** 2 for x in vec))
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(tuple(float(x) / n for x in vec))
-
-    def distance(self, other: "Direction") -> float:
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(self.coords, other.coords)))
+def unit_vector(vec: Sequence[float]) -> tuple[float, ...]:
+    """`vec` over its Euclidean norm, for finite nonnegative coordinates not all 0."""
+    xs = [float(x) for x in vec]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("direction coordinates must be finite")
+    if any(x < 0 for x in xs):
+        raise ValueError("direction coordinates must be nonnegative")
+    try:
+        n = math.sqrt(sum(x ** 2 for x in xs))
+    except OverflowError:
+        n = math.inf
+    if any(xs) and not 1e-150 < n < math.inf:  # squares past the normal float range
+        top = max(xs)
+        xs = [x / top for x in xs]
+        n = math.sqrt(sum(x ** 2 for x in xs))
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(x / n for x in xs)
 
 
-def direction_of(group: FinAbGroup) -> Direction:
+def direction_of(group: FinAbGroup) -> tuple[float, ...]:
     """Unit vector along the coordinate orders (d_1(Gamma), ..., d_n(Gamma))."""
-    ds = [coordinate_order(group, i) for i in range(group.nvars)]
-    return Direction.from_vector(ds)
+    return unit_vector([coordinate_order(group, i) for i in range(group.nvars)])
 
 
 def lawton_norm(k: Sequence[int]) -> float:
@@ -404,17 +375,17 @@ def lawton_norm(k: Sequence[int]) -> float:
     return min_norm(perp(k))
 
 
-def converging_k_sequence(kappa: Direction, s: int, max_norm: int = 80) -> tuple[int, ...]:
+def converging_k_sequence(kappa: Sequence[float], s: int, max_norm: int = 80) -> tuple[int, ...]:
     """Deterministic search for k with positive coprime entries, <k^perp> > s,
-    and direction of (1/k_1, ..., 1/k_n) within 1/s of kappa (enforced when
-    kappa is interior).  Searches coprime vectors in increasing max-norm.
+    and direction of (1/k_1, ..., 1/k_n) within 1/s of the unit vector kappa
+    (enforced when kappa is interior), in increasing max-norm.
     """
-    n = len(kappa.coords)
+    n = len(kappa)
     if s < 1:
         raise ValueError("s must be a positive integer")
     if n == 1:
         return (1,)
-    interior = all(x > 0 for x in kappa.coords)
+    interior = all(x > 0 for x in kappa)
     for mnorm in range(1, max_norm + 1):
         for k in itertools.product(range(1, mnorm + 1), repeat=n):
             if max(k) != mnorm:
@@ -422,8 +393,8 @@ def converging_k_sequence(kappa: Direction, s: int, max_norm: int = 80) -> tuple
             if reduce(math.gcd, k) != 1:
                 continue
             if interior:
-                inv_dir = Direction.from_vector([1.0 / x for x in k])
-                if inv_dir.distance(kappa) >= 1.0 / s:
+                inv_dir = unit_vector([1.0 / x for x in k])
+                if math.sqrt(sum((a - b) ** 2 for a, b in zip(inv_dir, kappa))) >= 1.0 / s:
                     continue
             if lawton_norm(k) <= s:
                 continue

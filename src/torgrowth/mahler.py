@@ -284,7 +284,8 @@ def mahler_lawton(f: LaurentPoly,
     shortest nonzero vector of k's orthogonal lattice); the limit over
     <k> -> infinity is the multivariate measure.  The reported error_bound
     is the largest pairwise gap among the last three schedule values: a
-    convergence heuristic, not a bound on the distance to the limit.
+    convergence heuristic, not a bound on the distance to the limit.  One
+    value gives inf, or 0 in one variable, where every value is m(f).
     """
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")
@@ -307,7 +308,8 @@ def mahler_lawton(f: LaurentPoly,
             raise ValueError(f"specialization along {k} collapses f to 0; enlarge <k>")
         values.append(mahler_univariate(img).value)
     tail = values[-3:]
-    gap = max((abs(a - b) for a in tail for b in tail), default=0.0)
+    gap = max((abs(a - b) for i, a in enumerate(tail) for b in tail[i + 1:]),
+              default=math.inf if f.nvars > 1 else 0.0)
     return MahlerEstimate(
         values[-1],
         "lawton",

@@ -294,7 +294,7 @@ def growth_sample(mod: PresentedModule, gamma: Subgroup, descriptor: str | None 
         min_norm=min_norm(gamma),
         torsion_order=tor,
         betti=b,
-        direction=direction_of(group).coords,
+        direction=direction_of(group),
     )
 
 

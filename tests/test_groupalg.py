@@ -206,7 +206,7 @@ class TestOrderIdentities:
 
     def test_sum_with_zero(self):
         L = alpha_ideal(Z4, [(2,)])
-        zero = Subgroup.from_generators(4, [])
+        zero = Subgroup(4, [])
         assert sum_ideals([L, zero]) == L
 
     def test_intersect_self(self):
@@ -218,13 +218,13 @@ class TestOrderIdentities:
         for _ in range(60):
             n = rng.choice([2, 3])
             lats = [
-                Subgroup.from_generators(
+                Subgroup(
                     n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
                 )
                 for _ in range(rng.choice([2, 3]))
             ]
             got = intersect_ideals(lats)
-            assert got == Subgroup.from_generators(n, got.gens)
+            assert got == Subgroup(n, got.gens)
             for v in itertools.product(range(-6, 7), repeat=n):
                 assert got.contains(v) == all(L.contains(v) for L in lats)
 
@@ -252,7 +252,7 @@ class TestVolume:
         assert vol(Subgroup.diagonal(2, 1)) == 1.0
 
     def test_quotient_order_example(self):
-        inner = Subgroup.from_generators(2, [[2, 0], [0, 3]])
+        inner = Subgroup(2, [[2, 0], [0, 3]])
         assert inner.index() == 6
 
     def test_primitivity_identity(self):
@@ -264,7 +264,7 @@ class TestVolume:
             from torgrowth.intlinalg import kernel_basis
 
             ker = kernel_basis(raw, n)  # saturated by construction
-            L = Subgroup.from_generators(n, [list(c) for c in ker])
+            L = Subgroup(n, [list(c) for c in ker])
             if L.rank() in (0, n):
                 continue
             comp = L.perp()

@@ -80,6 +80,14 @@ class TestConfig:
         config = ExperimentConfig.from_dict(cfg)
         assert len(config.sequence) == 2
 
+    def test_gamma_sj_sequence_toward_a_huge_kappa(self):
+        # the squares of 1e308 overflow a float; the direction is still (1, ~0)
+        cfg = config_dict(module=THREE_T,
+                          sequence={"gamma_sj": {"kappa": [1e308, 1], "js": [1, 2]}})
+        config = ExperimentConfig.from_dict(cfg)
+        assert [(desc, gamma.index()) for desc, gamma in config.sequence] == [
+            ("gamma_sj:s=1,k=[1, 1],j=1", 2), ("gamma_sj:s=2,k=[1, 2],j=2", 10)]
+
     def test_unknown_method(self):
         cfg = config_dict(mahler={"method": "sorcery"})
         with pytest.raises(ConfigError):

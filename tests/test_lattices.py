@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from torgrowth.intlinalg import hnf_rows
 from torgrowth.lattices import (
-    Direction,
     SearchBudgetExceeded,
     Subgroup,
     converging_k_sequence,
@@ -17,6 +17,7 @@ from torgrowth.lattices import (
     min_norm_sq,
     perp,
     quotient,
+    unit_vector,
 )
 
 
@@ -81,7 +82,7 @@ class TestQuotient:
 
 class TestSubgroup:
     def test_lattice_index(self):
-        assert Subgroup.from_generators(2, [[2, 0], [0, 3]]).index() == 6
+        assert Subgroup(2, ((2, 0), (0, 3))).index() == 6
         assert Subgroup(2, ((1, 1), (-1, 1))).index() == 2
         assert Subgroup(2, ((1, 1),)).index() == 0
 
@@ -102,25 +103,34 @@ class TestSubgroup:
             else:
                 assert G.index() == order > 0, gens
 
-    def test_from_generators_is_canonical(self):
+    def test_subgroup_is_canonical(self):
         # shuffled generators plus integer combinations of them give the same
         # lattice; a vector outside it gives another one
         rng = random.Random(25)
         for _ in range(200):
             n = rng.randint(1, 3)
             vecs = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, 4))]
-            L = Subgroup.from_generators(n, vecs)
-            assert L.gens == L.basis() == Subgroup(n, vecs).basis()
+            L = Subgroup(n, vecs)
+            assert L.gens == tuple(map(tuple, hnf_rows(vecs)))
             assert all(L.contains(v) for v in vecs)
             more = vecs[:]
             rng.shuffle(more)
             for _ in range(rng.randint(1, 2)):
                 cs = [rng.randint(-3, 3) for _ in vecs]
                 more.append([sum(c * v[i] for c, v in zip(cs, vecs)) for i in range(n)])
-            assert Subgroup.from_generators(n, more) == L
+            assert Subgroup(n, more) == L
             w = [rng.randint(-5, 5) for _ in range(n)]
             if not L.contains(w):
-                assert Subgroup.from_generators(n, vecs + [w]) != L
+                assert Subgroup(n, vecs + [w]) != L
+
+    def test_equality_does_not_depend_on_the_constructor(self):
+        assert Subgroup(1, ((4,), (6,))) == Subgroup.cyclic(2)
+        assert hash(Subgroup(1, ((4,), (6,)))) == hash(Subgroup.cyclic(2))
+        # the raw generators of gamma_sj((9, 8), 1), k^perp then j*k, and their Hermite rows
+        raw = Subgroup(2, ((8, -9), (9, 8)))
+        assert raw == Subgroup(2, ((1, 17), (0, 145))) == gamma_sj((9, 8), 1)
+        assert raw.gens == ((1, 17), (0, 145))
+        assert raw.to_json() == [[1, 17], [0, 145]]
 
     def test_perp_of_the_zero_lattice_is_everything(self):
         assert Subgroup(3, ()).perp() == Subgroup.diagonal(3, 1)
@@ -129,14 +139,14 @@ class TestSubgroup:
     def test_hermite_basis_is_computed_once(self, monkeypatch):
         from torgrowth import lattices
 
+        G = gamma_sj((2, 3), 2)
         calls = []
         original = lattices.hnf_rows
         monkeypatch.setattr(lattices, "hnf_rows", lambda vecs: calls.append(1) or original(vecs))
-        G = gamma_sj((2, 3), 2)
         for v in ((3, -2), (4, 6), (1, 0)):
             G.contains(v)
         assert (G.rank(), G.index()) == (2, 26)
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestMinNorm:
@@ -299,51 +309,66 @@ class TestGammaSJ:
 
 class TestConvergingSequence:
     def test_univariate(self):
-        assert converging_k_sequence(Direction((1.0,)), 7) == (1,)
+        assert converging_k_sequence((1.0,), 7) == (1,)
 
     def test_postconditions(self):
-        kappa = Direction.from_vector((1, 1))
+        kappa = unit_vector((1, 1))
         for s in (1, 2, 4):
             k = converging_k_sequence(kappa, s)
             assert all(x > 0 for x in k)
             assert math.gcd(*k) == 1
             assert lawton_norm(k) > s
-            inv = Direction.from_vector([1.0 / x for x in k])
-            assert inv.distance(kappa) < 1.0 / s
+            inv = unit_vector([1.0 / x for x in k])
+            assert math.dist(inv, kappa) < 1.0 / s
 
     def test_boundary_direction(self):
         # a direction with a zero coordinate drops the closeness condition
-        k = converging_k_sequence(Direction((1.0, 0.0)), 2)
+        k = converging_k_sequence((1.0, 0.0), 2)
         assert lawton_norm(k) > 2
 
     def test_three_vars(self):
-        kappa = Direction.from_vector((2, 1, 2))
+        kappa = unit_vector((2, 1, 2))
         k = converging_k_sequence(kappa, 2)
         assert len(k) == 3 and math.gcd(*k) == 1
         assert lawton_norm(k) > 2
 
     def test_budget(self):
         with pytest.raises(SearchBudgetExceeded):
-            converging_k_sequence(Direction.from_vector((1, 1)), 50, max_norm=3)
+            converging_k_sequence(unit_vector((1, 1)), 50, max_norm=3)
 
 
 class TestDirection:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Direction((0.5, 0.5))
-        with pytest.raises(ValueError):
-            Direction((-1.0, 0.0))
+        with pytest.raises(ValueError, match="zero vector"):
+            unit_vector((0.0, 0.0))
+        with pytest.raises(ValueError, match="zero vector"):
+            unit_vector(())
+        with pytest.raises(ValueError, match="nonnegative"):
+            unit_vector((-1.0, 0.0))
 
     @pytest.mark.parametrize("coords", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0),
                                         (0.0, -math.inf)])
     def test_refuses_non_finite_coordinates(self, coords):
         with pytest.raises(ValueError, match="finite"):
-            Direction(coords)
+            unit_vector(coords)
+
+    def test_unit_vector_keeps_the_plain_arithmetic(self):
+        for vec in ((3, 4), (0.6, 0.8), (1, 2, 2), (5,), (1e-3, 7.25)):
+            n = math.sqrt(sum(float(x) ** 2 for x in vec))
+            assert unit_vector(vec) == tuple(float(x) / n for x in vec)
+
+    @pytest.mark.parametrize("vec, unit", [
+        ((1e308, 1), (1.0, 1e-308)), ((1.3e154, 1.3e154), (0.5 ** 0.5,) * 2),
+        ((1e-200, 1e-200), (0.5 ** 0.5,) * 2), ((3e-162, 4e-162), (0.6, 0.8)),
+        ((0.0, 5e-324), (0.0, 1.0))])
+    def test_unit_vector_of_huge_and_tiny_coordinates(self, vec, unit):
+        # squares that overflow, or underflow to zero or to subnormals
+        assert unit_vector(vec) == pytest.approx(unit, rel=1e-15)
 
     def test_direction_of_quotient(self):
         A = quotient(Subgroup(2, ((3, 0), (0, 4))))
         d = direction_of(A)
-        assert d.coords == pytest.approx((0.6, 0.8))
+        assert d == pytest.approx((0.6, 0.8))
 
 
 def test_subgroup_json_roundtrip():

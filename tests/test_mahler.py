@@ -237,6 +237,15 @@ class TestLawton:
         with pytest.raises(ValueError):
             mahler_lawton(t1 - t2, [(1, 1)])  # image collapses to 0
 
+    def test_one_value_bounds_nothing_in_several_variables(self):
+        # t2 -> 1 gives log 2, but m(1 + t1 + t2) = 0.3231: one value has no gap
+        est = mahler_lawton(1 + t1 + t2, [(1, 0)])
+        assert est.value == pytest.approx(math.log(2))
+        assert est.error_bound == math.inf
+        # in one variable every specialization has the measure of f
+        est = mahler_lawton(t - 2, [(3,)])
+        assert est.value == pytest.approx(math.log(2)) and est.error_bound == 0.0
+
     def test_default_schedule(self):
         ks = default_lawton_schedule(2)
         assert ks[0] == (1, 8) and ks[-1] == (1, 64)

@@ -482,7 +482,7 @@ class TestCyclicQuotientRoute:
                            else [(1, 1, 1), (1, 2, 3), (2, -1, 1)])
             return gamma_sj(k, rng.randint(1, 200 // sum(x * x for x in k)))
         while True:
-            gamma = Subgroup.from_generators(
+            gamma = Subgroup(
                 nvars, [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(nvars)])
             if 1 <= gamma.index() <= 200 and quotient(gamma).rank <= 1:
                 return gamma
@@ -522,7 +522,7 @@ class TestCyclicQuotientRoute:
     def test_entry_that_specializes_to_zero(self, snf_calls):
         # e1 = e2 in Z/12, so t1 - t2 becomes 0: a free column, no SNF
         mod = PresentedModule(2, ((t1 - t2,),))
-        gamma = Subgroup.from_generators(2, [(1, -1), (0, 12)])
+        gamma = Subgroup(2, [(1, -1), (0, 12)])
         assert quotient(gamma).invariant_factors == (12,)
         assert torsion_and_betti(mod, gamma) == (1, 12)
         assert snf_calls == []
