@@ -75,7 +75,7 @@ def cmd_alexander(args) -> int:
             "indices follow the relation-module convention; the homological "
             "numbering of the covering space is shifted down by one"
         )
-    print(json.dumps(out, indent=2) if args.json else _fmt_alexander(out))
+    print(json.dumps(out, indent=2, allow_nan=False) if args.json else _fmt_alexander(out))
     return 0
 
 
@@ -99,14 +99,14 @@ def cmd_fox(args) -> int:
         "d2": [[poly_to_json(e) for e in row] for row in cx.diffs[1]],
         "module": alexander_module(pres).to_json(),
     }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
 def cmd_branched(args) -> int:
     pres = parse_presentation(pathlib.Path(args.presentation).read_text())
     mod = branched_module(alexander_module(pres), pres.nvars)
-    print(json.dumps(mod.to_json(), indent=2))
+    print(json.dumps(mod.to_json(), indent=2, allow_nan=False))
     return 0
 
 
@@ -117,7 +117,7 @@ def cmd_mahler(args) -> int:
     samples = growthlab._field(vars(args), "samples", int, least=1)
     seed = growthlab._field(vars(args), "seed", int, least=0)
     est = growthlab.mahler_target(f, args.method, samples, seed, schedule)
-    print(json.dumps(est.to_json(), indent=2))
+    print(json.dumps(est.to_json(), indent=2, allow_nan=False))
     return 0
 
 
@@ -125,7 +125,7 @@ def cmd_torsion(args) -> int:
     mod = _load_module(args)
     gamma = _subgroup_from_args(args, mod.nvars)
     tor, b = torsion_and_betti(mod, gamma)
-    print(json.dumps({"torsion_order": decimal_str(tor), "betti": b}, indent=2))
+    print(json.dumps({"torsion_order": decimal_str(tor), "betti": b}, indent=2, allow_nan=False))
     return 0
 
 
@@ -140,7 +140,7 @@ def cmd_growth(args) -> int:
         "final_gap": report.final_gap,
         "out": args.out,
     }
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return 0
 
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_module_source(p)
     p.add_argument("--cyclic", type=int, help="cyclic cover order (one variable)")
     p.add_argument("--diagonal", type=int, help="diagonal subgroup d*Z^n")
-    p.add_argument("--gamma", help="JSON matrix whose columns generate Gamma")
+    p.add_argument("--gamma", help="JSON list of the integer vectors that generate Gamma")
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("growth", help="run a growth experiment from a config")
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
         return 1
 
 

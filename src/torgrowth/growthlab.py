@@ -33,7 +33,7 @@ from .presmod import (
     delta,
     parse_presentation,
 )
-from .torsion import GrowthSample, growth_sample, live_columns, route
+from .torsion import GrowthSample, growth_sample, route
 
 SIZE_GUARD = 5000
 
@@ -257,14 +257,15 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     t_start = time.perf_counter()
     mod = config.module
     reduced = mod.reduced
-    live = len(live_columns(reduced))  # SNF expands an |A| x |A| block per live column
     for _, gamma in config.sequence:
-        cells = gamma.index() * live
-        if cells > SIZE_GUARD and not config.force and route(reduced, quotient(gamma)) is None:
-            raise SizeGuardExceeded(
-                f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
-                "pass force to override"
-            )
+        # SNF expands an |A| x |A| block per live column, at most m0 of them
+        if gamma.index() * reduced.m0 > SIZE_GUARD and not config.force:
+            name, _, rows = route(reduced, quotient(gamma))
+            if name == "snf" and (cells := gamma.index() * len(rows[0])) > SIZE_GUARD:
+                raise SizeGuardExceeded(
+                    f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
+                    "pass force to override"
+                )
     dpoly = delta(reduced)  # the reduction keeps every Fitting ideal
     t_delta = time.perf_counter()
     target = mahler_target(
@@ -309,7 +310,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         out.mkdir(parents=True, exist_ok=True)
         (out / "samples.csv").write_text(report.csv_text())
         (out / "report.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     return report
 

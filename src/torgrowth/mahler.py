@@ -56,7 +56,7 @@ class MahlerEstimate:
         return {
             "value": self.value,
             "method": self.method,
-            "error_bound": self.error_bound,
+            "error_bound": self.error_bound if math.isfinite(self.error_bound) else None,
             "diagnostics": self.diagnostics,
         }
 

@@ -454,22 +454,3 @@ def parse_presentation(text: str) -> GroupPresentation:
     return GroupPresentation(
         len(gens), tuple(relators), tuple(rho_map[g] for g in gens)
     )
-
-
-TREFOIL_PRESENTATION = """\
-gens: x y
-rho: x -> t1, y -> t1
-rel: x y x y^-1 x^-1 y^-1
-"""
-
-FIGURE_EIGHT_PRESENTATION = """\
-gens: x y
-rho: x -> t1, y -> t1
-rel: x^-1 y x y^-1 x y x^-1 y^-1 x y^-1
-"""
-
-HOPF_LINK_PRESENTATION = """\
-gens: x y
-rho: x -> t1, y -> t2
-rel: x y x^-1 y^-1
-"""

@@ -3,10 +3,12 @@
 Every torsion query reads `PresentedModule.reduced`, the module's
 `presmod.reduce_presentation` kept once per module: its moves stay invertible
 over Z[A_Gamma], so the cokernel is unchanged, and a unit of R is not
-|A_Gamma| SNF pivots.  Each zero column of the reduced presentation adds
-|A_Gamma| to the Betti number; two routes give the rest, and `route` alone
-picks one (for the size guard of `growthlab.run` too):
+|A_Gamma| SNF pivots.  `route` alone picks one of three routes per sample,
+for `torsion_and_betti` and the size guard of `growthlab.run` alike; each
+zero column it counts adds |A_Gamma| to the Betti number, and the route
+gives the rest:
 
+* free, when no live column is left: nothing to compute;
 * companion, when A_Gamma = Z/N is cyclic.  For y in Z x + N Z^n (x_i the
   image of e_i) with gcd(y, N) = 1, t_i -> t^y_i onto Z[t]/(t^N - 1) is the
   quotient map up to an automorphism of Z/N; take the y of least span
@@ -130,11 +132,6 @@ def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
     return tor, len(P) - rank
 
 
-def live_columns(mod: PresentedModule) -> list[int]:
-    """The columns with a nonzero entry: SNF expands each into |A| x |A| blocks."""
-    return [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
-
-
 def _cyclic_exponents(mod: PresentedModule, group: FinAbGroup) -> list[int]:
     """The y of least span for `mod` among a size-reduced basis of
     L = Z x + N Z^n, its pairwise sums and differences, and x itself (x_i the
@@ -155,51 +152,48 @@ def _cyclic_exponents(mod: PresentedModule, group: FinAbGroup) -> list[int]:
     return min((y for y in basis + sums + [x] if math.gcd(N, *y) == 1), key=span)
 
 
-def route(mod: PresentedModule, group: FinAbGroup) -> tuple[LaurentPoly, int] | None:
-    """The route `torsion_and_betti` takes for a reduced presentation over A.
+def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
+    """The route `torsion_and_betti` takes for a reduced presentation over A:
+    (name, free, arg), `free` counting the zero columns.
 
-    (g, free) on the companion route: A is cyclic, and after t_i -> t^y_i
-    and reduction over Z[t^±1] one row is left whose one live entry g has
-    leading coefficient ±1 (g = 1 when no row is left), beside `free` zero
-    columns.  Else None: SNF of the live columns' expansion.
+    ("free", m0, None) when no column is live.  ("companion", free, g) when
+    A is cyclic and, after t_i -> t^y_i and reduction over Z[t^±1], one row
+    is left whose one live entry has an end coefficient ±1: g is that entry,
+    at t -> 1/t when only the trailing one is.  Else ("snf", free, rows):
+    the live columns' rows, for SNF of their expansion.
     """
-    if group.rank > 1:
-        return None
-    if mod.nvars > 1:
-        y = _cyclic_exponents(mod, group)
-        mod = reduce_presentation(PresentedModule(
-            1, tuple(tuple(e.tau(y) for e in row) for row in mod.matrix), mod.m0))
-    live = live_columns(mod)
+    live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
     if not live:
-        return LaurentPoly.one(1), mod.m0
-    if len(mod.matrix) > 1 or len(live) > 1:
-        return None
-    g = mod.matrix[0][live[0]]
-    ends = g.coefficients()
-    if abs(ends[-1]) != 1:
-        if abs(ends[0]) != 1:
-            return None
-        g = g.tau((-1,))
-    return g, mod.m0 - 1
+        return "free", mod.m0, None
+    if group.rank <= 1:
+        if mod.nvars > 1:  # the univariate route of the specialised presentation
+            y = _cyclic_exponents(mod, group)
+            sub = route(reduce_presentation(PresentedModule(
+                1, tuple(tuple(e.tau(y) for e in row) for row in mod.matrix), mod.m0)), group)
+            if sub[0] != "snf":
+                return sub
+        elif len(mod.matrix) == 1 and len(live) == 1:
+            g = mod.matrix[0][live[0]]
+            ends = g.coefficients()
+            if abs(ends[-1]) == 1:
+                return "companion", mod.m0 - 1, g
+            if abs(ends[0]) == 1:
+                return "companion", mod.m0 - 1, g.tau((-1,))
+    return "snf", mod.m0 - len(live), [[r[j] for j in live] for r in mod.matrix]
 
 
 def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
-    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z.
-
-    The companion route when `route` gives a (g, free), else one SNF of the
-    live columns; each zero column adds |A| to the Betti number.
-    """
+    """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, by the one `route`:
+    each of its zero columns adds |A| to the Betti number."""
     group = _resolve_group(gamma)
-    mod = mod.reduced
-    if (companion := route(mod, group)) is not None:
-        g, free = companion
-        tor, b = _companion_block(g, group.order)
-        return tor, free * group.order + b
-    live = live_columns(mod)
-    if not live:
-        return 1, mod.m0 * group.order
-    tor, rank = snf(expand([[r[j] for j in live] for r in mod.matrix], group))
-    return tor, mod.m0 * group.order - rank
+    name, free, arg = route(mod.reduced, group)
+    tor, b = 1, 0
+    if name == "companion":
+        tor, b = _companion_block(arg, group.order)
+    elif name == "snf":
+        tor, rank = snf(expand(arg, group))
+        b = len(arg[0]) * group.order - rank
+    return tor, free * group.order + b
 
 
 def torsion_order(mod: PresentedModule, gamma) -> int:

@@ -43,6 +43,10 @@ def config_dict(**overrides):
     return base
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestConfig:
     def test_requires_single_module_source(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -260,6 +264,18 @@ class TestRun:
         row = (out / "samples.csv").read_text().splitlines()[1]
         assert GrowthSample.from_csv_row(row).torsion_order == want
 
+    def test_size_guard_counts_live_columns_only(self, monkeypatch):
+        # 2t - 3 takes the SNF route; the zero column expands nothing, so
+        # l = 6 passes a guard of 10 although m0 * l = 12, and l = 11 does not
+        monkeypatch.setattr(growthlab, "SIZE_GUARD", 10)
+        module = {"nvars": 1, "matrix": [[poly_to_json(2 * t - 3), []]]}
+        cfg = config_dict(module=module, sequence={"cyclic": {"start": 6, "stop": 6}})
+        [sample] = run(ExperimentConfig.from_dict(cfg)).samples
+        assert sample.betti == 6
+        cfg["sequence"] = {"cyclic": {"start": 11, "stop": 11}}
+        with pytest.raises(SizeGuardExceeded, match="11 exceeds 10 on the SNF route"):
+            run(ExperimentConfig.from_dict(cfg))
+
     def test_parallel_matches_serial(self):
         # jobs=1 runs in process without the JSON round trip the pool needs;
         # both must write the same report apart from the timings
@@ -416,6 +432,27 @@ class TestCli:
         assert out["method"] == "jensen"
         assert abs(out["value"] - 0.9624236501) < 1e-8
 
+    @pytest.mark.parametrize("extra", [[], ["--method", "quadrature", "--samples", "1"]])
+    def test_mahler_unbounded_error_is_strict_json_null(self, capsys, extra):
+        assert cli_main(["mahler", "--poly", "1+t1+t2", "--nvars", "2",
+                         "--schedule", "[[1,0]]"] + extra) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert out["error_bound"] is None
+
+    def test_growth_report_is_strict_json(self, capsys, tmp_path):
+        # a one-entry Lawton schedule in two variables bounds nothing
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(
+            module={"nvars": 2, "matrix": [[poly_to_json(1 + t1 + t2)]]},
+            sequence={"diagonal": {"ds": [2]}},
+            mahler={"method": "lawton", "schedule": [[1, 8]]})))
+        outdir = tmp_path / "out"
+        assert cli_main(["growth", "--config", str(cfg), "--out", str(outdir)]) == 0
+        summary = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        report = json.loads((outdir / "report.json").read_text(), parse_constant=_refuse_constant)
+        assert summary["target"]["error_bound"] is None
+        assert report["target"]["error_bound"] is None
+
     def test_mahler_rejects_dangling_sign(self, capsys):
         assert cli_main(["mahler", "--poly", "t + + 1"]) == 1
         captured = capsys.readouterr()
@@ -548,6 +585,15 @@ class TestCli:
         assert cli_main(["torsion", "--matrix", str(missing), "--cyclic", "2"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    def test_torsion_gamma_lists_generators(self, capsys, tmp_path):
+        # each inner list is a generator: Gamma = <(1, 1), (0, 2)> has
+        # characters t1 = t2 = ±1, so 3+t1+t2 gives 5 * 1; read as columns,
+        # Gamma = <(1, 0), (1, 2)> has t1 = 1, t2 = ±1 and would give 5 * 3
+        p = tmp_path / "mod.json"
+        p.write_text(json.dumps(THREE_T))
+        assert cli_main(["torsion", "--matrix", str(p), "--gamma", "[[1, 1], [0, 2]]"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"torsion_order": "5", "betti": 0}
 
     def test_torsion_runs_one_snf(self, capsys, tmp_path, snf_calls):
         # 2t - 3 has no unit end coefficient, so it takes the SNF route:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import DATA, lucas, planted_presentations, random_laurent
+from conftest import DATA, lucas, planted_presentations, random_laurent, random_nonzero_laurent
 from torgrowth import intlinalg, torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
@@ -405,7 +405,7 @@ class TestCompanionRoute:
         mod = PresentedModule(1, ((f,),))
         for ell in range(1, 61):
             group = quotient(Subgroup.cyclic(ell))
-            assert torsion.route(reduce_presentation(mod), group) is not None
+            assert torsion.route(reduce_presentation(mod), group)[0] == "companion"
             tor, rank = snf(expand([[f]], group))
             assert torsion_and_betti(mod, group) == (tor, ell - rank), ell
 
@@ -413,7 +413,7 @@ class TestCompanionRoute:
     def test_non_unit_end_coefficients_take_snf(self, f, snf_calls):
         mod = PresentedModule(1, ((f,),))
         group = quotient(Subgroup.cyclic(7))
-        assert torsion.route(reduce_presentation(mod), group) is None
+        assert torsion.route(reduce_presentation(mod), group) == ("snf", 0, [[f]])
         torsion_and_betti(mod, group)
         assert snf_calls == [7]
 
@@ -504,9 +504,10 @@ class TestCyclicQuotientRoute:
             if len(g) > 1:
                 ends = g.coefficients()
                 unit_ends.add((abs(ends[0]) == 1) + (abs(ends[-1]) == 1))
-            routes.add(torsion.route(reduce_presentation(mod), group) is None)
+            routes.add(torsion.route(reduce_presentation(mod), group)[0])
             bettis.add(got[1] > 0)
-        assert unit_ends == {0, 1, 2} and routes == bettis == {True, False}
+        assert unit_ends == {0, 1, 2} and bettis == {True, False}
+        assert routes == {"free", "companion", "snf"}
 
     def test_trivial_quotient(self, snf_calls):
         # Gamma = Z^2: y = 0, so g is the constant f(1, 1); a non-unit one is SNF's
@@ -517,7 +518,10 @@ class TestCyclicQuotientRoute:
         assert snf_calls == [1, 1]
         mod = reduce_presentation(PresentedModule(2, ((3 + t1 + t2,),)))
         assert torsion._cyclic_exponents(mod, group) == [0, 0]
-        assert torsion.route(mod, group) is None
+        assert torsion.route(mod, group) == ("snf", 0, [[3 + t1 + t2]])
+        for f, free in ((t1 - t2, 1), (t1 + t2 - 1, 0)):  # f(1, 1) is 0, then the unit 1
+            assert torsion.route(reduce_presentation(PresentedModule(2, ((f,),))), group) == (
+                "free", free, None)
 
     def test_entry_that_specializes_to_zero(self, snf_calls):
         # e1 = e2 in Z/12, so t1 - t2 becomes 0: a free column, no SNF
@@ -537,8 +541,9 @@ class TestCyclicQuotientRoute:
         group = quotient(gamma_sj((1, 2), j))
         reduced = reduce_presentation(mod)
         assert sum(1 for e in reduced.matrix[0] if e) == 2
-        g, free = torsion.route(reduced, group)
-        assert free == 1 and g in (t ** 3 - 1, t ** -3 - 1)  # h(t, t^2)(t - 1), or at 1/t
+        name, free, g = torsion.route(reduced, group)
+        assert (name, free) == ("companion", 1)
+        assert g in (t ** 3 - 1, t ** -3 - 1)  # h(t, t^2)(t - 1), or at 1/t
         assert torsion_and_betti(mod, group) == self._expected(mod, group)
 
     def test_order_14500_in_under_a_second(self):
@@ -549,6 +554,77 @@ class TestCyclicQuotientRoute:
         got = torsion_and_betti(PresentedModule(2, ((f,),)), group)
         assert time.perf_counter() - start < 1.0
         assert got == (character_product(f, group), 0)
+
+
+class TestOneRouteDecision:
+    """`route` names the one route of a sample: SNF runs on the snf route
+    only, the companion block on the companion route only, and the free
+    route computes nothing; each against SNF of the unreduced expansion."""
+
+    @staticmethod
+    def _case(rng):
+        """A kind of two-variable presentation, the presentation, and a Gamma
+        with |A| <= 200, its quotient cyclic or not."""
+        def f():
+            return random_laurent(rng, 2, max_terms=3, exp_range=(-1, 2), coeff_max=2)
+
+        kind = rng.choice(["1x1", "zero column", "2x2", "t1 - t2"])
+        rows = {
+            "1x1": lambda: ((f(),),),
+            "zero column": lambda: ((f(), 0),),
+            "2x2": lambda: ((f(), f()), (f(), f())),
+            "t1 - t2": lambda: (((t1 - t2) * random_nonzero_laurent(
+                rng, 2, max_terms=2, exp_range=(-1, 1), coeff_max=2),),),
+        }[kind]()
+        which = rng.randrange(4)
+        if which == 0:
+            gamma = Subgroup.diagonal(2, rng.randint(1, 14))
+        elif which == 1:
+            k = rng.choice([(1, 1), (1, 2), (3, 2), (2, -3)])
+            gamma = gamma_sj(k, rng.randint(1, 200 // (k[0] ** 2 + k[1] ** 2)))
+        elif which == 2:  # e1 = e2 in A, so t1 - t2 maps to 0
+            gamma = Subgroup(2, [(1, -1), (0, rng.randint(1, 200))])
+        else:
+            while True:
+                gamma = Subgroup(2, [[rng.randint(-6, 6) for _ in range(2)] for _ in range(2)])
+                if 1 <= gamma.index() <= 200:
+                    break
+        return kind, PresentedModule(2, rows), gamma
+
+    def test_only_the_named_route_runs(self, monkeypatch):
+        events = []
+        snf_diagonal, companion_block = torsion.snf_diagonal, torsion._companion_block
+
+        def counting_snf(mat):
+            events.append("snf")
+            return snf_diagonal(mat)
+
+        def counting_companion(g, ell):
+            events.append("companion")
+            n = len(events)
+            out = companion_block(g, ell)
+            del events[n:]  # the SNF of a singular block is part of the companion route
+            return out
+
+        monkeypatch.setattr(torsion, "snf_diagonal", counting_snf)
+        monkeypatch.setattr(torsion, "_companion_block", counting_companion)
+        rng = random.Random(2626)
+        seen = set()
+        for _ in range(80):
+            kind, mod, gamma = self._case(rng)
+            group = quotient(gamma)
+            diag = [d for d in intlinalg.snf_diagonal(expand(mod, group)) if d]
+            want = math.prod(diag), mod.m0 * group.order - len(diag)
+            name, free, _ = torsion.route(mod.reduced, group)
+            events.clear()
+            assert torsion_and_betti(mod, group) == want, (mod, gamma)
+            assert events == ([] if name == "free" else [name]), (name, mod, gamma)
+            assert want[1] >= free * group.order
+            seen.add((kind, group.rank <= 1, name))
+        assert {name for _, _, name in seen} == {"free", "companion", "snf"}
+        assert {name for _, cyclic, name in seen if not cyclic} == {"free", "snf"}
+        assert {("2x2", True, "companion"), ("2x2", False, "snf"), ("t1 - t2", True, "free"),
+                ("zero column", True, "companion"), ("zero column", False, "snf")} <= seen
 
 
 class TestExactProductDifferential:
