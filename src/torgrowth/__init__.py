@@ -26,12 +26,7 @@ from .lattices import (
     quotient,
     unit_vector,
 )
-from .groupalg import (
-    alpha_ideal,
-    beta_ideal,
-    mult_matrix,
-    project_poly,
-)
+from .groupalg import mult_matrix, project_poly
 from .presmod import (
     ChainComplex,
     GroupPresentation,
@@ -42,7 +37,6 @@ from .presmod import (
     branched_module,
     delta,
     fox_derivative,
-    is_pseudo_zero_torsion,
     parse_presentation,
     rank,
 )
@@ -70,10 +64,10 @@ __all__ = [
     "parse_poly", "variables",
     "FinAbGroup", "Subgroup", "converging_k_sequence",
     "coordinate_order", "gamma_sj", "min_norm", "perp", "quotient", "unit_vector",
-    "alpha_ideal", "beta_ideal", "mult_matrix", "project_poly",
+    "mult_matrix", "project_poly",
     "ChainComplex", "GroupPresentation", "PresentedModule", "alexander",
     "alexander_complex", "alexander_module", "branched_module", "delta",
-    "fox_derivative", "is_pseudo_zero_torsion", "parse_presentation", "rank",
+    "fox_derivative", "parse_presentation", "rank",
     "GrowthSample", "betti", "chain_torsion",
     "cyclic_branched_oracle", "expand", "growth_sample",
     "snf", "torsion_order",

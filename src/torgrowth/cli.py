@@ -1,8 +1,8 @@
 """Command-line interface: the `growthlab` entry point.
 
-Subcommands: alexander, fox, branched, mahler, torsion, growth,
-groupalg-check.  Errors, usage errors included, exit 1 with a
-machine-readable JSON object on stderr.
+Subcommands: alexander, fox, branched, mahler, torsion, growth.  Errors,
+usage errors included, exit 1 with a machine-readable JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -144,20 +144,6 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def cmd_groupalg_check(args) -> int:
-    results = growthlab.groupalg_identity_suite(
-        cases=args.cases, max_order=args.max_order, seed=args.seed
-    )
-    passed = sum(1 for r in results if r["ok"])
-    failed = len(results) - passed
-    for r in results:
-        if not r["ok"] or args.verbose:
-            status = "PASS" if r["ok"] else "FAIL"
-            print(f"[{status}] case {r['case']} {r['group']}: {r['check']} {r['detail']}")
-    print(f"passed {passed} / {len(results)} checks ({failed} failures)")
-    return 0 if failed == 0 else 1
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise ValueError, for `main` to report;
     `add_subparsers` gives the subcommand parsers the same class."""
@@ -218,13 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", default=None,
                    help="override the SNF size guard")
     p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("groupalg-check", help="randomized group-algebra identity suite")
-    p.add_argument("--cases", type=int, default=20)
-    p.add_argument("--max-order", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_groupalg_check)
 
     return parser
 

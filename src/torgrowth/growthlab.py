@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, growth runs, reports, and check suites.
+"""Experiment orchestration: configs, growth runs and reports.
 
 A run loads a module (inline matrix, presentation file, optionally the
 branched-cover construction), walks a subgroup sequence (cyclic, diagonal,
@@ -15,15 +15,12 @@ from __future__ import annotations
 import json
 import pathlib
 import platform
-import random
 import sys
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import mul
 from . import __version__
-from .groupalg import alpha_ideal, beta_ideal, intersect_ideals, mult_matrix, sum_ideals
-from .lattices import FinAbGroup, Subgroup, converging_k_sequence, gamma_sj, quotient, unit_vector
+from .lattices import Subgroup, converging_k_sequence, gamma_sj, quotient, unit_vector
 from .laurent import LaurentPoly, poly_to_json
 from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
 from .presmod import (
@@ -280,7 +277,8 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         descs, gammas = zip(*config.sequence)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool forks all its workers at its first submit: no more workers than samples
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(gammas))) as pool:
             samples = list(pool.map(growth_sample, repeat(mod), gammas, descs))
     else:
         samples = [growth_sample(mod, gamma, desc) for desc, gamma in config.sequence]
@@ -313,72 +311,3 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Group-algebra identity battery (shared by the CLI and the test suite)
-# ---------------------------------------------------------------------------
-
-
-def _random_group(rng: random.Random, max_order: int) -> FinAbGroup:
-    while True:
-        r = rng.randint(1, 3)
-        factors = []
-        d = rng.choice([2, 2, 3, 4, 5, 6])
-        factors.append(d)
-        for _ in range(r - 1):
-            d = d * rng.choice([1, 1, 2, 3])
-            factors.append(d)
-        order = 1
-        for x in factors:
-            order *= x
-        if order <= max_order:
-            return FinAbGroup.from_invariant_factors(factors)
-
-
-def groupalg_identity_suite(cases: int = 20, max_order: int = 50, seed: int = 0) -> list[dict]:
-    """Randomized checks of the subgroup-ideal order identities in Z[A].
-
-    Per case: the exact order |Z[A]/(alpha(B) + beta(B))| = |B|^(|A|/|B|),
-    the rank |A|/|B| of alpha, mutual annihilation of the two ideals, and
-    the multi-subgroup order bound.  Returns one result dict per check.
-    The random groups have order at least 2, so `max_order` must be too,
-    and `cases` must be at least 1.
-    """
-    if max_order < 2:
-        raise ValueError(f"max_order must be at least 2, got {max_order}")
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
-    rng = random.Random(seed)
-    results = []
-    for case in range(cases):
-        A = _random_group(rng, max_order)
-
-        def record(check: str, ok: bool, detail: str) -> None:
-            results.append({"case": case, "check": check,
-                            "group": list(A.invariant_factors), "ok": ok, "detail": detail})
-
-        bgens = [
-            tuple(rng.randrange(d) for d in A.invariant_factors)
-            for _ in range(rng.randint(0, 2))
-        ]
-        B = A.subgroup_closure(bgens)
-        al = alpha_ideal(A, bgens)
-        be = beta_ideal(A, bgens)
-        expected = len(B) ** (A.order // len(B))
-        got = sum_ideals([al, be]).index()
-        record("order |Z[A]/(alpha+beta)| = |B|^(|A|/|B|)", got == expected,
-               f"got {got}, expected {expected}")
-        record("rank alpha = |A|/|B|", al.rank() == A.order // len(B),
-               f"rank {al.rank()} vs {A.order // len(B)}")
-        products = [sum(map(mul, row, vb)) for va in al.gens[:2]
-                    for row in mult_matrix(va, A) for vb in be.gens[:2]]
-        record("alpha * beta = 0", not any(products), "")
-        bgens2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
-        B2 = A.subgroup_closure(bgens2)
-        alsum = sum_ideals([al, alpha_ideal(A, bgens2)])
-        beint = intersect_ideals([be, beta_ideal(A, bgens2)])
-        bound = expected * len(B2) ** (A.order // len(B2))
-        got2 = sum_ideals([alsum, beint]).index()
-        record("multi-subgroup order bound", got2 <= bound, f"order {got2} <= bound {bound}")
-    return results

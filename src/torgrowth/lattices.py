@@ -1,8 +1,7 @@
 """Sublattices of Z^n, the finite abelian quotients of the full-rank ones.
 
 `Subgroup` is the package's one lattice type: the finite-index subgroups
-Gamma of the growth experiments, their orthogonal lattices, and the
-subgroup ideals of Z[A] (sublattices of Z^|A|, see `groupalg`).  It is
+Gamma of the growth experiments and their orthogonal lattices.  It is
 its canonical Hermite basis, so equal lattices are equal values.  Also
 here: the quotient A = Z^n/Gamma with its projection map (rows of a Smith
 row transform), exact shortest-vector norms (Lagrange in rank <= 2,
@@ -201,22 +200,6 @@ class FinAbGroup:
         for x, d in zip(elem, self.invariant_factors):
             o = math.lcm(o, d // math.gcd(x, d))
         return o
-
-    def subgroup_closure(self, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        """All elements of the subgroup generated by `gens` (BFS closure)."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        gens = [tuple(g) for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.add(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return sorted(seen)
 
     def __repr__(self) -> str:
         body = " x ".join(f"Z/{d}" for d in self.invariant_factors) or "0"

@@ -200,16 +200,6 @@ def delta(mod: PresentedModule) -> LaurentPoly:
     return d
 
 
-def is_pseudo_zero_torsion(mod: PresentedModule) -> bool:
-    """Pseudo-zero test for torsion modules: Delta_0(M) = 1.
-
-    Raises for modules of positive rank, where the criterion does not apply.
-    """
-    if rank(mod) != 0:
-        raise ValueError("pseudo-zero criterion applies to torsion modules only")
-    return alexander(mod, 0).is_one()
-
-
 # ---------------------------------------------------------------------------
 # Group presentations and Fox calculus
 # ---------------------------------------------------------------------------

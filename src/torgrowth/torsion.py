@@ -38,20 +38,11 @@ from decimal import Decimal
 from functools import reduce
 from itertools import combinations
 from operator import add
-from typing import Sequence
 
 import numpy as np
 
 from .groupalg import character_exponents, mult_matrix, project_poly
-from .intlinalg import (
-    bareiss_det,
-    hnf_coordinates,
-    hnf_rows,
-    int_log,
-    kernel_basis,
-    matmul,
-    snf_diagonal,
-)
+from .intlinalg import bareiss_det, hnf_rows, int_log, snf_diagonal
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient, size_reduce
 from .laurent import LaurentPoly
 from .presmod import ChainComplex, PresentedModule, reduce_presentation
@@ -392,40 +383,3 @@ def character_product(f: LaurentPoly, gamma) -> int:
     hence the torsion order when f vanishes at no character (0 otherwise).
     """
     return _character_product(f, _resolve_group(gamma))
-
-
-# ---------------------------------------------------------------------------
-# Koszul-style balance |H_1| = |H_0| for commuting operator pairs
-# ---------------------------------------------------------------------------
-
-
-def koszul_orders(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Orders (|H_1|, |H_0|) of 0 -> B -> B^2 -> B -> 0 for commuting P, Q.
-
-    The maps are a -> (-Qa, Pa) and (a, b) -> Pa + Qb on B = Z^r.  Requires
-    P injective and finite homology (P, Q jointly of full rank); the two
-    orders agree by the alternating-product argument.
-    """
-    r = len(P)
-    if any(len(row) != r for row in P) or len(Q) != r or any(len(row) != r for row in Q):
-        raise ValueError("P and Q must be square of equal size")
-    if matmul(P, Q) != matmul(Q, P):
-        raise ValueError("operators do not commute")
-    if bareiss_det(P) == 0:
-        raise ValueError("P must be injective")
-    d1 = [list(P[i]) + list(Q[i]) for i in range(r)]
-    h0, rank = snf(d1)
-    if rank < r:
-        raise ValueError("homology is infinite (d1 not of full rank)")
-    # |det| of the coordinates does not depend on the basis of ker(d1)
-    basis = kernel_basis(d1, 2 * r)
-    coords = []
-    for j in range(r):
-        x = hnf_coordinates(basis, [-Q[i][j] for i in range(r)] + [P[i][j] for i in range(r)])
-        if x is None:
-            raise ArithmeticError("image of d2 not inside ker(d1)")
-        coords.append(x)
-    h1 = abs(bareiss_det(coords))
-    if h1 == 0:
-        raise ValueError("homology is infinite (H_1 has positive rank)")
-    return h1, h0

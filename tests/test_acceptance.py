@@ -8,10 +8,12 @@ import itertools
 import math
 import random
 import time
+from operator import mul
 
 from conftest import random_laurent, random_nonzero_laurent
+from lemmas import (alpha_ideal, beta_ideal, intersect_ideals, koszul_orders, random_group,
+                    subgroup_closure, sum_ideals)
 from torgrowth.groupalg import mult_matrix, project_poly
-from torgrowth.growthlab import groupalg_identity_suite
 from torgrowth.intlinalg import bareiss_det, snf_diagonal
 from torgrowth.lattices import FinAbGroup, Subgroup
 from torgrowth.laurent import LaurentPoly, div_exact, gcd, normalize_unit, variables
@@ -32,7 +34,6 @@ from torgrowth.torsion import (
     character_product,
     cyclic_branched_oracle,
     growth_sample,
-    koszul_orders,
     torsion_order,
 )
 
@@ -186,12 +187,31 @@ def test_criterion_7_pseudo_isomorphism_invariance():
 
 def test_criterion_8_group_ring_order_identities():
     c = _Criterion(8, "exact subgroup-ideal order identities in Z[A]", 60)
-    results = groupalg_identity_suite(cases=20, max_order=200, seed=2024)
-    failures = [r for r in results if not r["ok"]]
+    rng = random.Random(2024)
+    checks = []
+    for _ in range(20):
+        A = random_group(rng, max_order=200)
+        bgens = [tuple(rng.randrange(d) for d in A.invariant_factors)
+                 for _ in range(rng.randint(0, 2))]
+        B = subgroup_closure(A, bgens)
+        al, be = alpha_ideal(A, bgens), beta_ideal(A, bgens)
+        expected = len(B) ** (A.order // len(B))
+        # |Z[A]/(alpha + beta)| = |B|^(|A|/|B|), rank alpha = |A|/|B|, alpha * beta = 0
+        checks += [sum_ideals([al, be]).index() == expected,
+                   al.rank() == A.order // len(B),
+                   not any(sum(map(mul, row, vb)) for va in al.gens[:2]
+                           for row in mult_matrix(va, A) for vb in be.gens[:2])]
+        # a second subgroup B2 bounds the order of (alpha + alpha2) + (beta ∩ beta2)
+        bgens2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
+        B2 = subgroup_closure(A, bgens2)
+        alsum = sum_ideals([al, alpha_ideal(A, bgens2)])
+        beint = intersect_ideals([be, beta_ideal(A, bgens2)])
+        bound = expected * len(B2) ** (A.order // len(B2))
+        checks.append(sum_ideals([alsum, beint]).index() <= bound)
     c.finish(
-        not failures,
-        f"{len(results)} checks over 20 randomized (A, B) pairs, "
-        f"{len(failures)} failures",
+        all(checks),
+        f"{len(checks)} checks over 20 randomized (A, B) pairs, "
+        f"{checks.count(False)} failures",
     )
 
 

@@ -8,18 +8,9 @@ from operator import mul
 import numpy as np
 import pytest
 
-from torgrowth.groupalg import (
-    alpha_ideal,
-    beta_ideal,
-    character_exponents,
-    gram_det,
-    intersect_ideals,
-    mult_matrix,
-    norm_element,
-    project_poly,
-    sum_ideals,
-    vol,
-)
+from lemmas import (alpha_ideal, beta_ideal, gram_det, intersect_ideals, norm_element,
+                    subgroup_closure, sum_ideals, vol)
+from torgrowth.groupalg import character_exponents, mult_matrix, project_poly
 from torgrowth.intlinalg import bareiss_det, matmul
 from torgrowth.lattices import FinAbGroup, Subgroup, quotient
 from torgrowth.laurent import variables
@@ -176,7 +167,7 @@ class TestIdeals:
         assert beta_ideal(Z4, [(6,)]) == beta_ideal(Z4, [(2,)])
 
     def test_norm_element(self):
-        u = norm_element(Z4, Z4.subgroup_closure([(2,)]))
+        u = norm_element(Z4, subgroup_closure(Z4, [(2,)]))
         assert u == (1, 0, 1, 0)
 
     def test_annihilation(self):
@@ -198,7 +189,7 @@ class TestOrderIdentities:
     )
     def test_exact_order(self, factors, bgens):
         A = FinAbGroup.from_invariant_factors(factors)
-        B = A.subgroup_closure(bgens)
+        B = subgroup_closure(A, bgens)
         al, be = alpha_ideal(A, bgens), beta_ideal(A, bgens)
         assert al.rank() == A.order // len(B)
         got = sum_ideals([al, be]).index()
@@ -238,7 +229,7 @@ class TestOrderIdentities:
             A = FinAbGroup.from_invariant_factors(rng.choice([[4], [6], [2, 2], [8], [2, 4]]))
             b1 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
             b2 = [tuple(rng.randrange(d) for d in A.invariant_factors)]
-            B1, B2 = A.subgroup_closure(b1), A.subgroup_closure(b2)
+            B1, B2 = subgroup_closure(A, b1), subgroup_closure(A, b2)
             al = sum_ideals([alpha_ideal(A, b1), alpha_ideal(A, b2)])
             be = intersect_ideals([beta_ideal(A, b1), beta_ideal(A, b2)])
             assert be.perp() == al

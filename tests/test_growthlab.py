@@ -11,7 +11,6 @@ from torgrowth.growthlab import (
     ConfigError,
     ExperimentConfig,
     SizeGuardExceeded,
-    groupalg_identity_suite,
     mahler_target,
     run,
 )
@@ -289,6 +288,28 @@ class TestRun:
             reports.append(json.dumps(blob, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_pool_has_no_more_workers_than_samples(self, monkeypatch):
+        # the pool forks every worker at its first submit, so jobs 64 over
+        # three subgroups must ask for three; the stub maps on one thread
+        import concurrent.futures
+
+        workers = []
+
+        class SerialPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = config_dict(module=dict(THREE_T), sequence={"diagonal": {"ds": [2, 3, 4]}})
+        reports = []
+        for jobs in (1, 64):
+            blob = run(ExperimentConfig.from_dict(dict(cfg, jobs=jobs))).to_json_dict()
+            del blob["metadata"]["timings"]
+            reports.append(json.dumps(blob, sort_keys=True))
+        assert workers == [3]
+        assert reports[0] == reports[1]
+
     def test_module_is_reduced_once_per_run(self, monkeypatch):
         from torgrowth import presmod
 
@@ -364,24 +385,6 @@ class TestMahlerTarget:
                 mahler_target(3 + t1 + t2, method, samples=1000)
         else:
             assert mahler_target(3 + t1 + t2, method, samples=1000).method == two
-
-
-class TestGroupalgSuite:
-    def test_all_pass(self):
-        results = groupalg_identity_suite(cases=10, max_order=50, seed=0)
-        assert len(results) == 40
-        assert all(r["ok"] for r in results)
-
-    def test_deterministic(self):
-        a = groupalg_identity_suite(cases=4, seed=5)
-        b = groupalg_identity_suite(cases=4, seed=5)
-        assert a == b
-
-    @pytest.mark.parametrize("max_order", [1, 0, -3])
-    def test_rejects_max_order_below_two(self, max_order):
-        # no random group has order below 2; the search would never end
-        with pytest.raises(ValueError, match="max_order"):
-            groupalg_identity_suite(cases=1, max_order=max_order)
 
 
 class TestCli:
@@ -508,31 +511,15 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["metadata"]["seed"] == 7
 
-    def test_groupalg_check(self, capsys):
-        assert cli_main(["groupalg-check", "--cases", "5", "--max-order", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "0 failures" in out
-
-    def test_groupalg_check_rejects_max_order_one(self, capsys):
-        assert cli_main(["groupalg-check", "--cases", "2", "--max-order", "1"]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "max_order" in err["message"]
-
-    def test_groupalg_check_rejects_negative_cases(self, capsys):
-        # no case runs no check, and "passed 0 / 0" would read as a pass
-        assert cli_main(["groupalg-check", "--cases", "-3"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = json.loads(captured.err)
-        assert err["error"] == "ValueError" and "cases" in err["message"]
-
     @pytest.mark.parametrize("argv, message", [
         (["torsion", "--presentation", str(DATA / "fig8.txt"), "--cyclic", "2.5"],
          "invalid int value: '2.5'"),
         (["mahler", "--poly", "t-2", "--method", "foo"], "invalid choice: 'foo'"),
         (["growth"], "required: --config"),
         ([], "required: command"),
-    ], ids=["non-integer-flag", "unknown-choice", "missing-flag", "no-subcommand"])
+        (["groupalg-check"], "invalid choice: 'groupalg-check'"),
+    ], ids=["non-integer-flag", "unknown-choice", "missing-flag", "no-subcommand",
+            "removed-subcommand"])
     def test_usage_error_is_json_error(self, capsys, argv, message):
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
@@ -546,12 +533,6 @@ class TestCli:
             cli_main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: growthlab")
-
-    def test_groupalg_check_verbose_prints_every_check(self, capsys):
-        assert cli_main(["groupalg-check", "--cases", "2", "--verbose"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 9 and all(line.startswith("[PASS] case ") for line in lines[:8])
-        assert lines[8] == "passed 8 / 8 checks (0 failures)"
 
     def test_torsion_cyclic_on_two_variables_is_json_error(self, capsys, tmp_path):
         p = tmp_path / "mod.json"

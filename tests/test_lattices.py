@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lemmas import subgroup_closure
 from torgrowth.intlinalg import hnf_rows
 from torgrowth.lattices import (
     SearchBudgetExceeded,
@@ -61,7 +62,7 @@ class TestQuotient:
                 assert (a == A.identity()) == G.contains(v)
             # surjective: the images of e_1, ..., e_n generate A
             images = [A.project([int(i == j) for j in range(n)]) for i in range(n)]
-            assert len(A.subgroup_closure(images)) == A.order
+            assert len(subgroup_closure(A, images)) == A.order
             assert len(A.elements()) == A.order
 
     def test_order_equals_det(self):

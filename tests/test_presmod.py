@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, planted_presentations, random_laurent, random_nonzero_laurent
+from lemmas import is_pseudo_zero_torsion
 from torgrowth.intlinalg import eliminate
 from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
@@ -19,7 +20,6 @@ from torgrowth.presmod import (
     branched_module,
     delta,
     fox_derivative,
-    is_pseudo_zero_torsion,
     parse_presentation,
     rank,
     reduce_presentation,

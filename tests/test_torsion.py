@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import DATA, lucas, planted_presentations, random_laurent, random_nonzero_laurent
+from lemmas import koszul_orders
 from torgrowth import intlinalg, torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import FinAbGroup, Subgroup, gamma_sj, quotient
@@ -33,7 +34,6 @@ from torgrowth.torsion import (
     cyclic_branched_oracle,
     expand,
     growth_sample,
-    koszul_orders,
     snf,
     torsion_and_betti,
     torsion_order,
