@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """An SNF-route subgroup would expand past the size guard (use force=True)."""
+    """An SNF- or Fourier-route subgroup would expand past the size guard (use force=True)."""
 
 
 _REQUIRED = object()
@@ -255,10 +255,12 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     mod = config.module
     reduced = mod.reduced
     for _, gamma in config.sequence:
-        # SNF expands an |A| x |A| block per live column, at most m0 of them
+        # SNF expands an |A| x |A| block per live column, at most m0 of them;
+        # a Fourier sample is refused as SNF of its one column would be
         if gamma.index() * reduced.m0 > SIZE_GUARD and not config.force:
-            name, _, rows = route(reduced, quotient(gamma))
-            if name == "snf" and (cells := gamma.index() * len(rows[0])) > SIZE_GUARD:
+            name, free, _ = route(reduced, quotient(gamma))
+            cells = gamma.index() * (reduced.m0 - free)
+            if name in ("snf", "fourier") and cells > SIZE_GUARD:
                 raise SizeGuardExceeded(
                     f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
                     "pass force to override"

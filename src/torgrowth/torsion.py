@@ -3,7 +3,7 @@
 Every torsion query reads `PresentedModule.reduced`, the module's
 `presmod.reduce_presentation` kept once per module: its moves stay invertible
 over Z[A_Gamma], so the cokernel is unchanged, and a unit of R is not
-|A_Gamma| SNF pivots.  `route` alone picks one of three routes per sample,
+|A_Gamma| SNF pivots.  `route` alone picks one of four routes per sample,
 for `torsion_and_betti` and the size guard of `growthlab.run` alike; each
 zero column it counts adds |A_Gamma| to the Betti number, and the route
 gives the rest:
@@ -17,16 +17,24 @@ gives the rest:
   t -> 1/t, a unit mod t^N - 1), Z[t]/(g) is Z^D with t acting by the
   companion matrix C, and the torsion is |det(C^N - I)|, or SNF of that
   D x D matrix when it is 0.  One variable (knots) needs no substitution;
+* Fourier, when one live entry f is left, |A_Gamma| >= FOURIER_MIN_ORDER
+  and f vanishes at no character (screened in floating point): x -> f x
+  on Z[A_Gamma] has determinant prod_chi f(chi), so the torsion is
+  `_character_product(f, group)` and the entry adds nothing to the Betti
+  number;
 * SNF, for every other presentation, of the integer matrix `expand` makes
   by replacing each entry with the regular-representation block of its
   image in Z[A_Gamma].  `snf` returns the pair (torsion order, rank): the
   product and the count of the nonzero entries of `intlinalg.snf_diagonal`.
 
-Two exact oracles check these routes with no floating point: the product of
-f over the characters of A_Gamma (`character_product`) and Fox's product for
-cyclic branched covers of knots (`cyclic_branched_oracle`).  Both are one
-Fourier transform over F_p (p = 1 mod the exponent of A_Gamma) through the
-one exponent matrix of the characters, lifted to the integer by CRT.
+Two exact products over characters back these routes with no floating
+point: the product of f over the characters of A_Gamma (`character_product`)
+and Fox's product for cyclic branched covers of knots
+(`cyclic_branched_oracle`).  Both are one Fourier transform over F_p
+(p = 1 mod the exponent of A_Gamma) through the one exponent matrix of the
+characters, lifted to the integer by CRT.  `character_product` is the
+Fourier route itself, so for Fourier samples SNF of the expansion (in tests)
+and the benchmark pins are the independent checks.
 """
 
 from __future__ import annotations
@@ -143,6 +151,18 @@ def _cyclic_exponents(mod: PresentedModule, group: FinAbGroup) -> list[int]:
     return min((y for y in basis + sums + [x] if math.gcd(N, *y) == 1), key=span)
 
 
+FOURIER_MIN_ORDER = 32  # SNF beat the product (its prime search) at |A| = 16, 25; not from 27 up
+
+
+def _screen_nonzero(f: LaurentPoly, group: FinAbGroup) -> bool:
+    """Whether min |f(chi)| over the characters of A exceeds 1e-9 ||f||_1 in
+    floating point: far above rounding error, so a true zero fails it, and
+    a small value that fails it only costs the exact SNF route."""
+    norm = sum(abs(c) for _, c in f.terms)
+    coeffs = np.array([c / norm for _, c in f.terms])
+    return bool(abs(np.exp(2j * np.pi / group.exponent * _powers(f, group)) @ coeffs).min() > 1e-9)
+
+
 def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
     """The route `torsion_and_betti` takes for a reduced presentation over A:
     (name, free, arg), `free` counting the zero columns.
@@ -150,26 +170,33 @@ def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
     ("free", m0, None) when no column is live.  ("companion", free, g) when
     A is cyclic and, after t_i -> t^y_i and reduction over Z[t^±1], one row
     is left whose one live entry has an end coefficient ±1: g is that entry,
-    at t -> 1/t when only the trailing one is.  Else ("snf", free, rows):
-    the live columns' rows, for SNF of their expansion.
+    at t -> 1/t when only the trailing one is.  Else ("fourier", free, f)
+    when one row with one live entry f is left, |A| >= FOURIER_MIN_ORDER and
+    f passes `_screen_nonzero`.  Else ("snf", free, rows): the live
+    columns' rows, for SNF of their expansion.
     """
     live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
     if not live:
         return "free", mod.m0, None
+    one_entry = len(mod.matrix) == 1 and len(live) == 1
     if group.rank <= 1:
         if mod.nvars > 1:  # the univariate route of the specialised presentation
             y = _cyclic_exponents(mod, group)
             sub = route(reduce_presentation(PresentedModule(
                 1, tuple(tuple(e.tau(y) for e in row) for row in mod.matrix), mod.m0)), group)
-            if sub[0] != "snf":
+            if sub[0] in ("free", "companion"):
                 return sub
-        elif len(mod.matrix) == 1 and len(live) == 1:
+        elif one_entry:
             g = mod.matrix[0][live[0]]
             ends = g.coefficients()
             if abs(ends[-1]) == 1:
                 return "companion", mod.m0 - 1, g
             if abs(ends[0]) == 1:
                 return "companion", mod.m0 - 1, g.tau((-1,))
+    # the n-variable entry: a specialised one does not match the group's dimension
+    if (one_entry and mod.nvars == group.nvars and group.order >= FOURIER_MIN_ORDER
+            and _screen_nonzero(f := mod.matrix[0][live[0]], group)):
+        return "fourier", mod.m0 - 1, f
     return "snf", mod.m0 - len(live), [[r[j] for j in live] for r in mod.matrix]
 
 
@@ -181,6 +208,9 @@ def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     tor, b = 1, 0
     if name == "companion":
         tor, b = _companion_block(arg, group.order)
+    elif name == "fourier":
+        if not (tor := _character_product(arg, group)):
+            raise ArithmeticError(f"{arg} passed the float screen but vanishes at a character")
     elif name == "snf":
         tor, rank = snf(expand(arg, group))
         b = len(arg[0]) * group.order - rank
@@ -315,6 +345,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _powers(f: LaurentPoly, group: FinAbGroup) -> np.ndarray:
+    """P[c, k] with f(chi_c) = sum_k f_k z^P[c, k], z a primitive e-th root of
+    unity, for the exponent matrix W of the characters and the k-th term of f."""
+    exps = np.array([exp for exp, _ in f.terms], dtype=np.int64).reshape(-1, f.nvars)
+    return character_exponents(group) @ (exps.T % group.exponent) % group.exponent
+
+
 def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = False) -> int:
     """|prod f(chi)| over the characters of A, or its nontrivial ones, exactly.
 
@@ -327,11 +364,9 @@ def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = F
     if f.nvars != group.nvars:
         raise ValueError("dimension mismatch between polynomial and group")
     e = group.exponent
-    W = character_exponents(group)[1 if skip_trivial else 0:]
-    exps = np.array([exp for exp, _ in f.terms], dtype=np.int64).reshape(-1, f.nvars) % e
+    powers = _powers(f, group)[1 if skip_trivial else 0:]
     coeffs = [c for _, c in f.terms]
-    powers = W @ exps.T % e  # f(chi_c) = sum_k coeffs[k] * z^powers[c, k]
-    bound = 2 * sum(map(abs, coeffs)) ** len(W)
+    bound = 2 * sum(map(abs, coeffs)) ** len(powers)
     primes_of_e = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
     r, M = 0, 1
     for p in range((_PRIME_LIMIT - 2) // e * e + 1, 1, -e):
@@ -343,8 +378,8 @@ def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = F
         while len(table) < e:
             table = np.concatenate([table, table * pow(z, len(table), p) % p])
         terms = table[powers] * np.array([c % p for c in coeffs], dtype=np.int64) % p
-        vals = np.ones(1 << len(W).bit_length(), dtype=np.int64)  # halving needs 2^m values
-        vals[:len(W)] = terms.sum(axis=1) % p
+        vals = np.ones(1 << len(powers).bit_length(), dtype=np.int64)  # halving needs 2^m values
+        vals[:len(powers)] = terms.sum(axis=1) % p
         while len(vals) > 1:
             vals = vals[::2] * vals[1::2] % p
         r += M * ((int(vals[0]) - r) * pow(M, -1, p) % p)
@@ -352,7 +387,7 @@ def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = F
         if M > bound:
             return abs(r - M if 2 * r > M else r)
     raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} to fix a "
-                          f"product over {len(W)} characters")
+                          f"product over {len(powers)} characters")
 
 
 def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:

@@ -220,7 +220,8 @@ class TestRun:
             assert float(parts[4]) == s.log_torsion
 
     def test_size_guard(self):
-        # 2t - 3 has no unit end coefficient, so it takes the SNF route
+        # 2t - 3 has no unit end coefficient, so it takes the Fourier route,
+        # which the guard refuses as it refuses the SNF route
         cfg = config_dict()
         cfg["module"] = {"nvars": 1, "matrix": [[poly_to_json(2 * t - 3)]]}
         cfg["sequence"] = {"cyclic": {"start": 5100, "stop": 5100}}

@@ -488,8 +488,10 @@ class TestCyclicQuotientRoute:
                 return gamma
 
     def test_matches_expanded_snf(self):
+        # at |A| >= 32, an entry g without a ±1 end takes the Fourier route
+        # on the n-variable f, unless f vanishes at a character
         rng = random.Random(1616)
-        routes, unit_ends, bettis = set(), set(), set()
+        routes, unit_ends, bettis, large = set(), set(), set(), set()
         for _ in range(90):
             nvars = rng.randint(2, 3)
             gamma = self._cyclic_subgroup(rng, nvars)
@@ -504,10 +506,14 @@ class TestCyclicQuotientRoute:
             if len(g) > 1:
                 ends = g.coefficients()
                 unit_ends.add((abs(ends[0]) == 1) + (abs(ends[-1]) == 1))
-            routes.add(torsion.route(reduce_presentation(mod), group)[0])
+            name = torsion.route(reduce_presentation(mod), group)[0]
+            routes.add(name)
             bettis.add(got[1] > 0)
+            if group.order >= torsion.FOURIER_MIN_ORDER:
+                large.add((name, got[1] > 0))
         assert unit_ends == {0, 1, 2} and bettis == {True, False}
-        assert routes == {"free", "companion", "snf"}
+        assert routes == {"free", "companion", "fourier", "snf"}
+        assert {("fourier", False), ("snf", True)} <= large
 
     def test_trivial_quotient(self, snf_calls):
         # Gamma = Z^2: y = 0, so g is the constant f(1, 1); a non-unit one is SNF's
@@ -558,8 +564,9 @@ class TestCyclicQuotientRoute:
 
 class TestOneRouteDecision:
     """`route` names the one route of a sample: SNF runs on the snf route
-    only, the companion block on the companion route only, and the free
-    route computes nothing; each against SNF of the unreduced expansion."""
+    only, the companion block on the companion route only, the character
+    product on the fourier route only, and the free route computes nothing;
+    each against SNF of the unreduced expansion."""
 
     @staticmethod
     def _case(rng):
@@ -594,6 +601,7 @@ class TestOneRouteDecision:
     def test_only_the_named_route_runs(self, monkeypatch):
         events = []
         snf_diagonal, companion_block = torsion.snf_diagonal, torsion._companion_block
+        character_product = torsion._character_product
 
         def counting_snf(mat):
             events.append("snf")
@@ -606,10 +614,15 @@ class TestOneRouteDecision:
             del events[n:]  # the SNF of a singular block is part of the companion route
             return out
 
+        def counting_product(f, group):
+            events.append("fourier")
+            return character_product(f, group)
+
         monkeypatch.setattr(torsion, "snf_diagonal", counting_snf)
         monkeypatch.setattr(torsion, "_companion_block", counting_companion)
+        monkeypatch.setattr(torsion, "_character_product", counting_product)
         rng = random.Random(2626)
-        seen = set()
+        seen, large = set(), set()
         for _ in range(80):
             kind, mod, gamma = self._case(rng)
             group = quotient(gamma)
@@ -621,10 +634,51 @@ class TestOneRouteDecision:
             assert events == ([] if name == "free" else [name]), (name, mod, gamma)
             assert want[1] >= free * group.order
             seen.add((kind, group.rank <= 1, name))
-        assert {name for _, _, name in seen} == {"free", "companion", "snf"}
-        assert {name for _, cyclic, name in seen if not cyclic} == {"free", "snf"}
+            if group.order >= torsion.FOURIER_MIN_ORDER:
+                large.add((kind, group.rank <= 1, name))
+        assert {name for _, _, name in seen} == {"free", "companion", "fourier", "snf"}
+        assert {name for _, cyclic, name in seen if not cyclic} == {"free", "fourier", "snf"}
+        # t1 - t2 divides every entry of its kind: degenerate, so SNF's at any |A|
+        assert {("1x1", False, "fourier"), ("1x1", True, "fourier"),
+                ("t1 - t2", False, "snf"), ("t1 - t2", True, "snf")} <= large
         assert {("2x2", True, "companion"), ("2x2", False, "snf"), ("t1 - t2", True, "free"),
                 ("zero column", True, "companion"), ("zero column", False, "snf")} <= seen
+
+
+class TestFourierRoute:
+    """One live entry f at |A| >= FOURIER_MIN_ORDER that vanishes at no
+    character: the torsion is the exact product of f over the characters."""
+
+    @pytest.mark.parametrize("nvars, d, betti", [(2, 33, 2), (3, 4, 9)])
+    def test_degenerate_samples_compute_no_product(self, monkeypatch, nvars, d, betti):
+        # 1 + t1 + t2 vanishes at (omega, omega^2) and its conjugate, two
+        # characters when 3 | d; 1 + t1 + t2 + t3 where one t_i is -1 and the
+        # other two cancel, nine characters of (Z/4)^3
+        calls = []
+        product = torsion._character_product
+        monkeypatch.setattr(torsion, "_character_product",
+                            lambda *args: calls.append(args) or product(*args))
+        f = 1 + sum(variables(nvars))
+        mod = PresentedModule(nvars, ((f,),))
+        group = quotient(Subgroup.diagonal(nvars, d))
+        assert group.order >= torsion.FOURIER_MIN_ORDER
+        assert torsion.route(mod.reduced, group)[0] == "snf"
+        tor, rank = snf(expand(mod, group))
+        assert torsion_and_betti(mod, group) == (tor, group.order - rank)
+        assert group.order - rank == betti
+        assert calls == []
+
+    def test_budget_and_float_oracle_at_index_4096(self):
+        # m(3 + t1 + t2) = log 3, and the lattice-rule gap at d = 64 is below
+        # 1e-15; a torsion off by a factor 2 moves the statistic by 1.7e-4
+        mod = PresentedModule(2, ((3 + t1 + t2,),))
+        group = quotient(Subgroup.diagonal(2, 64))
+        assert torsion.route(mod.reduced, group)[0] == "fourier"
+        start = time.perf_counter()
+        tor, b = torsion_and_betti(mod, group)
+        assert time.perf_counter() - start < 1.5
+        assert (b, tor.bit_length()) == (0, 6493)
+        assert abs(intlinalg.int_log(tor) / 4096 - math.log(3)) < 1e-12
 
 
 class TestExactProductDifferential:
@@ -681,8 +735,9 @@ class TestExactProductDifferential:
         assert kinds == {"degenerate", "finite"}
 
     def test_character_product_budget_at_index_1024(self):
+        # SNF of the expansion: torsion_order takes the Fourier route here
         gamma = Subgroup.diagonal(2, 32)
-        want = torsion_order(PresentedModule.quotient_by_ideal(2, [3 + t1 + t2]), gamma)
+        want, _ = snf(expand(PresentedModule.quotient_by_ideal(2, [3 + t1 + t2]), gamma))
         start = time.perf_counter()
         got = character_product(3 + t1 + t2, gamma)
         assert time.perf_counter() - start < 1.0
