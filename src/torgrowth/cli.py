@@ -45,13 +45,6 @@ def _load_module(args) -> PresentedModule:
 
 
 def _subgroup_from_args(args, nvars: int) -> Subgroup:
-    chosen = [
-        name
-        for name in ("cyclic", "diagonal", "gamma")
-        if getattr(args, name, None) is not None
-    ]
-    if len(chosen) != 1:
-        raise ValueError("choose exactly one of --cyclic, --diagonal, --gamma")
     if args.cyclic is not None:
         if nvars != 1:
             raise ValueError("--cyclic needs a one-variable module")
@@ -191,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", help="torsion order over one finite quotient")
     add_module_source(p)
-    p.add_argument("--cyclic", type=int, help="cyclic cover order (one variable)")
-    p.add_argument("--diagonal", type=int, help="diagonal subgroup d*Z^n")
-    p.add_argument("--gamma", help="JSON list of the integer vectors that generate Gamma")
+    subgroup = p.add_mutually_exclusive_group(required=True)
+    subgroup.add_argument("--cyclic", type=int, help="cyclic cover order (one variable)")
+    subgroup.add_argument("--diagonal", type=int, help="diagonal subgroup d*Z^n")
+    subgroup.add_argument("--gamma", help="JSON list of the integer vectors that generate Gamma")
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("growth", help="run a growth experiment from a config")

@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """An SNF- or Fourier-route subgroup would expand past the size guard (use force=True)."""
+    """An SNF- or Fourier-route subgroup would expand past the size guard (use
+    force=True); the message names the route."""
 
 
 _REQUIRED = object()
@@ -262,7 +263,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
             cells = gamma.index() * (reduced.m0 - free)
             if name in ("snf", "fourier") and cells > SIZE_GUARD:
                 raise SizeGuardExceeded(
-                    f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the SNF route; "
+                    f"|A|*live columns = {cells} exceeds {SIZE_GUARD} on the {name} route; "
                     "pass force to override"
                 )
     dpoly = delta(reduced)  # the reduction keeps every Fitting ideal

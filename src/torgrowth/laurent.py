@@ -4,6 +4,11 @@ The ring is Z[t1^±1, ..., tn^±1].  Elements are sparse maps from exponent
 vectors (integer n-tuples) to nonzero arbitrary-precision integer
 coefficients; the zero polynomial is the empty map.  Values are immutable
 after construction, so everything here is safe to share across threads.
+`_collect` is the one accumulator: it sums the coefficients of equal
+exponents and drops the sums that cancel, for the constructor, `+`, `*`,
+`tau` and `parse_poly` alike.  `LaurentPoly.__init__` is where input terms
+are checked: each exponent becomes a tuple of `nvars` integers and each
+coefficient an integer.
 
 Units of the ring are the signed monomials ±t^k.  `normalize_unit` returns
 the canonical `LaurentPoly` of the orbit {±t^k · f}: every variable's
@@ -19,6 +24,18 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
+
+
+def _collect(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """Sum the coefficients of equal exponents and drop the sums that cancel."""
+    out: dict[tuple[int, ...], int] = {}
+    for exp, c in pairs:
+        if s := out.get(exp, 0) + c:
+            out[exp] = s
+        elif exp in out:
+            del out[exp]
+    return out
 
 
 class LaurentPoly:
@@ -30,22 +47,16 @@ class LaurentPoly:
         if nvars < 1:
             raise ValueError("nvars must be a positive integer")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, ...], int] = {}
+        checked = []
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(int, exp))
             if len(exp) != nvars:
                 raise ValueError(
                     f"exponent vector {exp} has length {len(exp)}, expected {nvars}"
                 )
-            coeff = int(coeff)
-            if coeff:
-                c = clean.get(exp, 0) + coeff
-                if c:
-                    clean[exp] = c
-                else:
-                    del clean[exp]
+            checked.append((exp, int(coeff)))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _collect(checked))
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -131,14 +142,7 @@ class LaurentPoly:
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, _collect(chain(self._terms.items(), other._terms.items())))
 
     __radd__ = __add__
 
@@ -153,16 +157,9 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly(self.nvars, _collect(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self._terms.items() for e2, c2 in other._terms.items()))
 
     __rmul__ = __mul__
 
@@ -246,15 +243,8 @@ class LaurentPoly:
         if len(k) != self.nvars:
             raise ValueError("k has wrong length")
         k = tuple(int(v) for v in k)
-        out: dict[tuple[int], int] = {}
-        for exp, c in self._terms.items():
-            e = (sum(a * b for a, b in zip(exp, k)),)
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentPoly(1, out)
+        return LaurentPoly(1, _collect(
+            ((sum(a * b for a, b in zip(exp, k)),), c) for exp, c in self._terms.items()))
 
     # -- display -----------------------------------------------------------
 
@@ -339,6 +329,7 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
         if rem:
             return None
         quot[qexp] = qc
+        # the remainder changes in place: rebuilding it by `_collect` each step slows gcd
         for e, c in gp.items():
             t = tuple(a + b for a, b in zip(qexp, e))
             s = fp.get(t, 0) - qc * c
@@ -523,11 +514,8 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     n = nvars if nvars is not None else max(maxvar, 1)
     if maxvar > n:
         raise ValueError(f"variable t{maxvar} out of range for nvars={n}")
-    terms: dict[tuple[int, ...], int] = {}
-    for coeff, exps in parsed:
-        key = tuple(exps.get(i + 1, 0) for i in range(n))
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(n, terms)
+    return LaurentPoly(n, [(tuple(exps.get(i + 1, 0) for i in range(n)), coeff)
+                           for coeff, exps in parsed])
 
 
 def poly_to_json(f: LaurentPoly) -> list:

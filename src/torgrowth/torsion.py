@@ -4,9 +4,10 @@ Every torsion query reads `PresentedModule.reduced`, the module's
 `presmod.reduce_presentation` kept once per module: its moves stay invertible
 over Z[A_Gamma], so the cokernel is unchanged, and a unit of R is not
 |A_Gamma| SNF pivots.  `route` alone picks one of four routes per sample,
-for `torsion_and_betti` and the size guard of `growthlab.run` alike; each
-zero column it counts adds |A_Gamma| to the Betti number, and the route
-gives the rest:
+for `torsion_and_betti` and the size guard of `growthlab.run` alike, from
+the presentation and the lattice only: it never enumerates A_Gamma.  Each
+zero column it counts adds |A_Gamma| to the Betti number, the route gives
+the rest, and each product route handles its own degenerate case by SNF:
 
 * free, when no live column is left: nothing to compute;
 * companion, when A_Gamma = Z/N is cyclic.  For y in Z x + N Z^n (x_i the
@@ -17,11 +18,11 @@ gives the rest:
   t -> 1/t, a unit mod t^N - 1), Z[t]/(g) is Z^D with t acting by the
   companion matrix C, and the torsion is |det(C^N - I)|, or SNF of that
   D x D matrix when it is 0.  One variable (knots) needs no substitution;
-* Fourier, when one live entry f is left, |A_Gamma| >= FOURIER_MIN_ORDER
-  and f vanishes at no character (screened in floating point): x -> f x
-  on Z[A_Gamma] has determinant prod_chi f(chi), so the torsion is
+* Fourier, when one live entry f is left and |A_Gamma| >= FOURIER_MIN_ORDER:
+  x -> f x on Z[A_Gamma] has determinant prod_chi f(chi), so when f
+  vanishes at no character (screened in floating point) the torsion is
   `_character_product(f, group)` and the entry adds nothing to the Betti
-  number;
+  number; else SNF of its expansion;
 * SNF, for every other presentation, of the integer matrix `expand` makes
   by replacing each entry with the regular-representation block of its
   image in Z[A_Gamma].  `snf` returns the pair (torsion order, rank): the
@@ -171,9 +172,10 @@ def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
     A is cyclic and, after t_i -> t^y_i and reduction over Z[t^±1], one row
     is left whose one live entry has an end coefficient ±1: g is that entry,
     at t -> 1/t when only the trailing one is.  Else ("fourier", free, f)
-    when one row with one live entry f is left, |A| >= FOURIER_MIN_ORDER and
-    f passes `_screen_nonzero`.  Else ("snf", free, rows): the live
-    columns' rows, for SNF of their expansion.
+    when one row with one live entry f is left and |A| >= FOURIER_MIN_ORDER.
+    Else ("snf", free, rows): the live columns' rows, for SNF of their
+    expansion.  Nothing here grows with |A|: the Fourier route's screen
+    runs in `torsion_and_betti`.
     """
     live = [j for j in range(mod.m0) if any(r[j] for r in mod.matrix)]
     if not live:
@@ -194,9 +196,8 @@ def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
             if abs(ends[0]) == 1:
                 return "companion", mod.m0 - 1, g.tau((-1,))
     # the n-variable entry: a specialised one does not match the group's dimension
-    if (one_entry and mod.nvars == group.nvars and group.order >= FOURIER_MIN_ORDER
-            and _screen_nonzero(f := mod.matrix[0][live[0]], group)):
-        return "fourier", mod.m0 - 1, f
+    if one_entry and mod.nvars == group.nvars and group.order >= FOURIER_MIN_ORDER:
+        return "fourier", mod.m0 - 1, mod.matrix[0][live[0]]
     return "snf", mod.m0 - len(live), [[r[j] for j in live] for r in mod.matrix]
 
 
@@ -208,12 +209,13 @@ def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     tor, b = 1, 0
     if name == "companion":
         tor, b = _companion_block(arg, group.order)
-    elif name == "fourier":
+    elif name == "fourier" and _screen_nonzero(arg, group):
         if not (tor := _character_product(arg, group)):
             raise ArithmeticError(f"{arg} passed the float screen but vanishes at a character")
-    elif name == "snf":
-        tor, rank = snf(expand(arg, group))
-        b = len(arg[0]) * group.order - rank
+    elif name != "free":  # SNF, also of a Fourier entry that may vanish at a character
+        rows = [[arg]] if name == "fourier" else arg
+        tor, rank = snf(expand(rows, group))
+        b = len(rows[0]) * group.order - rank
     return tor, free * group.order + b
 
 

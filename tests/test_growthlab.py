@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 from conftest import DATA, lucas
-from torgrowth import growthlab
+from torgrowth import growthlab, torsion
 from torgrowth.cli import main as cli_main
 from torgrowth.growthlab import (
     ConfigError,
@@ -244,8 +244,25 @@ class TestRun:
         assert (sample.index, sample.betti) == (14500, 0)
         three_t = {"nvars": 2, "matrix": [[poly_to_json(3 + t1 + t2)]]}
         cfg = config_dict(module=three_t, sequence={"diagonal": {"ds": [80]}})
-        with pytest.raises(SizeGuardExceeded, match="6400 exceeds 5000 on the SNF route"):
+        with pytest.raises(SizeGuardExceeded, match="6400 exceeds 5000 on the fourier route"):
             run(ExperimentConfig.from_dict(cfg))
+
+    def test_size_guard_enumerates_no_character(self, monkeypatch):
+        # route decides from the presentation and the lattice, so refusing a
+        # Fourier sample builds neither A's elements nor its characters:
+        # 3 + t1 + t2 over (Z/2500)^2, and 2 + 3 t1 + 2 t2 on Z/14500, whose
+        # specialisation has no end coefficient ±1
+        def refuse(group):
+            raise AssertionError("the size guard enumerated the characters of A")
+
+        monkeypatch.setattr(torsion, "character_exponents", refuse)
+        for f, sequence in ((3 + t1 + t2, {"diagonal": {"ds": [2500]}}),
+                            (2 + 3 * t1 + 2 * t2, {"gamma_sj": {
+                                "kappa": [0.6, 0.8], "js": [100], "s_start": 12}})):
+            module = {"nvars": 2, "matrix": [[poly_to_json(f)]]}
+            cfg = config_dict(module=module, sequence=sequence)
+            with pytest.raises(SizeGuardExceeded, match="on the fourier route"):
+                run(ExperimentConfig.from_dict(cfg))
 
     def test_size_guard_skips_the_companion_route(self, tmp_path, fig8_text):
         # the reduced branched presentation takes the companion route, which
@@ -273,7 +290,7 @@ class TestRun:
         [sample] = run(ExperimentConfig.from_dict(cfg)).samples
         assert sample.betti == 6
         cfg["sequence"] = {"cyclic": {"start": 11, "stop": 11}}
-        with pytest.raises(SizeGuardExceeded, match="11 exceeds 10 on the SNF route"):
+        with pytest.raises(SizeGuardExceeded, match="11 exceeds 10 on the snf route"):
             run(ExperimentConfig.from_dict(cfg))
 
     def test_parallel_matches_serial(self):
@@ -519,8 +536,12 @@ class TestCli:
         (["growth"], "required: --config"),
         ([], "required: command"),
         (["groupalg-check"], "invalid choice: 'groupalg-check'"),
+        (["torsion", "--presentation", str(DATA / "fig8.txt")],
+         "one of the arguments --cyclic --diagonal --gamma is required"),
+        (["torsion", "--presentation", str(DATA / "fig8.txt"), "--cyclic", "3", "--diagonal", "2"],
+         "argument --diagonal: not allowed with argument --cyclic"),
     ], ids=["non-integer-flag", "unknown-choice", "missing-flag", "no-subcommand",
-            "removed-subcommand"])
+            "removed-subcommand", "no-subgroup", "two-subgroups"])
     def test_usage_error_is_json_error(self, capsys, argv, message):
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
