@@ -54,11 +54,13 @@ def character_exponents(group: FinAbGroup) -> np.ndarray:
 
     e is the exponent of A and rows follow the element order: chi_c(a) =
     exp(2*pi*i * sum_i c_i a_i / d_i), so W[c, j] = sum_i c_i a_i e/d_i mod e
-    for the digits a of the image of t_j.  This matrix is the package's one
+    for the digits a of the image of t_j.  The rows come from the invariant
+    factors alone, never from `elements()`.  This matrix is the package's one
     representation of the characters of A.
     """
     e = group.exponent
     images = [[a * (e // d) for a, d in zip(group.project(v), group.invariant_factors)]
               for v in np.eye(group.nvars, dtype=int).tolist()]
     images = np.array(images, dtype=np.int64).reshape(group.nvars, group.rank)
-    return np.array(group.elements(), dtype=np.int64) @ images.T % e
+    digits = np.indices(group.invariant_factors, dtype=np.int64)  # elements() as digit columns
+    return digits.reshape(group.rank, group.order).T @ images.T % e

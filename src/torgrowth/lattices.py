@@ -144,23 +144,19 @@ class FinAbGroup:
     def _elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {a: i for i, a in enumerate(self._elements)}
-
     def elements(self) -> list[tuple[int, ...]]:
         """All elements, lexicographic over invariant-factor digit vectors."""
         return self._elements
 
     def index_of(self, elem: Sequence[int]) -> int:
+        """Position of a reduced element in `elements()`, read in mixed radix."""
         e = tuple(elem)
-        try:
-            return self._index[e]
-        except KeyError:
+        if len(e) != self.rank or not all(0 <= x < d for x, d in zip(e, self.invariant_factors)):
             raise ValueError(
                 f"{e} is not a reduced element of a group with invariant factors "
                 f"{self.invariant_factors}"
-            ) from None
+            )
+        return reduce(lambda i, xd: i * xd[1] + xd[0], zip(e, self.invariant_factors), 0)
 
     def _check_rank(self, *elems: Sequence[int]) -> None:
         rank = len(self.invariant_factors)

@@ -31,11 +31,13 @@ the rest, and each product route handles its own degenerate case by SNF:
 Two exact products over characters back these routes with no floating
 point: the product of f over the characters of A_Gamma (`character_product`)
 and Fox's product for cyclic branched covers of knots
-(`cyclic_branched_oracle`).  Both are one Fourier transform over F_p
-(p = 1 mod the exponent of A_Gamma) through the one exponent matrix of the
-characters, lifted to the integer by CRT.  `character_product` is the
-Fourier route itself, so for Fourier samples SNF of the expansion (in tests)
-and the benchmark pins are the independent checks.
+(`cyclic_branched_oracle`).  Both run on one multi-modular engine,
+`_character_product`: pre-sieved primes p = 1 mod the exponent of A_Gamma,
+as many as the Parseval bound ||F||_2^|A| needs, a Fourier transform over
+F_p through the one exponent matrix of the characters for every prime of a
+chunk in one numpy pass, and a CRT tree to the integer.  `character_product`
+is the Fourier route itself, so for Fourier samples SNF of the expansion (in
+tests) and the benchmark pins are the independent checks.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add
 
 import numpy as np
@@ -152,7 +154,7 @@ def _cyclic_exponents(mod: PresentedModule, group: FinAbGroup) -> list[int]:
     return min((y for y in basis + sums + [x] if math.gcd(N, *y) == 1), key=span)
 
 
-FOURIER_MIN_ORDER = 32  # SNF beat the product (its prime search) at |A| = 16, 25; not from 27 up
+FOURIER_MIN_ORDER = 32  # SNF beat the product by 1.3-1.7x at |A| = 16, 25; by < 15% at 27, 32
 
 
 def _screen_nonzero(f: LaurentPoly, group: FinAbGroup) -> bool:
@@ -333,6 +335,7 @@ def chain_torsion(cx: ChainComplex, i: int, gamma) -> int:
 # ---------------------------------------------------------------------------
 
 _PRIME_LIMIT = 2 ** 31
+_CELLS = 1 << 13  # candidates in a sieve window; int64 cells in a chunk's temporaries
 
 
 def _is_prime(n: int) -> bool:
@@ -341,10 +344,50 @@ def _is_prime(n: int) -> bool:
         return n in (2, 3, 5, 7)
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     for a in (2, 3, 5, 7):
-        x = pow(a, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 2 ** i, n) != n - 1 for i in range(s)):
+        x = pow(a, (n - 1) >> s, n)  # 1, or -1 among x, x^2, ..., x^(2^(s-1))
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
             return False
     return True
+
+
+def _primes_1_mod(e: int):
+    """The primes p = 1 mod e below _PRIME_LIMIT, descending: in windows of
+    the candidates 1 + k e, 2^9 doubling up to _CELLS, each prime q < size/16
+    not dividing e with q^2 at most the least candidate (so no q strikes itself)
+    strikes its multiples by one slice assignment; Miller-Rabin tests the rest."""
+    sieve = np.ones(_CELLS // 16, dtype=bool)
+    for q in range(2, math.isqrt(len(sieve)) + 1):
+        sieve[q * q::q] = False
+    small = [q for q in np.flatnonzero(sieve)[2:].tolist() if e % q]
+    top, size = (_PRIME_LIMIT - 2) // e, 1 << 9  # top: k of the largest candidate
+    while top > 0:
+        width = min(top, size)
+        high, low = 1 + top * e, 1 + (top - width + 1) * e
+        alive = np.ones(width, dtype=bool)  # alive[i] for the candidate high - i e
+        for q in small:
+            if 16 * q >= size or q * q > low:
+                break
+            alive[high % q * pow(e, -1, q) % q::q] = False
+        yield from filter(_is_prime, (high - i * e for i in np.flatnonzero(alive).tolist()))
+        top, size = top - width, min(2 * size, _CELLS)
+
+
+def _roots_of_unity(e: int, primes: list[int]) -> list[int]:
+    """A primitive e-th root of unity mod each prime p = 1 mod e: the product, over
+    the q^a exactly dividing e, of h^(e/q^a) for h = g^((p-1)/e) and the first prime
+    g with h^(e/q) != 1, of order q^a (a composite g is no new non-q-th power)."""
+    parts = [(q, math.gcd(e, q ** e.bit_length()))  # q and the q-part of e
+             for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    roots = []
+    for p in primes:
+        z, todo, g = 1, parts, 1
+        while todo:
+            g = next(g for g in range(g + 1, p) if _is_prime(g))
+            h = pow(g, (p - 1) // e, p)
+            z = z * math.prod(pow(h, e // qa, p) for q, qa in todo if pow(h, e // q, p) != 1) % p
+            todo = [(q, qa) for q, qa in todo if pow(h, e // q, p) == 1]
+        roots.append(z)
+    return roots
 
 
 def _powers(f: LaurentPoly, group: FinAbGroup) -> np.ndarray:
@@ -355,41 +398,49 @@ def _powers(f: LaurentPoly, group: FinAbGroup) -> np.ndarray:
 
 
 def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = False) -> int:
-    """|prod f(chi)| over the characters of A, or its nontrivial ones, exactly.
+    """|prod f(chi)| over the n characters of A, or its n = |A| - 1 nontrivial ones.
 
     For primes p = 1 mod e, the exponent of A, F_p has a primitive e-th root
-    z and the Fourier transform Z[A] ⊗ F_p = F_p^|A| sends f to the values
-    f(chi_c) = sum_k f_k z^(W[c] . a_k) for the exponent matrix W.  Their
-    products mod p meet by CRT; past twice ||f||_1^(#characters) the
-    symmetric residue is the product.
+    z and sends f(chi_c) to sum_k f_k z^(W[c] . a_k), W the exponent matrix.
+    Parseval and AM-GM bound prod |f(chi)|^2 by S^n, S = ||project_poly(f)||_2^2,
+    or by (1 + 1/n)^n S^n < 3 S^n without the trivial character; primes are
+    added until their product M has M^2 > 4 S^n (12 S^n), in integers.  Each
+    chunk of primes is one numpy pass (a table of each root's powers, a
+    gather per term of f, a row-wise halving product); a pairwise CRT tree
+    lifts the residues to the symmetric residue mod M, the product.
     """
     if f.nvars != group.nvars:
         raise ValueError("dimension mismatch between polynomial and group")
     e = group.exponent
     powers = _powers(f, group)[1 if skip_trivial else 0:]
-    coeffs = [c for _, c in f.terms]
-    bound = 2 * sum(map(abs, coeffs)) ** len(powers)
-    primes_of_e = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
-    r, M = 0, 1
-    for p in range((_PRIME_LIMIT - 2) // e * e + 1, 1, -e):
-        if not _is_prime(p):
-            continue
-        roots = (pow(g, (p - 1) // e, p) for g in range(2, p))
-        z = next(z for z in roots if all(pow(z, e // q, p) != 1 for q in primes_of_e))
-        table = np.ones(1, dtype=np.int64)
-        while len(table) < e:
-            table = np.concatenate([table, table * pow(z, len(table), p) % p])
-        terms = table[powers] * np.array([c % p for c in coeffs], dtype=np.int64) % p
-        vals = np.ones(1 << len(powers).bit_length(), dtype=np.int64)  # halving needs 2^m values
-        vals[:len(powers)] = terms.sum(axis=1) % p
-        while len(vals) > 1:
-            vals = vals[::2] * vals[1::2] % p
-        r += M * ((int(vals[0]) - r) * pow(M, -1, p) % p)
+    if not (n := len(powers)):  # the empty product, of the nontrivial characters of A = 0
+        return 1
+    need = (12 if skip_trivial else 4) * sum(c * c for c in project_poly(f, group)) ** n
+    primes, M, search = [], 1, _primes_1_mod(e)
+    while 2 * M.bit_length() < need.bit_length() or M * M <= need:
+        if (p := next(search, None)) is None:
+            raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} for {n} characters")
+        primes.append(p)
         M *= p
-        if M > bound:
-            return abs(r - M if 2 * r > M else r)
-    raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} to fix a "
-                          f"product over {len(powers)} characters")
+    roots, level = _roots_of_unity(e, primes), [(0, 1)]  # (residue, modulus): 0 mod 1 is any x
+    step = max(1, _CELLS // max(n, 1 << (e - 1).bit_length()))  # ~_CELLS cells per array
+    for i in range(0, len(primes), step):
+        chunk = primes[i:i + step]
+        p, z = (np.array(x[i:i + step], dtype=np.int64)[:, None] for x in (primes, roots))
+        table = np.ones_like(p)  # table[j, m] = z_j^m mod p_j, doubled in m up to e
+        while table.shape[1] < e:
+            table, z = np.hstack([table, table * z % p]), z * z % p
+        vals = sum((table * np.array([c % q for q in chunk])[:, None] % p)[:, powers[:, k]]
+                   for k, (_, c) in enumerate(f.terms)) % p  # a sum of terms below p each
+        while vals.shape[1] > 1:  # halves multiplied, an odd last column kept
+            h = vals.shape[1] // 2
+            vals = np.hstack([vals[:, :h] * vals[:, h:2 * h] % p, vals[:, 2 * h:]])
+        level += zip(vals[:, 0].tolist(), chunk)
+    while len(level) > 1:  # x = r mod m, x = s mod q to x mod mq; (0, 1) pairs an odd one out
+        level = [(r + m * ((s - r) * pow(m, -1, q) % q), m * q)
+                 for (r, m), (s, q) in zip(level[::2], level[1::2] + [(0, 1)])]
+    r, M = level[0]
+    return abs(r - M if 2 * r > M else r)
 
 
 def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:

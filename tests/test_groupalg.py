@@ -282,3 +282,23 @@ class TestCharacters:
             assert W.shape == (A.order, G.nvars)
             assert not (W @ np.array(G.gens).T % A.exponent).any()
             assert len(set(map(tuple, W.tolist()))) == A.order and not W[0].any()
+
+    def test_exponent_matrix_follows_the_element_order(self):
+        # W comes from the invariant factors alone; row c must still be the
+        # character of elements()[c]: W[c, j] = sum_i c_i a_i e/d_i mod e
+        # for the digits a of the image of t_j
+        rng = random.Random(30)
+        gammas = [Subgroup.diagonal(2, 1), Subgroup.cyclic(12), Subgroup.diagonal(2, 6),
+                  Subgroup.diagonal(3, 3), Subgroup(2, ((1, -1), (0, 8))),
+                  Subgroup(3, ((2, 0, 0), (1, 3, 0), (0, 1, 4)))]
+        while len(gammas) < 30:
+            n = rng.randint(1, 3)
+            G = Subgroup(n, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            if 1 <= G.index() <= 200:
+                gammas.append(G)
+        for G in gammas:
+            A, eye = quotient(G), np.eye(G.nvars, dtype=int).tolist()
+            e = A.exponent
+            want = [[sum(c * a * (e // d) for c, a, d in zip(elem, A.project(v), A.invariant_factors)) % e
+                     for v in eye] for elem in A.elements()]
+            assert character_exponents(A).tolist() == want, G

@@ -674,6 +674,16 @@ class TestFourierRoute:
         assert group.order - rank == betti
         assert calls == []
 
+    def test_enumerates_no_element(self):
+        # the screen, the bound and the product read A through W, which
+        # comes from the invariant factors: the element list stays unbuilt
+        mod = PresentedModule(2, ((3 + t1 + t2,),))
+        group = quotient(Subgroup.diagonal(2, 40))
+        assert torsion.route(mod.reduced, group)[0] == "fourier"
+        tor, b = torsion_and_betti(mod, group)
+        assert (b, tor.bit_length()) == (0, 2536)
+        assert "_elements" not in group.__dict__
+
     def test_budget_and_float_oracle_at_index_4096(self):
         # m(3 + t1 + t2) = log 3, and the lattice-rule gap at d = 64 is below
         # 1e-15; a torsion off by a factor 2 moves the statistic by 1.7e-4
@@ -774,6 +784,53 @@ class TestExactProductDifferential:
         for n in range(10 ** 5):
             want = n > 1 and all(n % q for q in small if q * q <= n)
             assert torsion._is_prime(n) == want, n
+
+    @pytest.mark.parametrize("e", [1, 2, 6, 12, 50, 97, 210, 1024])
+    def test_prime_search_finds_every_prime_1_mod_e(self, monkeypatch, e):
+        # the pre-sieve may strike no prime, 2 included (e = 1, 2) and the
+        # sieve primes themselves (e = 6: 7, 13, ...), and Miller-Rabin
+        # keeps no composite
+        monkeypatch.setattr(torsion, "_PRIME_LIMIT", 10 ** 5)
+        small = [q for q in range(2, 317) if all(q % d for d in range(2, q))]
+        want = [p for p in range(10 ** 5 - 1, 1, -1)
+                if (p - 1) % e == 0 and all(p % q for q in small if q * q <= p)]
+        assert list(torsion._primes_1_mod(e)) == want
+
+    def test_parseval_certificate(self):
+        # prod |f(chi)|^2 <= ||F||_2^(2n) over the n = |A| characters, F the
+        # push-forward of f, and < 3 ||F||_2^(2(n-1)) over the nontrivial
+        # ones: the bounds the prime count rests on, against SNF
+        rng = random.Random(3030)
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            while True:
+                gamma = Subgroup(n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+                if 1 <= gamma.index() <= 300:
+                    break
+            f = random_nonzero_laurent(rng, n, max_terms=3, coeff_max=3)
+            group = quotient(gamma)
+            norm2 = sum(c * c for c in project_poly(f, group))
+            tor, rank = snf(expand([[f]], group))
+            tor *= rank == group.order
+            assert tor ** 2 <= norm2 ** group.order, (f, gamma)
+            if at_one := abs(sum(f.coefficients())):
+                assert torsion._character_product(f, group, skip_trivial=True) * at_one == tor
+                assert (tor // at_one) ** 2 < 3 * norm2 ** (group.order - 1), (f, gamma)
+
+    def test_parseval_bound_sets_the_prime_count(self, monkeypatch):
+        # 2 ||F||_2^n = 2 * 5^750 for t - 2 over Z/1500 has 1743 bits, where
+        # the triangle inequality's 2 ||f||_1^n = 2 * 3^1500 has 2379
+        counted, search = [], torsion._primes_1_mod
+
+        def counting_search(e):
+            for p in search(e):
+                counted.append(p)
+                yield p
+
+        monkeypatch.setattr(torsion, "_primes_1_mod", counting_search)
+        assert character_product(t - 2, Subgroup.cyclic(1500)) == 2 ** 1500 - 1
+        bits = (2 * 5 ** 750).bit_length()
+        assert len(counted) <= -(-bits // 30) + 1
 
     def test_running_out_of_primes_is_an_error(self, monkeypatch):
         # primes = 1 mod 50 below 200 are 101 and 151: too few for 2^50 - 1
