@@ -43,7 +43,6 @@ from .presmod import (
 from .torsion import (
     GrowthSample,
     betti,
-    chain_torsion,
     cyclic_branched_oracle,
     expand,
     growth_sample,
@@ -52,7 +51,6 @@ from .torsion import (
 )
 from .mahler import (
     MahlerEstimate,
-    is_kronecker,
     mahler_lawton,
     mahler_quadrature,
     mahler_univariate,
@@ -68,10 +66,10 @@ __all__ = [
     "ChainComplex", "GroupPresentation", "PresentedModule", "alexander",
     "alexander_complex", "alexander_module", "branched_module", "delta",
     "fox_derivative", "parse_presentation", "rank",
-    "GrowthSample", "betti", "chain_torsion",
+    "GrowthSample", "betti",
     "cyclic_branched_oracle", "expand", "growth_sample",
     "snf", "torsion_order",
-    "MahlerEstimate", "is_kronecker", "mahler_lawton", "mahler_quadrature",
+    "MahlerEstimate", "mahler_lawton", "mahler_quadrature",
     "mahler_univariate",
     "ExperimentConfig", "ExperimentReport", "run",
 ]

@@ -5,7 +5,7 @@ need), canonical row-style Hermite bases, and small helpers for
 arbitrary-precision bookkeeping.  Matrices are plain nested lists of Python
 ints at the API boundary.  Hermite form is the one lattice normal form:
 integer kernels come from `hnf_rows` here, and `lattices.Subgroup`, the one
-lattice type, reads its basis, rank, index and containment off it.
+lattice type, reads its basis, rank and index off it.
 
 Two eliminations run unchanged over Z and over R = Z[t1^±1, ..., tn^±1].
 `eliminate` takes fraction-free Bareiss steps (`presmod` takes ranks and
@@ -374,27 +374,6 @@ def hnf_rows(vectors) -> list[list[int]]:
             if q:
                 pivot_rows[j2] = [x - q * y for x, y in zip(upper, base)]
     return [pivot_rows[j] for j in pivots]
-
-
-def hnf_coordinates(basis_rows, target) -> list[int] | None:
-    """Coordinates of `target` in a row-style HNF basis, or None.
-
-    Back-substitution along the pivot columns; integer coordinates exist iff
-    the vector lies in the lattice.
-    """
-    v = [int(x) for x in target]
-    coords = []
-    for row in basis_rows:
-        j = next(i for i, x in enumerate(row) if x)
-        q, r = divmod(v[j], row[j])
-        if r:
-            return None
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-        coords.append(q)
-    if any(v):
-        return None
-    return coords
 
 
 def matmul(A, B) -> list[list]:

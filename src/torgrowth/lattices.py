@@ -22,8 +22,7 @@ from functools import cached_property, reduce
 from typing import Sequence
 
 from .intlinalg import (
-    bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul, nearest_div,
-    snf_with_transforms,
+    bareiss_det, hnf_rows, kernel_basis, matmul, nearest_div, snf_with_transforms,
 )
 
 MIN_NORM_MAX_DIM = 4
@@ -78,9 +77,6 @@ class Subgroup:
             return 0
         return math.prod(row[i] for i, row in enumerate(self.gens))
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return hnf_coordinates(self.gens, vec) is not None
-
     def perp(self) -> "Subgroup":
         """The saturated lattice {x : x·g = 0 for every g in Gamma}, in Hermite form."""
         return Subgroup(self.nvars, tuple(kernel_basis(self.gens, self.nvars)))
@@ -118,19 +114,6 @@ class FinAbGroup:
         self._U = [row for _, row in kept]
         self.order = math.prod(self.invariant_factors)
 
-    @classmethod
-    def from_invariant_factors(cls, factors: Sequence[int]) -> "FinAbGroup":
-        """Direct construction (quotient of the diagonal lattice)."""
-        factors = [int(d) for d in factors]
-        if any(d < 1 for d in factors):
-            raise ValueError("invariant factors must be positive")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        n = len(factors)
-        eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(n, factors, eye)
-
     @property
     def rank(self) -> int:
         """Number of nontrivial cyclic summands."""
@@ -158,31 +141,18 @@ class FinAbGroup:
             )
         return reduce(lambda i, xd: i * xd[1] + xd[0], zip(e, self.invariant_factors), 0)
 
-    def _check_rank(self, *elems: Sequence[int]) -> None:
-        rank = len(self.invariant_factors)
-        for e in elems:
-            if len(e) != rank:
-                raise ValueError(
-                    f"element {tuple(e)} has {len(e)} digits; the group has rank {rank}"
-                )
-
     def translation(self, h: Sequence[int]) -> list[int]:
         """Index of h + g for every element g, in element order.
 
         Mixed-radix arithmetic over the invariant factors, no lookups.
         """
-        self._check_rank(h)
+        if len(h) != self.rank:
+            raise ValueError(
+                f"element {tuple(h)} has {len(h)} digits; the group has rank {self.rank}")
         idx = [0]
         for d, x in zip(self.invariant_factors, h):
             idx = [i * d + (k + x) % d for i in idx for k in range(d)]
         return idx
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        self._check_rank(a, b)
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Image of an integer vector under Z^n -> A."""

@@ -214,26 +214,6 @@ class LaurentPoly:
         """Coefficients in deterministic (sorted-exponent) order."""
         return tuple(c for _, c in self.terms)
 
-    def evaluate(self, z: Sequence[complex]) -> complex:
-        """Evaluate at a point with all nonzero coordinates.
-
-        Floating-point evaluation; the rounding error is on the order of
-        ``one_norm() * max|z_i^e|`` times machine epsilon.
-        """
-        if len(z) != self.nvars:
-            raise ValueError("evaluation point has wrong length")
-        zs = [complex(v) for v in z]
-        if any(v == 0 for v in zs):
-            raise ValueError("evaluation requires nonzero coordinates")
-        total = 0j
-        for exp, c in self._terms.items():
-            term = complex(c)
-            for v, e in zip(zs, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def tau(self, k: Sequence[int]) -> "LaurentPoly":
         """Specialize along k: the ring map sending t^m to t^(m·k).
 
@@ -291,11 +271,6 @@ def normalize_unit(f: LaurentPoly) -> LaurentPoly:
     return _sign_norm(f.shift(tuple(-m for m in f.min_exponents())))
 
 
-def associates(f: LaurentPoly, g: LaurentPoly) -> bool:
-    """True when f and g agree up to a unit ±t^k."""
-    return normalize_unit(f) == normalize_unit(g)
-
-
 # ---------------------------------------------------------------------------
 # Exact division
 # ---------------------------------------------------------------------------
@@ -339,10 +314,6 @@ def div_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
                 del fp[t]
     shift = tuple(a - b for a, b in zip(fmin, gmin))
     return LaurentPoly(f.nvars, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
-
-
-def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
-    return div_exact(f, g) is not None
 
 
 # ---------------------------------------------------------------------------

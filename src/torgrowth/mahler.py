@@ -13,8 +13,7 @@ integration of log|f| over the unit torus.
 
 All estimates carry a method tag and an explicit error bound; the additive
 measure of a nonzero integer polynomial is nonnegative, and is 0 exactly for
-generalized cyclotomic polynomials (decided exactly in one variable by
-`is_kronecker`).
+generalized cyclotomic polynomials.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattices import lawton_norm
-from .laurent import LaurentPoly, div_exact, normalize_unit
+from .laurent import LaurentPoly, normalize_unit
 
 JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
 ABERTH_BLOCK = 4096  # entries of the z_i - z_j array the Aberth sum holds at once
@@ -223,52 +222,6 @@ def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
         )
     diagnostics = {"roots": [(z.real, z.imag) for z in roots], "residual_bounds": bounds}
     return MahlerEstimate(value, "jensen", err, diagnostics)
-
-
-def is_kronecker(f: LaurentPoly) -> bool:
-    """Whether f is ±t^a times cyclotomic polynomials (so Mahler measure 0),
-    exactly: with end coefficients ±1 and f(t) = ±t^D f(1/t), as every such
-    product has, divide out each Phi_k of degree phi(k) <= deg f until a unit
-    is left.  A sieve to deg^2 gives phi(k) and a prime p | k; then Phi_k(t)
-    = Phi_m(t^p) for k = pm, exactly divided by Phi_m(t) when p does not
-    divide m.
-    """
-    if f.nvars != 1:
-        raise ValueError("is_kronecker takes a one-variable polynomial")
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no Mahler measure")
-    ends = f.coefficients()
-    if abs(ends[0]) != 1 or abs(ends[-1]) != 1:
-        return False
-    lo, hi = f.min_exponents()[0], f.max_exponents()[0]
-    mirror = LaurentPoly(1, {(lo + hi - e,): c for (e,), c in f.terms})
-    if mirror != f and mirror != -f:
-        return False
-    deg = hi - lo
-    bound = max(6, deg * deg)  # phi(k) >= sqrt(k) past k = 6
-    phi, prime = list(range(bound + 1)), [0] * (bound + 1)  # Euler phi, a prime factor
-    for p in range(2, bound + 1):
-        if phi[p] == p:
-            for m in range(p, bound + 1, p):
-                phi[m] -= phi[m] // p
-                prime[m] = p
-    t = LaurentPoly.variable(0, 1)
-    cyclo = {1: t - 1}  # k -> Phi_k, for every k with phi(k) <= deg
-    for k in range(1, bound + 1):
-        if f.is_unit() or k > max(6, deg * deg):
-            break
-        if phi[k] > deg:  # then so is phi of every multiple of k
-            continue
-        if k > 1:  # Phi_pm(t) = Phi_m(t^p), divided by Phi_m(t) unless p | m
-            p, m = prime[k], k // prime[k]
-            phik = cyclo[m].tau((p,))
-            if m % p:
-                phik //= cyclo[m]
-            cyclo[k] = phik
-        while (q := div_exact(f, cyclo[k])) is not None:
-            f = q
-            deg = f.max_exponents()[0] - f.min_exponents()[0]
-    return f.is_unit()
 
 
 def default_lawton_schedule(nvars: int, ms: Sequence[int] = (8, 16, 32, 64)) -> list[tuple[int, ...]]:

@@ -54,7 +54,8 @@ class PresentedModule:
     """An R-module given by an m1 x m0 presentation matrix over R.
 
     `m0` (the generator count) may be omitted whenever the matrix has at
-    least one row; a relation-free presentation needs it spelled out.
+    least one row; a relation-free presentation needs it spelled out, as in
+    the free module R^r = PresentedModule(n, (), r).
     """
 
     nvars: int
@@ -88,22 +89,9 @@ class PresentedModule:
         return reduce_presentation(self)
 
     @classmethod
-    def free(cls, nvars: int, rank: int) -> "PresentedModule":
-        """The free module R^rank (empty relation matrix)."""
-        return cls(nvars, (), rank)
-
-    @classmethod
     def quotient_by_ideal(cls, nvars: int, gens: Sequence[LaurentPoly]) -> "PresentedModule":
         """R/(f1,...,fl): one generator, one relation row per ideal generator."""
         return cls(nvars, tuple((_as_poly(g, nvars),) for g in gens), 1)
-
-    def direct_sum(self, other: "PresentedModule") -> "PresentedModule":
-        if other.nvars != self.nvars:
-            raise ValueError("dimension mismatch")
-        z = LaurentPoly.zero(self.nvars)
-        rows = [tuple(r) + (z,) * other.m0 for r in self.matrix]
-        rows += [(z,) * self.m0 + tuple(r) for r in other.matrix]
-        return PresentedModule(self.nvars, tuple(rows), self.m0 + other.m0)
 
     def to_json(self) -> dict:
         return {
@@ -248,13 +236,6 @@ class GroupPresentation:
     def nvars(self) -> int:
         return self.rho[0].nvars
 
-    def rho_of_word(self, word: Sequence[int]) -> LaurentPoly:
-        out = LaurentPoly.one(self.nvars)
-        for letter in word:
-            img = self.rho[abs(letter) - 1]
-            out = out * (img if letter > 0 else img ** -1)
-        return out
-
 
 def fox_derivative(word: Sequence[int], gen: int, pres: GroupPresentation) -> LaurentPoly:
     """rho-image of the free derivative d(word)/d(x_gen), gen 0-based.
@@ -308,18 +289,6 @@ class ChainComplex:
         for up, down in zip(diffs[1:], diffs):
             if any(any(row) for row in matmul(up, down)):
                 raise ValueError("boundary composition is nonzero")
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.diffs)
-
-    def coker_module(self, i: int) -> PresentedModule:
-        """The module presented by the boundary into degree i."""
-        if not 0 <= i <= self.top_degree:
-            raise ValueError("degree out of range")
-        if i == self.top_degree:
-            return PresentedModule.free(self.nvars, self.ranks[i])
-        return PresentedModule(self.nvars, self.diffs[i], self.ranks[i])
 
 
 def alexander_complex(pres: GroupPresentation) -> ChainComplex:

@@ -56,7 +56,7 @@ from .groupalg import character_exponents, mult_matrix, project_poly
 from .intlinalg import bareiss_det, hnf_rows, int_log, snf_diagonal
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient, size_reduce
 from .laurent import LaurentPoly
-from .presmod import ChainComplex, PresentedModule, reduce_presentation
+from .presmod import PresentedModule, reduce_presentation
 
 
 class OracleDegenerateError(ValueError):
@@ -161,7 +161,7 @@ def _screen_nonzero(f: LaurentPoly, group: FinAbGroup) -> bool:
     """Whether min |f(chi)| over the characters of A exceeds 1e-9 ||f||_1 in
     floating point: far above rounding error, so a true zero fails it, and
     a small value that fails it only costs the exact SNF route."""
-    norm = sum(abs(c) for _, c in f.terms)
+    norm = f.one_norm()
     coeffs = np.array([c / norm for _, c in f.terms])
     return bool(abs(np.exp(2j * np.pi / group.exponent * _powers(f, group)) @ coeffs).min() > 1e-9)
 
@@ -205,8 +205,11 @@ def route(mod: PresentedModule, group: FinAbGroup) -> tuple[str, int, object]:
 
 def torsion_and_betti(mod: PresentedModule, gamma) -> tuple[int, int]:
     """|Tor_Z(M ⊗ Z[A_Gamma])| and the free rank over Z, by the one `route`:
-    each of its zero columns adds |A| to the Betti number."""
+    each of its zero columns adds |A| to the Betti number.  Gamma must lie in
+    Z^nvars of the module's ring; any other dimension is a ValueError."""
     group = _resolve_group(gamma)
+    if mod.nvars != group.nvars:
+        raise ValueError(f"the module has nvars = {mod.nvars} but Gamma lies in Z^{group.nvars}")
     name, free, arg = route(mod.reduced, group)
     tor, b = 1, 0
     if name == "companion":
@@ -315,19 +318,6 @@ def growth_sample(mod: PresentedModule, gamma: Subgroup, descriptor: str | None 
         betti=b,
         direction=direction_of(group),
     )
-
-
-def chain_torsion(cx: ChainComplex, i: int, gamma) -> int:
-    """|Tor_Z(H_i(C ⊗ Z[A_Gamma]))|.
-
-    Equals the torsion of the cokernel of the next boundary; degrees at or
-    above the top have free homology and give 1.
-    """
-    if i < 0:
-        raise ValueError("degree out of range")
-    if i >= cx.top_degree:
-        return 1
-    return torsion_order(cx.coker_module(i), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ balance |H_1| = |H_0| for commuting operators, the pseudo-zero test
 Delta_0 = 1, and the random groups of the identity checks.  Ideals are
 `lattices.Subgroup`s of Z^|A|, so canonical Hermite rows; a sum is the
 `Subgroup` of both row sets, an intersection comes from `hnf_rows`.
+
+Also here, the small constructions the tests build on and no command
+needs: a group from its invariant factors with its identity and addition,
+coordinates in a Hermite basis and lattice membership, direct sums of
+presentations, and the image of a word under rho.
 """
 
 import math
@@ -13,10 +18,83 @@ import random
 from typing import Sequence
 
 from torgrowth.groupalg import mult_matrix
-from torgrowth.intlinalg import bareiss_det, hnf_coordinates, hnf_rows, kernel_basis, matmul
+from torgrowth.intlinalg import bareiss_det, hnf_rows, kernel_basis, matmul
 from torgrowth.lattices import FinAbGroup, Subgroup
-from torgrowth.presmod import PresentedModule, alexander, rank
+from torgrowth.laurent import LaurentPoly
+from torgrowth.presmod import GroupPresentation, PresentedModule, alexander, rank
 from torgrowth.torsion import snf
+
+
+def from_invariant_factors(factors: Sequence[int]) -> FinAbGroup:
+    """Z/d1 x ... x Z/dk for a divisibility chain d1 | ... | dk: the quotient
+    of Z^k by the diagonal lattice, with the identity as its projection."""
+    factors = [int(d) for d in factors]
+    if any(d < 1 for d in factors):
+        raise ValueError("invariant factors must be positive")
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise ValueError("invariant factors must form a divisibility chain")
+    n = len(factors)
+    eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return FinAbGroup(n, factors, eye)
+
+
+def identity(group: FinAbGroup) -> tuple[int, ...]:
+    return (0,) * group.rank
+
+
+def add(group: FinAbGroup, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a + b, reduced digit by digit; an element of the wrong length is a ValueError."""
+    for e in (a, b):
+        if len(e) != group.rank:
+            raise ValueError(
+                f"element {tuple(e)} has {len(e)} digits; the group has rank {group.rank}")
+    return tuple((x + y) % d for x, y, d in zip(a, b, group.invariant_factors))
+
+
+def hnf_coordinates(basis_rows, target) -> list[int] | None:
+    """Coordinates of `target` in a row-style HNF basis, or None.
+
+    Back-substitution along the pivot columns; integer coordinates exist iff
+    the vector lies in the lattice.
+    """
+    v = [int(x) for x in target]
+    coords = []
+    for row in basis_rows:
+        j = next(i for i, x in enumerate(row) if x)
+        q, r = divmod(v[j], row[j])
+        if r:
+            return None
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        coords.append(q)
+    if any(v):
+        return None
+    return coords
+
+
+def contains(lattice: Subgroup, vec: Sequence[int]) -> bool:
+    """Whether `vec` lies in the lattice, read off its Hermite rows."""
+    return hnf_coordinates(lattice.gens, vec) is not None
+
+
+def direct_sum(a: PresentedModule, b: PresentedModule) -> PresentedModule:
+    """The block-diagonal presentation of a + b."""
+    if a.nvars != b.nvars:
+        raise ValueError("dimension mismatch")
+    z = LaurentPoly.zero(a.nvars)
+    rows = [tuple(r) + (z,) * b.m0 for r in a.matrix]
+    rows += [(z,) * a.m0 + tuple(r) for r in b.matrix]
+    return PresentedModule(a.nvars, tuple(rows), a.m0 + b.m0)
+
+
+def rho_of_word(pres: GroupPresentation, word: Sequence[int]) -> LaurentPoly:
+    """The image of a word under the abelianization map rho."""
+    out = LaurentPoly.one(pres.nvars)
+    for letter in word:
+        img = pres.rho[abs(letter) - 1]
+        out = out * (img if letter > 0 else img ** -1)
+    return out
 
 
 def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
@@ -27,7 +105,7 @@ def random_group(rng: random.Random, max_order: int) -> FinAbGroup:
         for _ in range(r - 1):
             factors.append(factors[-1] * rng.choice([1, 1, 2, 3]))
         if math.prod(factors) <= max_order:
-            return FinAbGroup.from_invariant_factors(factors)
+            return from_invariant_factors(factors)
 
 
 def subgroup_closure(group: FinAbGroup, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -36,9 +114,9 @@ def subgroup_closure(group: FinAbGroup, gens: Sequence[Sequence[int]]) -> list[t
     <g_1, ..., g_k> = <g_1> + ... + <g_k>: add each generator until the set
     stops growing.
     """
-    elems = {group.identity()}
+    elems = {identity(group)}
     for g in gens:
-        while not elems >= (step := {group.add(a, g) for a in elems}):
+        while not elems >= (step := {add(group, a, g) for a in elems}):
             elems |= step
     return sorted(elems)
 
@@ -73,8 +151,8 @@ def beta_ideal(group: FinAbGroup, b_gens: Sequence[Sequence[int]]) -> Subgroup:
     vecs = []
     for b in b_gens:
         one_minus_b = [0] * group.order
-        one_minus_b[group.index_of(group.identity())] = 1
-        one_minus_b[group.index_of(group.add(group.identity(), b))] -= 1  # b may be unreduced
+        one_minus_b[group.index_of(identity(group))] = 1
+        one_minus_b[group.index_of(add(group, identity(group), b))] -= 1  # b may be unreduced
         cols = zip(*mult_matrix(one_minus_b, group))
         vecs.extend(v for v in cols if any(v))
     return Subgroup(group.order, vecs)

@@ -14,6 +14,7 @@ from torgrowth.growthlab import (
     mahler_target,
     run,
 )
+from torgrowth.lattices import Subgroup
 from torgrowth.laurent import poly_to_json, variables
 from torgrowth.presmod import (
     alexander_module,
@@ -588,6 +589,29 @@ class TestCli:
         assert cli_main(["torsion", "--matrix", str(missing), "--cyclic", "2"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    @pytest.mark.parametrize("spec, gamma, nvars, dim", [
+        ({"presentation": str(DATA / "fig8.txt"), "branched": True}, [[2, 0], [0, 3]], 1, 2),
+        ({"nvars": 1, "matrix": [[poly_to_json(t ** 2 - 3 * t + 1)]]}, [[2, 0], [0, 3]], 1, 2),
+        (THREE_T, [[5]], 2, 1),
+    ], ids=["fig8-branched", "one-variable", "two-variable"])
+    def test_torsion_gamma_of_another_dimension_is_json_error(self, capsys, tmp_path, spec, gamma,
+                                                              nvars, dim):
+        # a Gamma outside Z^nvars gave a believable order (320 for the first
+        # two) or a message about the specialization vector k
+        message = f"the module has nvars = {nvars} but Gamma lies in Z^{dim}"
+        with pytest.raises(ValueError) as exc:
+            torsion.torsion_and_betti(growthlab.load_module(spec)[0], Subgroup.from_json(gamma))
+        assert str(exc.value) == message
+        if "presentation" in spec:
+            args = ["--presentation", spec["presentation"], "--branched"]
+        else:
+            (p := tmp_path / "mod.json").write_text(json.dumps(spec))
+            args = ["--matrix", str(p)]
+        assert cli_main(["torsion", *args, "--gamma", json.dumps(gamma)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
 
     def test_torsion_gamma_lists_generators(self, capsys, tmp_path):
         # each inner list is a generator: Gamma = <(1, 1), (0, 2)> has

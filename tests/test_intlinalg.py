@@ -6,11 +6,11 @@ import random
 import pytest
 
 from conftest import planted_presentations, random_laurent
+from lemmas import hnf_coordinates
 from torgrowth.intlinalg import (
     _int_unit_inverse,
     bareiss_det,
     eliminate_units,
-    hnf_coordinates,
     hnf_rows,
     int_log,
     kernel_basis,

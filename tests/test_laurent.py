@@ -10,7 +10,6 @@ from conftest import random_laurent, random_nonzero_laurent
 from torgrowth.laurent import (
     LaurentPoly,
     div_exact,
-    divides,
     gcd,
     gcd_list,
     normalize_unit,
@@ -116,7 +115,7 @@ class TestGcd:
             if h.is_zero():
                 assert f.is_zero() and g.is_zero()
                 continue
-            assert divides(h, f) and divides(h, g)
+            assert div_exact(f, h) is not None and div_exact(g, h) is not None
 
     def test_multiplicative(self):
         rng = random.Random(3)
@@ -136,7 +135,7 @@ class TestGcd:
             a, b = random_laurent(rng, nv), random_laurent(rng, nv)
             g = gcd(a * d, b * d)
             if not g.is_zero():
-                assert divides(d, g)
+                assert div_exact(g, d) is not None
 
     def test_three_variables(self):
         rng = random.Random(9)
@@ -146,7 +145,7 @@ class TestGcd:
             d = gcd(f, g)
             assert gcd(g, f) == d
             if not d.is_zero():
-                assert divides(d, f) and divides(d, g)
+                assert div_exact(f, d) is not None and div_exact(g, d) is not None
             assert gcd(f * h, g * h) == normalize_unit(d * h)
 
     def test_three_variable_known_answers(self):
@@ -235,15 +234,6 @@ class TestTau:
 
 
 class TestEvaluateAndNorm:
-    def test_values(self):
-        assert (t - 2).evaluate([1]) == -1
-        assert (t ** 2 - t + 1).evaluate([-1]) == 3
-        assert (1 + t1 + t2).evaluate([1, 1]) == 3
-
-    def test_zero_coordinate(self):
-        with pytest.raises(ValueError):
-            t.evaluate([0])
-
     def test_one_norm(self):
         assert (t ** 2 - 3 * t + 1).one_norm() == 5
         assert LaurentPoly.zero(1).one_norm() == 0
@@ -275,8 +265,8 @@ def test_evaluate_matches_tau_on_circle(f):
     # evaluating tau_k at z equals evaluating f at (z^k1, z^k2)
     k = (2, 5)
     z = complex(0.6, 0.8)
-    lhs = f.tau(k).evaluate([z])
-    rhs = f.evaluate([z ** 2, z ** 5])
+    lhs = sum(c * z ** e for (e,), c in f.tau(k).terms)
+    rhs = sum(c * (z ** 2) ** a * (z ** 5) ** b for (a, b), c in f.terms)
     assert abs(lhs - rhs) <= 1e-9 * (1 + f.one_norm())
 
 

@@ -13,7 +13,6 @@ from torgrowth.mahler import (
     MahlerEstimate,
     NonconvergenceError,
     default_lawton_schedule,
-    is_kronecker,
     mahler_lawton,
     mahler_quadrature,
     mahler_univariate,
@@ -41,6 +40,9 @@ class TestJensen:
     def test_monomial(self):
         assert mahler_univariate(LaurentPoly.monomial((7,), 1)).value == 0.0
         assert mahler_univariate(LaurentPoly.monomial((-2,), -1)).value == 0.0
+        # and so is every product of cyclotomic polynomials: its roots lie on |z| = 1
+        for f in (t ** 2 - t + 1, t ** 4 + t ** 3 + t ** 2 + t + 1, (t - 1) * (t + 1)):
+            assert mahler_univariate(f).value == pytest.approx(0.0, abs=1e-9)
 
     def test_quadratic(self):
         est = mahler_univariate(t ** 2 - 3 * t + 1)
@@ -150,60 +152,6 @@ class TestJensen:
         for _ in range(60):
             f = random_nonzero_laurent(rng, 1, max_terms=4)
             assert mahler_univariate(f).value >= -1e-12
-
-
-class TestKronecker:
-    def test_cyclotomic(self):
-        assert is_kronecker(t ** 2 - t + 1) is True
-        assert is_kronecker(t ** 12 - 1) is True
-        assert is_kronecker(t - 1) is True
-
-    def test_non_cyclotomic(self):
-        assert is_kronecker(t ** 2 - 3 * t + 1) is False
-        assert is_kronecker(2 * t - 1) is False
-        assert is_kronecker(t - 2) is False
-
-    def test_wide_coefficient_range_is_not_kronecker(self):
-        assert is_kronecker(t ** 40 - 10 ** 30 * t + 1) is False
-
-    def test_exact_without_the_root_finder(self, monkeypatch):
-        # the test divides by cyclotomic polynomials and never finds roots
-        monkeypatch.setattr(mahler, "_aberth_roots", nan_root_finder)
-        assert is_kronecker(t ** 4 + 1) is True
-        assert is_kronecker(t ** 4 + t + 1) is False
-
-    def test_products_and_powers_of_cyclotomics(self):
-        phi5, phi12 = t ** 4 + t ** 3 + t ** 2 + t + 1, t ** 4 - t ** 2 + 1
-        assert is_kronecker(phi5 * phi12) is True
-        assert is_kronecker((t ** 2 - t + 1) ** 2) is True
-        assert is_kronecker(-(t ** -3) * (t + 1) ** 3 * (t ** 2 + 1)) is True
-        assert is_kronecker((t ** 2 - t + 1) * (t ** 2 - 3 * t + 1)) is False
-
-    def test_high_degree(self):
-        start = time.perf_counter()
-        assert is_kronecker(t ** 100 + t + 1) is False
-        assert time.perf_counter() - start < 0.2
-        assert is_kronecker(t ** 60 - t ** 30 + 1) is True  # Phi_18(t^10)
-
-    def test_non_palindromic_input_is_rejected_before_dividing(self, monkeypatch):
-        # a product of cyclotomics satisfies f(t) = ±t^D f(1/t)
-        divisions = []
-        original = mahler.div_exact
-        monkeypatch.setattr(mahler, "div_exact", lambda f, g: divisions.append(g) or original(f, g))
-        assert is_kronecker(t ** 100 + t + 1) is False
-        assert divisions == []
-        assert is_kronecker((t - 1) * (t ** 2 + t + 1)) is True
-        assert divisions
-
-    def test_lehmer_polynomial_is_not_kronecker(self):
-        # unit end coefficients, Mahler measure log 1.17628...
-        lehmer = t ** 10 + t ** 9 - t ** 7 - t ** 6 - t ** 5 - t ** 4 - t ** 3 + t + 1
-        assert is_kronecker(lehmer) is False
-
-    def test_kronecker_implies_zero_measure(self):
-        for f in (t ** 2 - t + 1, t ** 4 + t ** 3 + t ** 2 + t + 1, (t - 1) * (t + 1)):
-            assert is_kronecker(f)
-            assert mahler_univariate(f).value == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLawton:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, planted_presentations, random_laurent, random_nonzero_laurent
-from lemmas import is_pseudo_zero_torsion
+from lemmas import direct_sum, is_pseudo_zero_torsion, rho_of_word
 from torgrowth.intlinalg import eliminate
-from torgrowth.laurent import LaurentPoly, associates, div_exact, normalize_unit, variables
+from torgrowth.laurent import LaurentPoly, div_exact, normalize_unit, variables
 from torgrowth.presmod import (
     ChainComplex,
     GroupPresentation,
@@ -46,7 +46,7 @@ class TestRank:
         assert rank(PresentedModule(1, ((t - 2,),))) == 0
 
     def test_free(self):
-        assert rank(PresentedModule.free(1, 2)) == 2
+        assert rank(PresentedModule(1, (), 2)) == 2
 
     def test_trefoil_relation_module(self):
         f = TREFOIL_DELTA
@@ -114,7 +114,7 @@ class TestAlexander:
         assert alexander(M, 1) == f
 
     def test_free_conventions(self):
-        F = PresentedModule.free(1, 2)
+        F = PresentedModule(1, (), 2)
         assert alexander(F, 0).is_zero()
         assert alexander(F, 1).is_zero()
         assert alexander(F, 2).is_one()
@@ -230,7 +230,7 @@ class TestFox:
         total = LaurentPoly.zero(2)
         for g in range(3):
             total = total + fox_derivative(word, g, pres) * (pres.rho[g] - 1)
-        assert total == pres.rho_of_word(word) - 1
+        assert total == rho_of_word(pres, word) - 1
 
 
 class TestAlexanderComplex:
@@ -240,13 +240,13 @@ class TestAlexanderComplex:
         assert cx.ranks == (1, 2, 1)
         assert cx.diffs[0] == ((1 - t,), (1 - t,))
         d2 = cx.diffs[1][0]
-        assert associates(d2[0], TREFOIL_DELTA)
+        assert normalize_unit(d2[0]) == normalize_unit(TREFOIL_DELTA)
         assert d2[0] == -d2[1]
 
     def test_free_group(self):
         pres = GroupPresentation(2, (), (t1, t2))
         cx = alexander_complex(pres)
-        assert cx.top_degree == 2 and cx.ranks == (1, 2, 0)
+        assert len(cx.diffs) == 2 and cx.ranks == (1, 2, 0)
         assert alexander_module(pres).m1 == 0
 
     def test_figure_eight(self, fig8_text):
@@ -275,7 +275,7 @@ class TestBranchedModule:
         assert delta(bm) == TREFOIL_DELTA
 
     def test_unknot(self):
-        bm = branched_module(PresentedModule.free(1, 1), 1)
+        bm = branched_module(PresentedModule(1, (), 1), 1)
         assert (bm.m1, bm.m0) == (1, 2)
         assert delta(bm).is_one()
 
@@ -297,7 +297,7 @@ class TestReducePresentation:
         bm = branched_module(alexander_module(parse_presentation(fig8_text)), 1)
         red = reduce_presentation(bm)
         assert (red.m1, red.m0) == (1, 2)
-        assert associates(red.matrix[0][0], FIG8_DELTA)
+        assert normalize_unit(red.matrix[0][0]) == normalize_unit(FIG8_DELTA)
         assert red.matrix[0][1].is_zero()
 
     def test_unit_ideal_leaves_no_generator(self):
@@ -361,7 +361,7 @@ def test_module_json_roundtrip():
     for _ in range(40):
         M = random_presentation(rng, rng.choice([1, 2]))
         assert PresentedModule.from_json(M.to_json()) == M
-    F = PresentedModule.free(2, 3)
+    F = PresentedModule(2, (), 3)
     assert PresentedModule.from_json(F.to_json()) == F
 
 
@@ -383,14 +383,14 @@ def test_module_pickle_roundtrip():
     for _ in range(20):
         M = random_presentation(rng, rng.choice([1, 2]))
         assert pickle.loads(pickle.dumps(M)) == M
-    F = PresentedModule.free(2, 3)
+    F = PresentedModule(2, (), 3)
     assert pickle.loads(pickle.dumps(F)) == F
 
 
 def test_direct_sum_block_structure():
     A = PresentedModule(1, ((t - 2,),))
     B = PresentedModule.quotient_by_ideal(1, [t + 1, t - 1])
-    S = A.direct_sum(B)
+    S = direct_sum(A, B)
     assert (S.m1, S.m0) == (3, 2)
     # B is pseudo-zero (Delta_0 = 1), so the sum keeps A's order
     assert is_pseudo_zero_torsion(B)
