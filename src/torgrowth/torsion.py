@@ -32,10 +32,16 @@ Two exact products over characters back these routes with no floating
 point: the product of f over the characters of A_Gamma (`character_product`)
 and Fox's product for cyclic branched covers of knots
 (`cyclic_branched_oracle`).  Both run on one multi-modular engine,
-`_character_product`: pre-sieved primes p = 1 mod the exponent of A_Gamma,
-as many as the Parseval bound ||F||_2^|A| needs, a Fourier transform over
-F_p through the one exponent matrix of the characters for every prime of a
-chunk in one numpy pass, and a CRT tree to the integer.  `character_product`
+`_character_product`, that multiplies Galois-orbit norms.  The characters of
+order m fall into orbits of phi(m), and the product of f over one orbit is
+an integer, a norm from Q(zeta_m).  Its bound (the triangle inequality, or
+AM-GM over the orbit with Parseval over A) grows with phi(m), not with
+|A_Gamma|, and sets the number of pre-sieved primes p = 1 mod the exponent
+of A_Gamma: 3 + t1 + t2 over 256 Z^2 (|A| = 65536) draws 10, where the flat
+product over A drew about 3,660.  A Fourier transform over F_p through the
+one exponent matrix of the characters evaluates every prime of a chunk in
+one numpy pass, a halving product mod p runs inside each orbit, and a CRT
+tree lifts each orbit's norm to an integer.  `character_product`
 is the Fourier route itself, so for Fourier samples SNF of the expansion (in
 tests) and the benchmark pins are the independent checks.
 """
@@ -46,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from operator import add
 
@@ -380,57 +386,143 @@ def _roots_of_unity(e: int, primes: list[int]) -> list[int]:
     return roots
 
 
+@lru_cache(maxsize=1)  # the screen and the product of one Fourier sample share it
 def _powers(f: LaurentPoly, group: FinAbGroup) -> np.ndarray:
     """P[c, k] with f(chi_c) = sum_k f_k z^P[c, k], z a primitive e-th root of
     unity, for the exponent matrix W of the characters and the k-th term of f."""
     exps = np.array([exp for exp, _ in f.terms], dtype=np.int64).reshape(-1, f.nvars)
-    return character_exponents(group) @ (exps.T % group.exponent) % group.exponent
+    out = character_exponents(group) @ (exps.T % group.exponent) % group.exponent
+    out.flags.writeable = False
+    return out
+
+
+def _galois_orbits(group: FinAbGroup) -> list[np.ndarray]:
+    """The Galois orbits {k c : k in (Z/m)^*} of the characters c of A, one
+    (orbits x phi(m)) block of element indices per order m, m ascending.
+
+    Per order m with phi(m) >= 32, each orbit is enumerated from its least
+    unlabelled character: at most |A|/32 Python steps.  Below, each character
+    is labelled by the least index over its orbit, in phi(m) - 1 < 31 numpy
+    passes over the characters of order m.  Either way the labels cost
+    O(|A|) memory and near-linear time, on any A.
+    """
+    dims, e = group.invariant_factors, group.exponent
+    small = [m for m in range(1, math.isqrt(e) + 1) if e % m == 0]
+    divisors = sorted({*small, *(e // m for m in small)})
+    prime_divisors = [q for q in divisors[1:] if _is_prime(q)]
+    orders = np.empty(dims, dtype=np.int64)
+    for m in reversed(divisors):  # m c = 0 iff d_i / gcd(m, d_i) divides c_i: the least m last
+        orders[tuple(slice(None, None, d // math.gcd(m, d)) for d in dims)] = m
+    orders = orders.ravel()
+    d = np.array(dims, dtype=np.int64).reshape(-1, 1)
+    strides = np.array([math.prod(dims[i + 1:]) for i in range(group.rank)], dtype=np.int64).reshape(-1, 1)
+    by_order = np.argsort(orders, kind="stable")  # each order's characters ascending
+    ends = [*np.flatnonzero(np.diff(orders[by_order])).tolist(), group.order - 1]
+    blocks, start = [], 0
+    for end in ends:
+        members, m = by_order[start:end + 1], int(orders[by_order[end]])
+        units = np.ones(m, dtype=bool)
+        for q in prime_divisors:
+            if m % q == 0:
+                units[::q] = False
+        units = np.flatnonzero(units)  # [0] for m = 1
+        # digit i times its stride, mod d_i times the stride: k c's index is a column sum
+        sub, mod, start = members // strides % d * strides, d * strides, end + 1
+        if len(units) >= 32:
+            rows, seen, pos = [], np.zeros(len(members), dtype=bool), 0
+            while len(rows) * len(units) < len(members):
+                pos += int(np.argmin(seen[pos:]))
+                rows.append((sub[:, pos, None] * units % mod).sum(axis=0))
+                seen[np.searchsorted(members, rows[-1])] = True
+            blocks.append(np.array(rows))
+        else:
+            least = members.copy()
+            for k in units[1:].tolist():
+                np.minimum(least, (k * sub % mod).sum(axis=0), out=least)
+            blocks.append(members[np.argsort(least, kind="stable")].reshape(-1, len(units)))
+    return blocks
 
 
 def _character_product(f: LaurentPoly, group: FinAbGroup, skip_trivial: bool = False) -> int:
-    """|prod f(chi)| over the n characters of A, or its n = |A| - 1 nontrivial ones.
+    """|prod f(chi)| over the characters of A, or over its nontrivial ones.
 
-    For primes p = 1 mod e, the exponent of A, F_p has a primitive e-th root
-    z and sends f(chi_c) to sum_k f_k z^(W[c] . a_k), W the exponent matrix.
-    Parseval and AM-GM bound prod |f(chi)|^2 by S^n, S = ||project_poly(f)||_2^2,
-    or by (1 + 1/n)^n S^n < 3 S^n without the trivial character; primes are
-    added until their product M has M^2 > 4 S^n (12 S^n), in integers.  Each
-    chunk of primes is one numpy pass (a table of each root's powers, a
-    gather per term of f, a row-wise halving product); a pairwise CRT tree
-    lifts the residues to the symmetric residue mod M, the product.
+    The product over one Galois orbit O of characters of order m is the norm
+    N_O = N_{Q(zeta_m)/Q}(f(chi)), an integer.  With F = project_poly(f),
+    S = ||F||_2^2 and |O| = phi(m), the triangle inequality, and AM-GM over
+    O with Parseval over A, bound |N_O|^2 by B_O = min(||F||_1^(2|O|),
+    (|A| S / |O|)^|O|).  Primes p = 1 mod e, the exponent of A, are added
+    until their product M has M^2 > 4 B_O for every orbit, in integers, and
+    each orbit takes only the first primes its own bound needs.  F_p has a
+    primitive e-th root z and sends f(chi_c) to sum_k f_k z^(W[c] . a_k), W
+    the exponent matrix.  Each chunk of primes is one numpy pass (a table of
+    each root's powers, a gather per term of f, a halving product mod p
+    inside each orbit); a pairwise CRT tree lifts each orbit's residues to
+    the symmetric residue mod its M, N_O, and the norms multiply to the
+    product.  `skip_trivial` drops the orbit of order 1.
     """
     if f.nvars != group.nvars:
         raise ValueError("dimension mismatch between polynomial and group")
-    e = group.exponent
-    powers = _powers(f, group)[1 if skip_trivial else 0:]
-    if not (n := len(powers)):  # the empty product, of the nontrivial characters of A = 0
+    blocks = _galois_orbits(group)[1 if skip_trivial else 0:]
+    if not blocks:  # the empty product, of the nontrivial characters of A = 0
         return 1
-    need = (12 if skip_trivial else 4) * sum(c * c for c in project_poly(f, group)) ** n
-    primes, M, search = [], 1, _primes_1_mod(e)
-    while 2 * M.bit_length() < need.bit_length() or M * M <= need:
+    F = project_poly(f, group)
+    if not (S := sum(c * c for c in F)):
+        return 0
+    L1, X, e = sum(map(abs, F)), group.order * S, group.exponent
+    bounds = {s: (L1 ** (2 * s), 1) if L1 * L1 * s <= X else (X ** s, s ** s)  # B_O = num / den
+              for s in {b.shape[1] for b in blocks}}
+    primes, M, search, count = [], 1, _primes_1_mod(e), {}  # count[s]: the primes that orbits of s need
+    while len(count) < len(bounds):
         if (p := next(search, None)) is None:
-            raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} for {n} characters")
+            raise ArithmeticError(f"too few primes p = 1 mod {e} below {_PRIME_LIMIT} "
+                                  f"for {group.order} characters")
         primes.append(p)
         M *= p
-    roots, level = _roots_of_unity(e, primes), [(0, 1)]  # (residue, modulus): 0 mod 1 is any x
-    step = max(1, _CELLS // max(n, 1 << (e - 1).bit_length()))  # ~_CELLS cells per array
+        for s, (num, den) in bounds.items():  # M^2 den > 4 num, multiplied out only near the boundary
+            gap = 2 * M.bit_length() + den.bit_length() - num.bit_length()
+            if s not in count and (gap >= 5 or gap >= 2 and M * M * den > 4 * num):
+                count[s] = len(primes)
+    blocks.sort(key=lambda b: -count[b.shape[1]])  # the characters a prime evaluates are a prefix
+    powers = _powers(f, group)[np.concatenate([b.ravel() for b in blocks])]
+    roots, residues = _roots_of_unity(e, primes), []
+    step = max(1, _CELLS // max(len(powers), 1 << (e - 1).bit_length()))  # ~_CELLS cells per array
     for i in range(0, len(primes), step):
-        chunk = primes[i:i + step]
+        chunk, live = primes[i:i + step], [b for b in blocks if count[b.shape[1]] > i]
         p, z = (np.array(x[i:i + step], dtype=np.int64)[:, None] for x in (primes, roots))
         table = np.ones_like(p)  # table[j, m] = z_j^m mod p_j, doubled in m up to e
         while table.shape[1] < e:
             table, z = np.hstack([table, table * z % p]), z * z % p
-        vals = sum((table * np.array([c % q for q in chunk])[:, None] % p)[:, powers[:, k]]
+        cols = powers[:sum(b.size for b in live)]
+        vals = sum((table * np.array([c % q for q in chunk])[:, None] % p)[:, cols[:, k]]
                    for k, (_, c) in enumerate(f.terms)) % p  # a sum of terms below p each
-        while vals.shape[1] > 1:  # halves multiplied, an odd last column kept
-            h = vals.shape[1] // 2
-            vals = np.hstack([vals[:, :h] * vals[:, h:2 * h] % p, vals[:, 2 * h:]])
-        level += zip(vals[:, 0].tolist(), chunk)
-    while len(level) > 1:  # x = r mod m, x = s mod q to x mod mq; (0, 1) pairs an odd one out
-        level = [(r + m * ((s - r) * pow(m, -1, q) % q), m * q)
-                 for (r, m), (s, q) in zip(level[::2], level[1::2] + [(0, 1)])]
-    r, M = level[0]
-    return abs(r - M if 2 * r > M else r)
+        norms, at = [], 0
+        for b in live:  # orbits x phi(m) values per prime, halves multiplied mod p
+            v, at = vals[:, at:at + b.size].reshape(len(chunk), *b.shape), at + b.size
+            while v.shape[2] > 1:  # an odd last column kept
+                h = v.shape[2] // 2
+                v = np.concatenate([v[:, :, :h] * v[:, :, h:2 * h] % p[:, :, None], v[:, :, 2 * h:]], axis=2)
+            norms.append(v[:, :, 0])
+        residues.append(np.hstack(norms))
+    out, at = 1, 0
+    for b in blocks:  # each block's norms from its own primes
+        k = count[b.shape[1]]
+        rows = np.vstack([r[:, at:at + len(b)] for r in residues[:-(-k // step)]])[:k]
+        rs, mod = _crt(list(zip(rows.tolist(), primes[:k])))
+        out *= math.prod(r - mod if 2 * r > mod else r for r in rs)
+        at += len(b)
+    return abs(out)
+
+
+def _crt(level: list[tuple[list[int], int]]) -> tuple[list[int], int]:
+    """([x_j], M) with x_j = r_j mod m, 0 <= x_j < M, for residue lists r
+    modulo pairwise coprime m and their product M, by a pairwise tree."""
+    while len(level) > 1:
+        merged = []
+        for (rs, m), (ss, q) in zip(level[::2], level[1::2]):
+            inv = pow(m, -1, q)
+            merged.append(([r + m * ((s - r) * inv % q) for r, s in zip(rs, ss)], m * q))
+        level = merged + level[2 * len(merged):]  # an odd one out waits a level
+    return level[0]
 
 
 def cyclic_branched_oracle(delta_poly: LaurentPoly, ell: int) -> int:

@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import DATA, lucas, planted_presentations, random_laurent, random_nonzero_laurent
@@ -793,7 +795,7 @@ class TestExactProductDifferential:
     def test_parseval_certificate(self):
         # prod |f(chi)|^2 <= ||F||_2^(2n) over the n = |A| characters, F the
         # push-forward of f, and < 3 ||F||_2^(2(n-1)) over the nontrivial
-        # ones: the bounds the prime count rests on, against SNF
+        # ones: the flat bounds that the orbit bounds refine, against SNF
         rng = random.Random(3030)
         for _ in range(200):
             n = rng.randint(1, 3)
@@ -811,9 +813,9 @@ class TestExactProductDifferential:
                 assert torsion._character_product(f, group, skip_trivial=True) * at_one == tor
                 assert (tor // at_one) ** 2 < 3 * norm2 ** (group.order - 1), (f, gamma)
 
-    def test_parseval_bound_sets_the_prime_count(self, monkeypatch):
-        # 2 ||F||_2^n = 2 * 5^750 for t - 2 over Z/1500 has 1743 bits, where
-        # the triangle inequality's 2 ||f||_1^n = 2 * 3^1500 has 2379
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The primes the product draws from `_primes_1_mod`, in order."""
         counted, search = [], torsion._primes_1_mod
 
         def counting_search(e):
@@ -822,9 +824,119 @@ class TestExactProductDifferential:
                 yield p
 
         monkeypatch.setattr(torsion, "_primes_1_mod", counting_search)
+        return counted
+
+    def test_parseval_bound_sets_the_prime_count(self, drawn):
+        # 2 ||F||_2^n = 2 * 5^750 for t - 2 over Z/1500 has 1743 bits, where
+        # the triangle inequality's 2 ||f||_1^n = 2 * 3^1500 has 2379
         assert character_product(t - 2, Subgroup.cyclic(1500)) == 2 ** 1500 - 1
         bits = (2 * 5 ** 750).bit_length()
-        assert len(counted) <= -(-bits // 30) + 1
+        assert len(drawn) <= -(-bits // 30) + 1
+
+    @staticmethod
+    def _float_values(f, group):
+        """|f(chi)| over the characters of A in floating point, in element order."""
+        coeffs = np.array([c for _, c in f.terms], dtype=float)
+        return abs(np.exp(2j * np.pi / group.exponent * torsion._powers(f, group)) @ coeffs)
+
+    def test_one_prime_at_index_576(self, drawn):
+        # the largest orbits of (Z/24)^2 have phi(24) = 8 characters, and
+        # |N_O|^2 <= ||F||_1^16 = 5^16: one prime p > 2 * 5^8 lifts them all,
+        # where the flat product over A drew 33
+        group = quotient(Subgroup.diagonal(2, 24))
+        got = character_product(3 + t1 + t2, group)
+        assert len(drawn) == 1
+        assert got.bit_length() == 913
+        assert abs(intlinalg.int_log(got) - np.log(self._float_values(3 + t1 + t2, group)).sum()) < 1e-6
+
+    def test_index_65536_in_ten_primes(self, drawn):
+        # orbits of (Z/256)^2 have at most phi(256) = 128 characters
+        group = quotient(Subgroup.diagonal(2, 256))
+        start = time.perf_counter()
+        got = character_product(3 + t1 + t2, group)
+        assert time.perf_counter() - start < 1.0
+        assert len(drawn) <= 10
+        assert got.bit_length() == 103873
+        assert abs(intlinalg.int_log(got) - np.log(self._float_values(3 + t1 + t2, group)).sum()) < 1e-6
+
+    def test_one_orbit_of_760_draws_at_most_one_prime_over_parseval(self, drawn):
+        # |A| = 761 is prime: AM-GM over the orbit of 760 nontrivial
+        # characters and Parseval over A give nearly Parseval's flat bound
+        f, gamma = 1 + t1 + t2, gamma_sj((20, 19), 1)
+        group = quotient(gamma)
+        need, M, flat = 4 * sum(c * c for c in project_poly(f, group)) ** group.order, 1, 0
+        for p in torsion._primes_1_mod(group.exponent):
+            if M * M > need:
+                break
+            M, flat = M * p, flat + 1
+        drawn.clear()
+        character_product(f, gamma)
+        assert 0 < len(drawn) <= flat + 1
+
+    def test_orbit_norms_obey_their_bound(self):
+        # |N_O|^2 <= min(||F||_1^(2|O|), (|A| S / |O|)^|O|) on every Galois
+        # orbit O, the bound the prime count rests on, in floating point
+        rng = random.Random(3131)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            while True:
+                gamma = Subgroup(n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+                if 1 <= gamma.index() <= 300:
+                    break
+            f = random_nonzero_laurent(rng, n, max_terms=4, coeff_max=3)
+            group = quotient(gamma)
+            F = project_poly(f, group)
+            if not any(F):
+                continue
+            L1, X = sum(map(abs, F)), group.order * sum(c * c for c in F)
+            vals = self._float_values(f, group)
+            for block in torsion._galois_orbits(group):
+                s = block.shape[1]
+                bound = s * min(2 * math.log(L1), math.log(X / s))
+                with np.errstate(divide="ignore"):  # log 0 = -inf on a zero orbit
+                    logs = 2 * np.log(vals[block]).sum(axis=1)
+                assert (logs <= bound + 1e-9 * max(1.0, bound)).all(), (f, gamma, s)
+
+    def test_orbit_products_match_snf(self):
+        # seeded (f, Gamma) in 2 and 3 variables whose quotient has at least
+        # three character orders, so orbits of several sizes and digit
+        # strides meet in one product; with and without the trivial character
+        rng = random.Random(3232)
+        kinds, done = set(), 0
+        while done < 50:
+            n = rng.choice([2, 3])
+            gamma = Subgroup(n, [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)])
+            if not 1 <= gamma.index() <= 300:
+                continue
+            group = quotient(gamma)
+            if sum(group.exponent % m == 0 for m in range(1, group.exponent + 1)) < 3:
+                continue
+            f = random_nonzero_laurent(rng, n, max_terms=4, coeff_max=3)
+            tor, rank = snf(expand([[f]], group))
+            want = tor if rank == group.order else 0
+            assert torsion._character_product(f, group) == want, (f, gamma)
+            if at_one := abs(sum(f.coefficients())):
+                assert torsion._character_product(f, group, skip_trivial=True) * at_one == want
+            kinds.add((n, group.rank, want > 0))
+            done += 1
+        assert {(2, 1, True), (2, 2, True), (3, 2, True), (2, 1, False), (3, 2, False)} <= kinds
+
+    def test_a_zero_orbit_makes_the_product_0(self):
+        # 1 + t1 + t2 vanishes on the orbit {(omega, omega^2), (omega^2, omega)}
+        # of order 3; t^2 + t + 1 on the primitive cube roots of unity
+        f = (1 + t1 + t2) * (3 - t1 * t2)
+        for gamma in (Subgroup.diagonal(2, 6), Subgroup(2, [(3, 0), (0, 12)])):
+            group = quotient(gamma)
+            assert snf(expand([[f]], group))[1] < group.order
+            assert torsion._character_product(f, group) == 0
+            assert torsion._character_product(f, group, skip_trivial=True) == 0
+        dpoly = (t ** 2 + t + 1) * (t - 2)
+        assert torsion._character_product(dpoly, quotient(Subgroup.cyclic(12))) == 0
+        with pytest.raises(OracleDegenerateError):
+            cyclic_branched_oracle(dpoly, 12)
+        assert cyclic_branched_oracle(dpoly, 10) == torsion_order(
+            PresentedModule.quotient_by_ideal(1, [dpoly, sum((t ** i for i in range(10)), LaurentPoly.zero(1))]),
+            Subgroup.cyclic(10))
 
     def test_running_out_of_primes_is_an_error(self, monkeypatch):
         # primes = 1 mod 50 below 200 are 101 and 151: too few for 2^50 - 1
@@ -844,6 +956,69 @@ class TestExactProductDifferential:
             capture_output=True, text=True, env=env, check=True,
         ).stdout
         assert out.strip() == "False"
+
+
+class TestGaloisOrbits:
+    """`_galois_orbits` against brute force over the elements: the orbits
+    {k c : k in (Z/m)^*} of the characters partition them, one block per
+    order m, and there is one orbit per cyclic subgroup."""
+
+    @staticmethod
+    def _groups():
+        rng = random.Random(3333)
+        gammas = [Subgroup.cyclic(720), Subgroup(2, [(2, 0), (0, 150)]), Subgroup.diagonal(2, 41),
+                  Subgroup(3, [(2, 0, 0), (0, 4, 0), (0, 0, 6)])]  # Z/2 x Z/2 x Z/12
+        for n in (2, 3) * 6:
+            while True:
+                gamma = Subgroup(n, [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)])
+                if 1 <= gamma.index() <= 300:
+                    break
+            gammas.append(gamma)
+        return [quotient(g) for g in gammas]
+
+    def test_orbits_are_the_generators_of_the_cyclic_subgroups(self):
+        ranks = set()
+        for group in self._groups():
+            elems, dims = group.elements(), group.invariant_factors
+
+            def times(k, c):
+                return group.index_of(tuple(k * x % d for x, d in zip(elems[c], dims)))
+
+            blocks = torsion._galois_orbits(group)
+            assert sorted(np.concatenate([b.ravel() for b in blocks]).tolist()) == list(range(group.order))
+            orders = [group.order_of(elems[b[0, 0]]) for b in blocks]
+            assert orders == sorted(set(orders)), group
+            for m, block in zip(orders, blocks):
+                units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+                assert block.shape[1] == len(units), (group, m)
+                for row in block.tolist():
+                    assert {group.order_of(elems[c]) for c in row} == {m}
+                    assert {times(k, row[0]) for k in units} == set(row), (group, m, row)
+            cyclic = {frozenset(times(j, c) for j in range(group.order_of(elems[c])))
+                      for c in range(group.order)}
+            assert sum(len(b) for b in blocks) == len(cyclic), group
+            ranks.add(group.rank)
+        assert ranks == {1, 2, 3}
+
+    @pytest.mark.parametrize("gamma, subgroups", [
+        (Subgroup.cyclic(65536), 17),  # one per divisor of 2^16
+        (Subgroup.diagonal(2, 256), 766),  # 1 + sum_k 3 * 2^(k-1) over the orders 2^k
+    ], ids=["Z/65536", "(Z/256)^2"])
+    def test_cost_at_index_65536(self, gamma, subgroups):
+        # O(|A|) memory: the peak of what the call allocates (tracemalloc
+        # traces numpy's buffers) stays below 16 int64 arrays of |A|
+        group = quotient(gamma)
+        start = time.perf_counter()
+        blocks = torsion._galois_orbits(group)
+        assert time.perf_counter() - start < 0.25
+        assert sum(len(b) for b in blocks) == subgroups
+        tracemalloc.start()
+        try:
+            torsion._galois_orbits(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * group.order
 
 
 class TestOracleEquivalence:
