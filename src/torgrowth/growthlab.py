@@ -22,7 +22,13 @@ from itertools import repeat
 from . import __version__
 from .lattices import Subgroup, converging_k_sequence, gamma_sj, quotient, unit_vector
 from .laurent import LaurentPoly, poly_to_json
-from .mahler import MahlerEstimate, mahler_lawton, mahler_quadrature, mahler_univariate
+from .mahler import (
+    MahlerEstimate,
+    mahler_boyd,
+    mahler_lawton,
+    mahler_quadrature,
+    mahler_univariate,
+)
 from .presmod import (
     PresentedModule,
     alexander_module,
@@ -230,22 +236,32 @@ class ExperimentReport:
             "metadata": self.metadata,
         }
 
-    def csv_text(self) -> str:
+    def write(self, out_dir) -> None:
+        """samples.csv and report.json in `out_dir`, both from one record per sample."""
+        out = pathlib.Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        blob = self.to_json_dict()
         lines = [GrowthSample.CSV_HEADER]
-        lines.extend(s.csv_row() for s in self.samples)
-        return "\n".join(lines) + "\n"
+        lines.extend(GrowthSample.record_row(rec) for rec in blob["samples"])
+        (out / "samples.csv").write_text("\n".join(lines) + "\n")
+        (out / "report.json").write_text(
+            json.dumps(blob, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
 
 
 def mahler_target(poly: LaurentPoly, method: str = "auto", samples: int = 1_000_000,
                   seed: int = 0, schedule=None) -> MahlerEstimate:
     """Dispatch a Mahler estimate for the growth target: Jensen's formula in
-    one variable and Lawton's limit in several, unless quadrature is asked for."""
+    one variable; in two, Boyd's integral for `auto` without a schedule; else
+    Lawton's limit, unless quadrature is asked for."""
     if method == "quadrature":
         return mahler_quadrature(poly, samples=samples, seed=seed)
     if poly.nvars == 1:
         return mahler_univariate(poly)
     if method == "jensen":
         raise ConfigError("jensen needs a univariate polynomial; use lawton/quadrature")
+    if method == "auto" and poly.nvars == 2 and schedule is None:
+        return mahler_boyd(poly)
     return mahler_lawton(poly, schedule)
 
 
@@ -307,10 +323,5 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         },
     )
     if out_dir is not None:
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "samples.csv").write_text(report.csv_text())
-        (out / "report.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
+        report.write(out_dir)
     return report

@@ -6,10 +6,14 @@ moves every root at once, started from the Newton polygon of the
 coefficients (one circle per hull edge, Bini 1996).  A sweep evaluates
 the polynomial in numpy calls per nonzero term, not per degree, so the
 sparse specializations of a Lawton schedule stay cheap at high degree.
-Multivariate values come either from the one-variable specializations
-t^m -> t^(m·k) along a schedule of directions k with growing orthogonal
-defect (Lawton's limit), or from seeded median-of-means Monte Carlo
-integration of log|f| over the unit torus.
+Two-variable values come from Boyd's one-dimensional integral of the
+Jensen value in one variable over the circle of the other, split at the
+unit-circle roots of an exact integer resultant and taken by Gauss-Legendre
+rules that double until they agree.  Values in any number of variables
+come either from the one-variable specializations t^m -> t^(m·k) along a
+schedule of directions k with growing orthogonal defect (Lawton's limit),
+or from seeded median-of-means Monte Carlo integration of log|f| over the
+unit torus.
 
 All estimates carry a method tag and an explicit error bound; the additive
 measure of a nonzero integer polynomial is nonnegative, and is 0 exactly for
@@ -19,19 +23,23 @@ generalized cyclotomic polynomials.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .intlinalg import eliminate
 from .lattices import lawton_norm
-from .laurent import LaurentPoly, normalize_unit
+from .laurent import LaurentPoly, gcd, gcd_list, normalize_unit
 
 JENSEN_TOL = 1e-9  # the error bound a Jensen value must certify
 ABERTH_BLOCK = 4096  # entries of the z_i - z_j array the Aberth sum holds at once
 ABERTH_SWEEPS = 10_000  # cap on the sweeps of the one Aberth run per certification
 QUADRATURE_SHARDS = 16  # median-of-means groups of the Monte Carlo estimate
+BOYD_TOL = 1e-12  # the gap between successive rules that ends Boyd's doubling
+BOYD_NODES = (16, 512)  # the first and the largest n compared with 2n
 
 
 class NonconvergenceError(RuntimeError):
@@ -268,6 +276,162 @@ def mahler_lawton(f: LaurentPoly,
         "lawton",
         gap,
         {"schedule": [list(k) for k in schedule], "norms": norms, "values": values},
+    )
+
+
+def _unit_circle_angles(r: LaurentPoly) -> list[float]:
+    """The angles theta in [0, 1) of the roots e^(2 pi i theta) of r on the
+    unit circle (|1 - |z|| < 1e-6), from its square-free part r / gcd(r, r'):
+    Aberth's method resolves a root of multiplicity k only to about
+    eps^(1/k), and its inclusion radii do not show it."""
+    deriv = LaurentPoly(1, {(e - 1,): e * c for (e,), c in r.terms if e})
+    coeffs = _poly_coeffs(r // gcd(r, deriv) if deriv else r)
+    if len(coeffs) == 1:
+        return []
+    roots, _ = _aberth_roots(coeffs)
+    if not all(cmath.isfinite(z) for z in roots):
+        raise NonconvergenceError("the split points of Boyd's integral did not converge")
+    # + 1.0 first, so that a phase of -1e-17 gives 0.0, not 1.0
+    angles = sorted((cmath.phase(z) / (2 * math.pi) + 1.0) % 1.0
+                    for z in roots if abs(1 - abs(z)) < 1e-6)
+    # each angle apart from the one before it on the circle
+    return [u for i, u in enumerate(angles) if u - (angles[i - 1] - (i == 0)) > 1e-12]
+
+
+@functools.lru_cache(maxsize=None)  # n is a power of two from 16 to 1024
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (read-only) of the n-point Gauss-Legendre rule on
+    [-1, 1], n even, with no LAPACK call: Newton's method in x = cos(phi)
+    from Tricomi's estimate, on P_n(cos phi) = sum_k c_k c_(n-k)
+    cos((n-2k) phi), c_k = binom(2k, k) / 4^k, a fixed number of numpy
+    calls per step.  The derivative at the last step's end point, for the
+    weights 2 / P_n'(phi)^2, comes from Legendre's equation
+    P'' = -cot(phi) P' - n(n+1) P.  Cosines and sines are taken from one
+    complex exponential: numpy's first cos and sin cost peak memory."""
+    c = [1.0]
+    for j in range(1, n + 1):
+        c.append(c[-1] * (1 - 0.5 / j))
+    a = np.array([c[j] * c[n - j] * (1 if 2 * j == n else 2) for j in range(n // 2 + 1)])
+    k = np.arange(n // 2 + 1)
+    m = n - 2 * k
+
+    def cot(phi):
+        z = np.exp(1j * phi)
+        return z.real / z.imag
+
+    phi = np.pi * (4 * k[1:] - 1) / (4 * n + 2)
+    phi += (n - 1) / (8 * n ** 3) * cot(phi)
+    while True:
+        e = np.exp(1j * np.outer(phi, m))
+        p, dp = (e.real * a).sum(axis=1), -(e.imag * (a * m)).sum(axis=1)
+        step = p / dp
+        phi = phi - step
+        dp += step * (dp * cot(phi + step) + n * (n + 1) * p)
+        if np.abs(step).max() < 1e-8:  # the next step would be below 1e-15
+            break
+    x, w = np.exp(1j * phi).real, 2 / (dp * dp)
+    nodes, weights = np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _jensen_integrand(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """H(theta) = m(f(x, .)) at x = e^(2 pi i theta), for the polynomial with
+    coeffs[i, j] the coefficient of x^i y^j: log max(|a_0(x)|, |a_1(x)|) for
+    degree D <= 1 in y, else Jensen's formula over the roots in y, from the
+    end coefficient of larger modulus (batched companion eigenvalues)."""
+    powers = np.exp(2j * np.pi * np.outer(theta, np.arange(coeffs.shape[0])))
+    a = (powers[:, :, None] * coeffs).sum(axis=1)
+    mod = np.abs(a)
+    deg = a.shape[1] - 1
+    if deg <= 1:
+        return np.log(mod.max(axis=1))
+    a = np.where((mod[:, 0] > mod[:, -1])[:, None], a[:, ::-1], a)
+    lead = a[:, -1]
+    comp = np.zeros((len(a), deg, deg), dtype=np.complex128)
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1
+    comp[:, :, -1] = -a[:, :-1] / lead[:, None]
+    roots = np.abs(np.linalg.eigvals(comp))
+    return np.log(np.abs(lead)) + np.log(np.maximum(roots, 1.0)).sum(axis=1)
+
+
+def mahler_boyd(f: LaurentPoly) -> MahlerEstimate:
+    """Boyd's one-dimensional integral (Canad. Math. Bull. 24, 1981) for a
+    two-variable polynomial: m(f) = m(c) + the integral over theta in [0, 1)
+    of H(theta) = m(g(e^(2 pi i theta), .)).  Here y is the variable of lower
+    degree D, x the other, and f = c(x)·g(x, y) with c the content in x,
+    whose measure is Jensen's.
+
+    H is analytic except where a root y of g(x, .) meets the unit circle.
+    Those points x are unit-circle roots of R(x) = Res_y(g, g*), with
+    g* = x^d·y^D·g(1/x, 1/y); R is exact over Z.  With none, the periodic H
+    takes the trapezoid rule at midpoints.  Else each arc [a, b] between
+    them takes an open Gauss-Legendre rule in s, with theta = a + (b - a)
+    (1 + sin(pi s / 2)) / 2: where two roots in y meet on the circle, H has
+    a square-root end point, which that substitution makes analytic.  The
+    number of nodes n doubles from 16 until two successive rules differ by
+    at most BOYD_TOL or n = 512; that gap (plus the error bound of m(c)) is
+    the error_bound, a convergence estimate like Lawton's.  R = 0 means g
+    shares a factor with g* (every link's Alexander polynomial does, by
+    Torres symmetry): then the value is Lawton's limit on the default
+    schedule.  Diagnostics: the split angles theta, the nodes per arc of
+    the last rule and m(c).
+    """
+    if f.nvars != 2:
+        raise ValueError("mahler_boyd takes a two-variable polynomial")
+    if f.is_zero():
+        raise ValueError("the Mahler measure of 0 is undefined")
+    p = normalize_unit(f)
+    degs = p.max_exponents()
+    iy = int(degs[0] >= degs[1])
+    rows: list[dict] = [{} for _ in range(degs[iy] + 1)]
+    for e, c in p.terms:
+        rows[e[iy]][(e[1 - iy],)] = c
+    a = [LaurentPoly(1, r) for r in rows]
+    content = gcd_list(sorted(a, key=len), 1)  # a unit among the a_j ends it at once
+    a = [aj // content for aj in a]
+    if len(content) == 1:
+        base = MahlerEstimate(math.log(abs(content.coefficients()[0])), "jensen", 0.0)
+    else:
+        base = mahler_univariate(content)
+    dx = max(aj.max_exponents()[0] for aj in a)
+    star = [LaurentPoly(1, {(dx - e,): c for (e,), c in aj.terms}) for aj in reversed(a)]
+    deg, zero = len(a) - 1, LaurentPoly.zero(1)
+    sylvester = [[zero] * i + g[::-1] + [zero] * (deg - 1 - i) for g in (a, star) for i in range(deg)]
+    rank, det = eliminate(sylvester, 2 * deg)  # R up to sign, exact over Z[x]
+    if rank < 2 * deg:
+        return mahler_lawton(f)
+    r = LaurentPoly.one(1) * det  # det is the int 1 when D = 0
+    splits = _unit_circle_angles(r)
+    coeffs = _float_coeffs([aj.coeff((i,)) for i in range(dx + 1) for aj in a]).reshape(dx + 1, -1)
+    if splits:
+        starts = np.array(splits)
+        half = (np.append(starts[1:], starts[0] + 1) - starts)[:, None] / 2
+
+        def rule(n):
+            # Gauss-Legendre in s, theta = start + half (1 + sin(pi s / 2))
+            nodes, weights = _gauss_legendre(n)
+            z = np.exp(0.5j * np.pi * nodes)
+            h = _jensen_integrand(coeffs, (starts[:, None] + half * (1 + z.imag)).ravel())
+            return (half * (weights * z.real * np.pi / 2) * h.reshape(len(starts), n)).sum(axis=1)
+    else:
+        def rule(n):
+            return np.array([_jensen_integrand(coeffs, (np.arange(n) + 0.5) / n).mean()])
+
+    n, last = BOYD_NODES
+    q = rule(n)
+    while True:
+        finer = rule(2 * n)
+        gap = float(np.abs(finer - q).sum())
+        q = finer
+        if gap <= BOYD_TOL or n >= last:
+            break
+        n *= 2
+    return MahlerEstimate(
+        base.value + float(q.sum()),
+        "boyd",
+        base.error_bound + gap,
+        {"split_points": splits, "nodes": 2 * n, "content": base.value},
     )
 
 

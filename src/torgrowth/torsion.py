@@ -291,8 +291,12 @@ class GrowthSample:
         }
 
     def csv_row(self) -> str:
-        rec = self.to_json()
-        return ";".join(str(rec[k]) for k in self.CSV_HEADER.split(";"))
+        return self.record_row(self.to_json())
+
+    @classmethod
+    def record_row(cls, rec: dict) -> str:
+        """The CSV row of a `to_json` record."""
+        return ";".join(str(rec[k]) for k in cls.CSV_HEADER.split(";"))
 
     @classmethod
     def from_csv_row(cls, row: str) -> "GrowthSample":

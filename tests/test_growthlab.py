@@ -385,14 +385,18 @@ class TestMahlerTarget:
         assert mahler_target(t - 2).method == "jensen"
 
     def test_auto_multivariate(self):
-        assert mahler_target(3 + t1 + t2).method == "lawton"
+        assert mahler_target(3 + t1 + t2).method == "boyd"
+
+    def test_auto_with_a_schedule_is_lawton(self):
+        est = mahler_target(3 + t1 + t2, schedule=((1, 8), (1, 16)))
+        assert est.method == "lawton" and est.diagnostics["schedule"] == [[1, 8], [1, 16]]
 
     def test_jensen_rejects_multivariate(self):
         with pytest.raises(ConfigError):
             mahler_target(3 + t1 + t2, method="jensen")
 
     @pytest.mark.parametrize("method, one, two", [
-        ("auto", "jensen", "lawton"),
+        ("auto", "jensen", "boyd"),
         ("jensen", "jensen", None),
         ("lawton", "jensen", "lawton"),
         ("quadrature", "quadrature", "quadrature"),
@@ -577,7 +581,8 @@ class TestCli:
         assert err["error"] == "ConfigError" and "'schedule'" in err["message"]
 
     def test_mahler_schedule_is_read_as_integer_vectors(self, capsys):
-        args = ["mahler", "--poly", "1 + t1 + t2", "--nvars", "2"]
+        # lawton: auto in two variables is Boyd's integral, which has no schedule
+        args = ["mahler", "--poly", "1 + t1 + t2", "--nvars", "2", "--method", "lawton"]
         assert cli_main(args) == 0
         default = json.loads(capsys.readouterr().out)
         schedule = json.dumps(default["diagnostics"]["schedule"])

@@ -3,9 +3,11 @@ import random
 import time
 
 import mpmath
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from conftest import random_nonzero_laurent
+from conftest import DATA, random_nonzero_laurent
 from torgrowth import mahler
 from torgrowth.laurent import LaurentPoly, parse_poly, variables
 from torgrowth.mahler import (
@@ -13,15 +15,19 @@ from torgrowth.mahler import (
     MahlerEstimate,
     NonconvergenceError,
     default_lawton_schedule,
+    mahler_boyd,
     mahler_lawton,
     mahler_quadrature,
     mahler_univariate,
 )
+from torgrowth.presmod import alexander_module, delta, parse_presentation
 
 t, = variables(1)
 t1, t2 = variables(2)
 
 LOG_GOLDEN_SQ = math.log((3 + math.sqrt(5)) / 2)
+SMYTH = 0.3230659472194505  # m(1 + t1 + t2), Smyth (1981)
+TWO_G_OVER_PI = 0.5831218080616375  # m(1 + t1 + t2 - t1 t2) = 2G/pi, G Catalan's constant
 
 
 def nan_root_finder(coeffs):
@@ -199,6 +205,155 @@ class TestLawton:
         assert ks[0] == (1, 8) and ks[-1] == (1, 64)
         est = mahler_lawton(3 + t1 + t2)
         assert est.value == pytest.approx(math.log(3), abs=0.01)
+
+
+def jensen_reference(f: LaurentPoly, grid: int = 48, panels: int = 12) -> float:
+    """m(f) with mpmath's root finder: the integral over theta of
+    m(f(e^(2 pi i theta), .)) in t2, on the arcs between the angles where the
+    count of roots outside the unit circle changes (found on a grid, refined
+    by bisection), each cut into panels of numpy's 10-point Gauss-Legendre.
+    Independent of `mahler_boyd`'s resultant, companion matrices and rules."""
+    deg = f.max_exponents()[1]
+
+    def roots(theta):
+        x = mpmath.expjpi(2 * theta)
+        a = [mpmath.mpc(0)] * (deg + 1)
+        for (i, j), c in f.terms:
+            a[j] += c * x ** i
+        return a[-1], mpmath.polyroots(a[::-1], maxsteps=200, extraprec=10)
+
+    def h(theta):
+        lead, ys = roots(theta)
+        return float(mpmath.log(abs(lead)) + sum(mpmath.log(max(1, abs(r))) for r in ys))
+
+    def outside(theta):
+        return sum(abs(r) > 1 for r in roots(theta)[1])
+
+    points = [(k + 0.5) / grid for k in range(grid + 1)]
+    counts = [outside(p) for p in points]
+    splits = []
+    for p, q, cp, cq in zip(points, points[1:], counts, counts[1:]):
+        if cp != cq:
+            for _ in range(50):
+                mid = (p + q) / 2
+                p, q = (mid, q) if outside(mid) == cp else (p, mid)
+            splits.append(p)
+    splits = splits or [0.0]
+    nodes, weights = leggauss(10)
+    total = 0.0
+    for a, b in zip(splits, splits[1:] + [splits[0] + 1]):
+        for k in range(panels):
+            lo, hi = a + (b - a) * k / panels, a + (b - a) * (k + 1) / panels
+            total += (hi - lo) / 2 * sum(
+                w * h((lo + hi) / 2 + (hi - lo) / 2 * s) for s, w in zip(nodes, weights))
+    return total
+
+
+def seeded_poly(seed: int, deg: int) -> LaurentPoly:
+    """Four random terms of degree exactly `deg` in each variable."""
+    rng = random.Random(seed)
+    while True:
+        f = LaurentPoly(2, {(rng.randint(0, deg), rng.randint(0, deg)): rng.randint(-3, 3)
+                            for _ in range(4)})
+        if f.max_exponents() == (deg, deg) and f.min_exponents() == (0, 0):
+            return f
+
+
+def swapped(f: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(2, {(b, a): c for (a, b), c in f.terms})
+
+
+def link_delta(name: str) -> LaurentPoly:
+    return delta(alexander_module(parse_presentation((DATA / f"{name}.txt").read_text())))
+
+
+class TestBoyd:
+    @pytest.mark.parametrize("f, value, splits", [
+        (1 + t1 + t2, SMYTH, [1 / 3, 2 / 3]),
+        (3 + t1 + t2, math.log(3), []),
+        # a_1 = 1 - t1 vanishes at t1 = 1, where H = log max(|a_0|, |a_1|) stays analytic
+        (1 + t1 + t2 - t1 * t2, TWO_G_OVER_PI, [1 / 4, 3 / 4]),
+        # unimodular images of 1 + t1 + t2: two and three roots in y
+        (1 + t1 ** 2 + t2 ** 2, SMYTH, None),
+        (1 + t1 * t2 ** 2 + t1 ** 2 * t2 ** 3, SMYTH, None),
+    ])
+    def test_closed_forms(self, f, value, splits):
+        est = mahler_boyd(f)
+        assert est.method == "boyd"
+        assert abs(est.value - value) <= 1e-12
+        assert est.error_bound <= 1e-12
+        if splits is not None:
+            assert est.diagnostics["split_points"] == pytest.approx(splits, abs=1e-12)
+
+    def test_additive(self):
+        factors = [1 + t1 + t2, 3 + t1 + t2, 1 + t1 + t2 - t1 * t2, 2 + t1 * t2 ** 2 - t2]
+        for i, f in enumerate(factors):
+            for g in factors[i:]:
+                total = mahler_boyd(f).value + mahler_boyd(g).value
+                assert abs(mahler_boyd(f * g).value - total) <= 1e-12, (str(f), str(g))
+
+    def test_swap_and_unit_invariance(self):
+        polys = [1 + t1 + t2, 1 + t1 + t2 - t1 * t2, seeded_poly(0, 2), seeded_poly(2, 3)]
+        for f in polys:
+            value = mahler_boyd(f).value
+            assert abs(mahler_boyd(swapped(f)).value - value) <= 1e-12, str(f)
+            for u in (-t1 ** 3 * t2 ** -2, t2 ** 5, LaurentPoly.constant(2, -1)):
+                est = mahler_boyd(u * f)
+                assert est.method == "boyd" and abs(est.value - value) <= 1e-12, (str(f), str(u))
+
+    def test_content_in_one_variable(self):
+        # (t1 - 2)(1 + t1 + t2): the content t1 - 2 goes through Jensen's formula
+        est = mahler_boyd((t1 - 2) * (1 + t1 + t2))
+        assert est.diagnostics["content"] == pytest.approx(math.log(2), abs=1e-12)
+        assert abs(est.value - math.log(2) - SMYTH) <= 1e-12
+        # free of t2: all of it is content, and H = 0
+        est = mahler_boyd(t1 ** 2 - 3 * t1 + 1)
+        assert est.method == "boyd" and abs(est.value - LOG_GOLDEN_SQ) <= 1e-9
+        # a cyclotomic content measures 0, and its zero at t1 = 1 splits no arc
+        est = mahler_boyd((1 - t1) * (1 + t1 + t2))
+        assert est.method == "boyd" and abs(est.value - SMYTH) <= 1e-12
+        assert est.diagnostics["split_points"] == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
+
+    @pytest.mark.parametrize("seed, deg", [(0, 2), (1, 2), (2, 3)])
+    def test_agrees_with_mpmath(self, seed, deg):
+        f = seeded_poly(seed, deg)
+        est = mahler_boyd(f)
+        assert est.method == "boyd" and est.error_bound <= 1e-12
+        assert abs(est.value - jensen_reference(f)) <= 1e-9, str(f)
+
+    def test_roots_meeting_on_the_circle(self):
+        # at t1 = -1 the cubic in t2 is -(t2 - 2)(t2 + 1)^2: H has a square-root
+        # end point there, which plain Gauss-Legendre in theta takes to 2e-10
+        # only at 1024 nodes
+        f = -3 * t1 ** 3 * t2 - 2 * t1 ** 3 - t2 ** 3
+        for g in (f, swapped(f)):
+            est = mahler_boyd(g)
+            assert est.error_bound <= 1e-12 and est.diagnostics["nodes"] <= 128
+            assert abs(est.value - math.log(3)) <= 1e-12
+        assert mahler_boyd(f).diagnostics["split_points"] == pytest.approx([1 / 6, 1 / 2, 5 / 6])
+
+    @pytest.mark.parametrize("f", [
+        (1 - t1) * (1 - t2),
+        link_delta("link_12_5"),
+        link_delta("link_20_9"),
+    ], ids=["torus-factors", "link_12_5", "link_20_9"])
+    def test_reciprocal_input_is_lawton(self, f):
+        est = mahler_boyd(f)
+        assert est.method == "lawton"
+        assert est == mahler_lawton(f)
+
+    def test_gauss_legendre_rule(self):
+        for n in (16, 64, 512):
+            nodes, weights = mahler._gauss_legendre(n)
+            ref_nodes, ref_weights = leggauss(n)
+            assert np.abs(nodes - ref_nodes).max() <= 1e-14
+            assert np.abs(weights - ref_weights).max() <= 1e-14
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mahler_boyd(t - 2)
+        with pytest.raises(ValueError):
+            mahler_boyd(LaurentPoly.zero(2))
 
 
 class TestQuadrature:
