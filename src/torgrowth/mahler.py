@@ -390,20 +390,22 @@ def mahler_boyd(f: LaurentPoly) -> MahlerEstimate:
     a = [LaurentPoly(1, r) for r in rows]
     content = gcd_list(sorted(a, key=len), 1)  # a unit among the a_j ends it at once
     a = [aj // content for aj in a]
-    if len(content) == 1:
+    if len(content) == 1:  # a constant: no root finder to run
         base = MahlerEstimate(math.log(abs(content.coefficients()[0])), "jensen", 0.0)
     else:
         base = mahler_univariate(content)
     dx = max(aj.max_exponents()[0] for aj in a)
     star = [LaurentPoly(1, {(dx - e,): c for (e,), c in aj.terms}) for aj in reversed(a)]
     deg, zero = len(a) - 1, LaurentPoly.zero(1)
-    sylvester = [[zero] * i + g[::-1] + [zero] * (deg - 1 - i) for g in (a, star) for i in range(deg)]
+    sylvester = [[zero] * i + g[::-1] + [zero] * (deg - 1 - i)
+                 for g in (a, star) for i in range(deg)]
     rank, det = eliminate(sylvester, 2 * deg)  # R up to sign, exact over Z[x]
     if rank < 2 * deg:
         return mahler_lawton(f)
     r = LaurentPoly.one(1) * det  # det is the int 1 when D = 0
     splits = _unit_circle_angles(r)
-    coeffs = _float_coeffs([aj.coeff((i,)) for i in range(dx + 1) for aj in a]).reshape(dx + 1, -1)
+    coeffs = _float_coeffs([aj.coeff((i,)) for i in range(dx + 1) for aj in a])
+    coeffs = coeffs.reshape(dx + 1, len(a))
     if splits:
         starts = np.array(splits)
         half = (np.append(starts[1:], starts[0] + 1) - starts)[:, None] / 2
