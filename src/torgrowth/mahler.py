@@ -375,7 +375,10 @@ def mahler_boyd(f: LaurentPoly) -> MahlerEstimate:
     shares a factor with g* (every link's Alexander polynomial does, by
     Torres symmetry): then the value is Lawton's limit on the default
     schedule.  Diagnostics: the split angles theta, the nodes per arc of
-    the last rule and m(c).
+    the last rule and m(c).  For D >= 2 a repeated factor h = gcd(g, dg/dy)
+    is split off first, m(g) = m(g / h) + m(h), with the two estimates'
+    diagnostics under "factors": the companion eigenvalues of a k-fold root
+    are accurate to eps^(1/k) only.
     """
     if f.nvars != 2:
         raise ValueError("mahler_boyd takes a two-variable polynomial")
@@ -394,6 +397,20 @@ def mahler_boyd(f: LaurentPoly) -> MahlerEstimate:
         base = MahlerEstimate(math.log(abs(content.coefficients()[0])), "jensen", 0.0)
     else:
         base = mahler_univariate(content)
+    if len(a) > 2:
+        # a k-fold root in y costs its eigenvalues eps^(1/k): m(g) = m(g / h) + m(h)
+        g = LaurentPoly(2, {(i, j): c for j, aj in enumerate(a) for (i,), c in aj.terms})
+        h = gcd(g, LaurentPoly(2, {(i, j - 1): j * c for (i, j), c in g.terms if j}))
+        if h.max_exponents()[1]:
+            parts = [mahler_boyd(g // h), mahler_boyd(h)]
+            if any(e.method != "boyd" for e in parts):
+                return mahler_lawton(f)
+            return MahlerEstimate(
+                base.value + sum(e.value for e in parts),
+                "boyd",
+                base.error_bound + sum(e.error_bound for e in parts),
+                {"content": base.value, "factors": [e.diagnostics for e in parts]},
+            )
     dx = max(aj.max_exponents()[0] for aj in a)
     star = [LaurentPoly(1, {(dx - e,): c for (e,), c in aj.terms}) for aj in reversed(a)]
     deg, zero = len(a) - 1, LaurentPoly.zero(1)

@@ -321,6 +321,14 @@ class TestBoyd:
         assert est.method == "boyd" and est.error_bound <= 1e-12
         assert abs(est.value - jensen_reference(f)) <= 1e-9, str(f)
 
+    def test_repeated_factor_is_split_off(self):
+        # a triple root in t2 for every t1, whose companion eigenvalues are good
+        # to eps^(1/3) only: unsplit, (1 + t1 + t2)^3 came out 4.4e-11 off 3 Smyth
+        est = mahler_boyd((1 + t1 + t2) ** 3 * (3 + t1 + t2))
+        assert est.method == "boyd" and est.error_bound <= 1e-12
+        assert abs(est.value - 3 * SMYTH - math.log(3)) <= 1e-12
+        assert len(est.diagnostics["factors"]) == 2
+
     def test_roots_meeting_on_the_circle(self):
         # at t1 = -1 the cubic in t2 is -(t2 - 2)(t2 + 1)^2: H has a square-root
         # end point there, which plain Gauss-Legendre in theta takes to 2e-10
