@@ -307,7 +307,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     calls per step.  The derivative at the last step's end point, for the
     weights 2 / P_n'(phi)^2, comes from Legendre's equation
     P'' = -cot(phi) P' - n(n+1) P.  Cosines and sines are taken from one
-    complex exponential: numpy's first cos and sin cost peak memory."""
+    complex exponential: numpy's first cos and sin calls in a process raise
+    its peak RSS by about 0.25 MB."""
     c = [1.0]
     for j in range(1, n + 1):
         c.append(c[-1] * (1 - 0.5 / j))
@@ -338,8 +339,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _jensen_integrand(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """H(theta) = m(f(x, .)) at x = e^(2 pi i theta), for the polynomial with
     coeffs[i, j] the coefficient of x^i y^j: log max(|a_0(x)|, |a_1(x)|) for
-    degree D <= 1 in y, else Jensen's formula over the roots in y, from the
-    end coefficient of larger modulus (batched companion eigenvalues)."""
+    degree D <= 1 in y, else Jensen's formula over the roots in y (batched
+    companion eigenvalues), of f(x, .) or of its reversal, which has the
+    same measure, whichever has the leading coefficient of larger modulus."""
     powers = np.exp(2j * np.pi * np.outer(theta, np.arange(coeffs.shape[0])))
     a = (powers[:, :, None] * coeffs).sum(axis=1)
     mod = np.abs(a)
