@@ -1,11 +1,13 @@
 """Numerical Mahler measure on the additive (log) scale.
 
 Univariate values come from Jensen's formula over certified roots of the
-polynomial.  The roots come from a vectorized Aberth sweep in numpy that
-moves every root at once, started from the Newton polygon of the
-coefficients (one circle per hull edge, Bini 1996).  A sweep evaluates
-the polynomial in numpy calls per nonzero term, not per degree, so the
-sparse specializations of a Lawton schedule stay cheap at high degree.
+polynomial, split into Yun's square-free factors when a repeated root
+keeps them from certifying.  The roots come from vectorized Aberth sweeps
+in numpy that move every root not yet converged at once, started from the
+Newton polygon of the coefficients (one circle per hull edge, Bini 1996).
+A sweep evaluates the polynomial in numpy calls per nonzero term, not per
+degree, so the sparse specializations of a Lawton schedule stay cheap at
+high degree.
 Two-variable values come from Boyd's one-dimensional integral of the
 Jensen value in one variable over the circle of the other, split at the
 unit-circle roots of an exact integer resultant and taken by Gauss-Legendre
@@ -119,26 +121,53 @@ def _start_points(coeffs: Sequence[int]) -> list[complex]:
     return points
 
 
-def _aberth_roots(coeffs: Sequence[int]) -> tuple[list[complex], list[float]]:
-    """All roots of a degree >= 1 polynomial (coeffs low->high, ends nonzero)
-    and inclusion disks of radius d*|p(z)|/|p'(z)|, from one run of at most
-    ABERTH_SWEEPS sweeps (no retry).
+def _power(z: np.ndarray, k: int) -> np.ndarray:
+    """z**k for an integer k >= 1, by repeated squaring above k = 99, where
+    numpy's complex power leaves its own multiplication path (on 256
+    points, on a 2-vCPU x86-64 machine, numpy took 7 µs for z**99, 81 µs
+    for z**239, and squaring 12 µs for z**239)."""
+    if k <= 99:
+        return z ** k
+    out = None
+    while True:
+        if k & 1:
+            out = z if out is None else out * z
+        k >>= 1
+        if not k:
+            return out
+        z = z * z
 
-    Every sweep updates all roots at once (Ehrlich-Aberth in numpy):
-    one Horner loop over the nonzero coefficients gives p and p' on the
-    root vector (a gap of g > 1 between exponents multiplies by z^g), and
-    the Aberth sum over the other roots is taken over row blocks of the
-    z_i - z_j array of at most ABERTH_BLOCK entries, so memory stays O(deg)
-    at any degree.  Where p or p' overflows at |z| > 1, only their ratio
-    is kept, from the reversed polynomial q(w) = w^deg·p(1/w) at w = 1/z:
+
+def _aberth_roots(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of a degree >= 1 polynomial (coeffs low->high, ends nonzero)
+    and inclusion disks of radius d*(|p(z)| + e)/|p'(z)|, from one run of
+    at most ABERTH_SWEEPS sweeps (no retry).  e is a running bound on the
+    rounding error of p(z) (Higham, Accuracy and Stability, §5.1), so a
+    root placed eps^(1/k) off a k-fold root, where p(z) may round to 0,
+    still gets a disk that reaches the root.  It puts a floor of about
+    6·deg^2·u under Jensen's bound for roots near the unit circle.
+
+    A sweep is Ehrlich-Aberth in numpy over the live roots at once.  A root
+    whose step falls below 1e-14·max(1, r), r the largest start circle, is
+    held: later sweeps evaluate p, p' and the Aberth sum only for live
+    roots, while held roots still enter every live root's sum.  The run
+    ends when no root is live or a step is not finite.  One Horner loop
+    over the nonzero coefficients gives p and p' (a gap of g > 1 between
+    exponents multiplies by z^g).  The Aberth sum takes each pair of live
+    roots once, by 1/(z_j - z_i) = -1/(z_i - z_j): a row block of at most
+    ABERTH_BLOCK differences, against the live roots from its own first
+    row on and every held root, adds its row sums to its own roots and
+    subtracts its column sums from the live roots after it.  Where p or p'
+    overflows at |z| > 1, only their ratio is kept, from the reversed
+    polynomial q(w) = w^deg·p(1/w) at w = 1/z:
     p/p' = z·q(w) / (deg·q(w) - w·q'(w)).  A root with p(z) = 0 is held;
-    one with p'(z) = 0 is perturbed.  A non-finite step ends the iteration
-    early, since further sweeps cannot repair the root it leaves.
+    one with p'(z) = 0 is perturbed; two roots that meet exactly make a
+    step that is not finite.
     """
     deg = len(coeffs) - 1
     c = _float_coeffs(coeffs)
     z = np.array(_start_points(coeffs))
-    radius = float(np.abs(z).max())
+    tol = 1e-14 * max(1.0, float(np.abs(z).max()))
 
     def gaps(c):
         # the leading coefficient, then (drop in exponent, coefficient) down
@@ -146,63 +175,128 @@ def _aberth_roots(coeffs: Sequence[int]) -> tuple[list[complex], list[float]]:
         e = np.flatnonzero(c)[::-1]
         return c[e[0]], list(zip((e[:-1] - e[1:]).tolist(), c[e[1:]]))
 
-    def horner(terms, z):
+    def horner(terms, z, rounding=False):
+        # p, p' and, with rounding, Higham's running bound (Accuracy and
+        # Stability, §5.1) on the rounding error of p in units of u: a complex
+        # product is within sqrt(2)·gamma_2 < 3u relative (Lemma 3.5), so
+        # z^g, by squaring or not, is within 3g·u, and every sum and every
+        # coefficient's conversion to a float adds u of its modulus
         lead, steps = terms
         pv = np.full(len(z), lead)
-        dv = np.zeros(len(z), dtype=np.complex128)
+        dv = np.zeros_like(pv)
+        mu = np.full(len(z), abs(lead)) if rounding else None
         for g, a in steps:
             if g == 1:
                 dv = dv * z + pv
-                pv = pv * z + a
+                new = pv * z + a
             else:  # p·z^g + a, and its derivative p'·z^g + g·p·z^(g-1)
-                zg = z ** (g - 1)
+                zg = _power(z, g - 1)
                 dv = (dv * z + g * pv) * zg
-                pv = pv * z * zg + a
-        return pv, dv
+                new = pv * z * zg + a
+            if rounding:
+                grow = np.abs(z if g == 1 else z * zg)
+                mu = grow * (mu + 3 * g * np.abs(pv)) + np.abs(new) + abs(a)
+            pv = new
+        return pv, dv, mu
 
     forward, backward = gaps(c), gaps(c[::-1])
-    rows = max(1, ABERTH_BLOCK // deg)
-    blocks = [(lo, min(lo + rows, deg)) for lo in range(0, deg, rows)]
-    selves = [(np.arange(hi - lo), np.arange(lo, hi)) for lo, hi in blocks]
 
-    def evaluate(z):
-        pv, dv = horner(forward, z)
-        big = ~(np.isfinite(pv) & np.isfinite(dv)) & (np.abs(z) > 1)
+    def evaluate(z, rounding=False):
+        # p, p' and, with rounding, the bound on the rounding error of p
+        pv, dv, mu = horner(forward, z, rounding)
+        ok = np.isfinite(pv) & np.isfinite(dv)
+        if rounding:
+            ok &= np.isfinite(mu)
+        big = ~ok & (np.abs(z) > 1)
         if big.any():
             w = 1 / z[big]
-            qv, qd = horner(backward, w)
+            qv, qd, mq = horner(backward, w, rounding)
             pv[big], dv[big] = z[big] * qv, deg * qv - w * qd
-        return pv, dv
+            if rounding:
+                mu[big] = mq * np.abs(z[big])
+        return pv, dv, mu
 
+    # z[:m] are the live roots and z[m:] the held ones; z[j] started from
+    # start point order[j]
+    order, m = np.arange(deg), deg
     with np.errstate(all="ignore"):
         for _ in range(ABERTH_SWEEPS):
-            pv, dv = evaluate(z)
+            zl = z[:m]
+            pv, dv, _ = evaluate(zl)
             newton = pv / dv
-            s = np.empty(deg, dtype=np.complex128)
-            for (lo, hi), self_ in zip(blocks, selves):
-                diff = z[lo:hi, None] - z
-                diff[diff == 0] = 1e-20
-                diff[self_] = np.inf
-                s[lo:hi] = (1.0 / diff).sum(axis=1)
+            s = np.zeros(m, dtype=np.complex128)
+            lo = 0
+            while lo < m:
+                hi = min(m, lo + max(1, ABERTH_BLOCK // (deg - lo)))
+                diff = zl[lo:hi, None] - z[lo:]
+                diff.reshape(-1)[::diff.shape[1] + 1] = np.inf  # each z_i - z_i
+                inv = np.divide(1.0, diff, out=diff)
+                s[lo:hi] += inv.sum(axis=1)
+                if hi < m:
+                    s[hi:] -= inv[:, hi - lo:m - lo].sum(axis=0)
+                lo = hi
             denom = 1.0 - newton * s
             step = np.where(denom != 0, newton / denom, newton)
             step[pv == 0] = 0
             flat = (dv == 0) & (pv != 0)
-            z = np.where(flat, z * (1 + 1e-8) + 1e-8, z - step)
             if flat.any():
+                z[:m] = np.where(flat, zl * (1 + 1e-8) + 1e-8, zl - step)
                 continue
-            moved = float(np.abs(step).max())
-            if moved < 1e-14 * max(1.0, radius) or not math.isfinite(moved):
+            z[:m] -= step
+            moved = np.abs(step)
+            if not math.isfinite(moved.max()):
                 break
-        pv, dv = evaluate(z)
-        bounds = np.where(dv == 0, np.inf, deg * np.abs(pv) / np.abs(dv))
-    return z.tolist(), bounds.tolist()
+            held = moved < tol
+            if held.any():
+                z[:m] = np.concatenate((z[:m][~held], z[:m][held]))
+                order[:m] = np.concatenate((order[:m][~held], order[:m][held]))
+                m -= int(held.sum())
+                if not m:
+                    break
+        pv, dv, mu = evaluate(z, rounding=True)
+        # the running bound is first order in u; 1.01 covers the rest
+        err = 1.01 * 2.0 ** -53 * mu
+        roots, bounds = np.empty_like(z), np.empty(deg)
+        roots[order] = z
+        bounds[order] = np.where(dv == 0, np.inf, deg * (np.abs(pv) + err) / np.abs(dv))
+    return roots, bounds
+
+
+def _derivative(f: LaurentPoly) -> LaurentPoly:
+    """d/dt of a one-variable polynomial."""
+    return LaurentPoly(1, {(e - 1,): e * c for (e,), c in f.terms if e})
+
+
+def _square_free(g: LaurentPoly) -> list[tuple[int, LaurentPoly]]:
+    """Yun's square-free decomposition of a primitive, unit-normalized
+    one-variable polynomial g = ∏ g_k^k with every g_k square-free: the pairs
+    (k, g_k) with g_k not a unit.  The quotients are exact over Z, since
+    every gcd divides g and is therefore primitive."""
+    dg = _derivative(g)
+    a = gcd(g, dg)
+    b, c = g // a, dg // a
+    factors, k = [], 1
+    while b.max_exponents()[0]:
+        d = c - _derivative(b)
+        a = gcd(b, d)
+        if a.max_exponents()[0]:
+            factors.append((k, a))
+        b, c, k = b // a, d // a, k + 1
+    return factors
 
 
 def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
     """Jensen's formula: log|lead| plus the log of every root outside the
     unit circle, with an error bound from certified per-root inclusion disks.
-    One Aberth run, no retry: it is deterministic, so a rerun would replay it.
+    One Aberth run per polynomial: it is deterministic, so a rerun would
+    replay it.
+
+    Aberth's method places the roots of a k-fold factor only about
+    eps^(1/k) apart, and their disks show it, so a bound above JENSEN_TOL
+    is retried on Yun's square-free factors g_k of f = c·∏ g_k^k,
+    m(f) = log|c| + sum k·m(g_k), with the factors' diagnostics under
+    "factors"; the exact gcd runs only then.  Without a repeated factor the
+    bound stands and NonconvergenceError is raised.
     """
     if f.nvars != 1:
         raise ValueError("mahler_univariate takes a one-variable polynomial")
@@ -212,28 +306,35 @@ def mahler_univariate(f: LaurentPoly) -> MahlerEstimate:
     if len(coeffs) == 1:
         return MahlerEstimate(math.log(abs(coeffs[0])), "jensen", 0.0, {"roots": []})
     roots, bounds = _aberth_roots(coeffs)
-    value = math.log(abs(coeffs[-1]))
-    err = 0.0
-    for z, b in zip(roots, bounds):
-        r = abs(z)
-        # an overflowed iteration leaves NaN, which max(1.0, nan) would hide
-        if not (math.isfinite(r) and math.isfinite(b)):
-            err = math.inf
-            break
-        value += math.log(max(1.0, r))
-        hi = math.log(max(1.0, r + b))
-        lo = math.log(max(1.0, max(r - b, 1e-300)))
-        err += hi - lo
-    if err > JENSEN_TOL:
+    r, b = np.abs(roots), np.asarray(bounds)
+    value = math.log(abs(coeffs[-1])) + float(np.log(np.maximum(r, 1.0)).sum())
+    # an overflowed iteration leaves NaN, which np.maximum(1.0, nan) keeps
+    err = float((np.log(np.maximum(r + b, 1.0)) - np.log(np.maximum(r - b, 1.0))).sum())
+    if not err <= JENSEN_TOL:
+        content = math.gcd(*coeffs)
+        factors = _square_free(normalize_unit(f) // content)
+        if any(k > 1 for k, _ in factors):
+            parts = [(k, mahler_univariate(g)) for k, g in factors]
+            return MahlerEstimate(
+                math.log(content) + sum(k * e.value for k, e in parts),
+                "jensen",
+                sum(k * e.error_bound for k, e in parts),
+                {"factors": [{"multiplicity": k, **e.diagnostics} for k, e in parts]},
+            )
         raise NonconvergenceError(
             f"root certification stalled: error bound {err} above tolerance {JENSEN_TOL}"
         )
-    diagnostics = {"roots": [(z.real, z.imag) for z in roots], "residual_bounds": bounds}
+    diagnostics = {"roots": np.column_stack((np.real(roots), np.imag(roots))).tolist(),
+                   "residual_bounds": b.tolist()}
     return MahlerEstimate(value, "jensen", err, diagnostics)
 
 
-def default_lawton_schedule(nvars: int, ms: Sequence[int] = (8, 16, 32, 64)) -> list[tuple[int, ...]]:
-    """Directions k = (1, m, m^2, ...) for a geometric ladder of m."""
+def default_lawton_schedule(nvars: int) -> list[tuple[int, ...]]:
+    """Directions k = (1, m, m^2, ...) for the last four powers of two m
+    from 2 to 64 with m^(nvars-1) <= 1024: m = 8 to 64 in two variables, 4
+    to 32 in three, where (1, 32, 1024) certifies and (1, 64, 4096) is past
+    the rounding floor of Jensen's bound (see _aberth_roots)."""
+    ms = [m for m in (2, 4, 8, 16, 32, 64) if m ** (nvars - 1) <= 1024][-4:]
     return [tuple(m ** i for i in range(nvars)) for m in ms]
 
 
@@ -283,8 +384,8 @@ def _unit_circle_angles(r: LaurentPoly) -> list[float]:
     """The angles theta in [0, 1) of the roots e^(2 pi i theta) of r on the
     unit circle (|1 - |z|| < 1e-6), from its square-free part r / gcd(r, r'):
     Aberth's method resolves a root of multiplicity k only to about
-    eps^(1/k), and its inclusion radii do not show it."""
-    deriv = LaurentPoly(1, {(e - 1,): e * c for (e,), c in r.terms if e})
+    eps^(1/k)."""
+    deriv = _derivative(r)
     coeffs = _poly_coeffs(r // gcd(r, deriv) if deriv else r)
     if len(coeffs) == 1:
         return []

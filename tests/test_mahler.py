@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from conftest import DATA, random_nonzero_laurent
 from torgrowth import mahler
-from torgrowth.laurent import LaurentPoly, parse_poly, variables
+from torgrowth.laurent import LaurentPoly, gcd, parse_poly, variables
 from torgrowth.mahler import (
     JENSEN_TOL,
     MahlerEstimate,
@@ -128,14 +128,45 @@ class TestJensen:
         expected = {
             (1, 4, 16): 0.4249349003800582,
             (1, 8, 64): 0.4267157715999306,
-            (1, 16, 256): 0.42646092499659366,
         }
         for k, value in expected.items():
             assert mahler_univariate(f.tau(k)).value == pytest.approx(value, abs=1e-9)
+        # the benchmark's top rung moves only in its last digits
+        est = mahler_univariate(f.tau((1, 16, 256)))
+        assert abs(est.value - 0.42646092499659544) <= 1e-13
+        assert est.error_bound <= 1e-10
         t0 = time.perf_counter()
         est = mahler_univariate(f.tau((1, 32, 1024)))
         assert time.perf_counter() - t0 < 2.0
         assert est.error_bound <= 1e-9
+
+    @pytest.mark.parametrize("f, value", [
+        ((1 - t) ** 2, 0.0),
+        ((1 - t) ** 3, 0.0),  # unsplit, its disks must not certify 1.12e-5 with bound 0
+        ((1 + t + t ** 3) ** 2, None),  # unsplit, it does not certify at all
+        (3 * (t - 2) ** 2 * (t ** 2 - 3 * t + 1) ** 3, 2 * math.log(2) + 3 * LOG_GOLDEN_SQ + math.log(3)),
+    ], ids=["(1-t)^2", "(1-t)^3", "(1+t+t^3)^2", "3(t-2)^2(t^2-3t+1)^3"])
+    def test_repeated_roots_are_certified(self, f, value):
+        if value is None:
+            value = 2 * mahler_univariate(1 + t + t ** 3).value
+        est = mahler_univariate(f)
+        assert est.method == "jensen" and est.error_bound <= JENSEN_TOL
+        assert abs(est.value - value) <= est.error_bound + 1e-12
+        assert [d["multiplicity"] for d in est.diagnostics["factors"]][-1] > 1
+
+    def test_inclusion_disks_hold_a_triple_root(self):
+        # p(z) rounds to 0 eps^(1/3) off the root 1: the rounding bound keeps
+        # every disk wide enough to reach it
+        roots, bounds = mahler._aberth_roots([1, -3, 3, -1])
+        assert np.all(np.abs(np.asarray(roots) - 1) <= bounds)
+
+    def test_exact_gcd_only_after_a_failed_certification(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mahler, "gcd", lambda f, g: calls.append(f) or gcd(f, g))
+        mahler_univariate((1 + sum(variables(3))).tau((1, 16, 256)))
+        assert calls == []
+        mahler_univariate((1 - t) ** 2)
+        assert calls
 
     def test_unit_invariance_exact(self):
         rng = random.Random(60)
@@ -158,6 +189,63 @@ class TestJensen:
         for _ in range(60):
             f = random_nonzero_laurent(rng, 1, max_terms=4)
             assert mahler_univariate(f).value >= -1e-12
+
+
+def reference_roots(coeffs):
+    """numpy.roots (LAPACK companion eigenvalues), independent of Aberth's sweeps."""
+    return np.roots(np.array(coeffs[::-1], dtype=float))
+
+
+class TestAberth:
+    @staticmethod
+    def check(coeffs, ref):
+        roots, bounds = mahler._aberth_roots(coeffs)
+        roots, bounds = np.asarray(roots), np.asarray(bounds)
+        assert len(roots) == len(ref) == len(coeffs) - 1
+        dist = np.abs(roots[:, None] - ref[None, :])
+        nearest = dist.argmin(axis=1)
+        # one computed root per reference root, each within its disk
+        assert len(set(nearest.tolist())) == len(ref)
+        assert np.all(dist.min(axis=1) <= bounds + 1e-9 * np.maximum(1, np.abs(ref[nearest])))
+        assert np.all(bounds <= 1e-6)
+        f = LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs) if c})
+        est = mahler_univariate(f)
+        value = math.log(abs(coeffs[-1])) + float(np.log(np.maximum(np.abs(ref), 1)).sum())
+        assert abs(est.value - value) <= est.error_bound + 1e-9
+
+    @pytest.mark.parametrize("seed, deg", [(0, 40), (1, 150), (2, 300)])
+    def test_dense_against_numpy_roots(self, seed, deg):
+        rng = random.Random(seed)
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(deg + 1)]
+        self.check(coeffs, reference_roots(coeffs))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_sparse_with_gaps_above_99(self, seed):
+        rng = random.Random(seed)
+        exps = sorted({0, 512, *rng.sample(range(1, 512), 4)})
+        assert max(b - a for a, b in zip(exps, exps[1:])) > 99
+        coeffs = [0] * 513
+        for e in exps:
+            coeffs[e] = rng.choice([-1, 1]) * rng.randint(1, 5)
+        self.check(coeffs, reference_roots(coeffs))
+
+    def test_newton_polygon_of_three_edges(self):
+        # roots of modulus 10^(-6/5), about 1 and 10^(6/7): each edge's circle
+        # converges at its own sweep, and held roots still enter the sums
+        f = (10 ** 6 * t ** 5 + 1) * (t ** 10 + t - 1) * (t ** 7 - 10 ** 6)
+        coeffs = mahler._poly_coeffs(f)
+        assert len(mahler._start_points(coeffs)) == 22
+        ref = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=60)
+        self.check(coeffs, np.array([complex(r) for r in ref]))
+
+    def test_power_by_squaring(self):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(0.5, 1.5, 64) * np.exp(2j * np.pi * rng.random(64))
+        eps = np.finfo(float).eps
+        for k in range(1, 1024):
+            ref = z ** k
+            # both sides lose about k·eps relative
+            assert np.all(np.abs(mahler._power(z, k) - ref) <= 8 * k * eps * np.abs(ref)), k
 
 
 class TestLawton:
@@ -205,6 +293,20 @@ class TestLawton:
         assert ks[0] == (1, 8) and ks[-1] == (1, 64)
         est = mahler_lawton(3 + t1 + t2)
         assert est.value == pytest.approx(math.log(3), abs=0.01)
+
+    def test_default_three_variable_target_certifies(self):
+        # (1, 64, 4096), of degree 4096, does not certify: its Jensen bound
+        # is above JENSEN_TOL
+        assert default_lawton_schedule(3)[-1] == (1, 32, 1024)
+        est = mahler_lawton(1 + sum(variables(3)))
+        assert abs(est.value - 7 * 1.2020569031595942 / (2 * math.pi ** 2)) <= 2e-4
+
+    def test_square_takes_twice_the_value(self):
+        # every rung of (1 + t1 + t2)^2 has double roots, which certify only
+        # on the square-free factor
+        schedule = [(1, 2), (1, 5)]
+        est, base = mahler_lawton((1 + t1 + t2) ** 2, schedule), mahler_lawton(1 + t1 + t2, schedule)
+        assert est.diagnostics["values"] == pytest.approx([2 * v for v in base.diagnostics["values"]], abs=1e-9)
 
 
 def jensen_reference(f: LaurentPoly, grid: int = 48, panels: int = 12) -> float:
