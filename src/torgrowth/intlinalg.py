@@ -22,13 +22,14 @@ pivots, each one an invariant factor 1.  Phase 2 finishes the small dense
 remainder with `_diagonalize` on nested lists: one list comprehension per
 row move, one C-level `min` per row searched for a pivot, and no row
 transform kept.  `snf_with_transforms` uses the dense path alone, with
-its transform.
+its transform, and skips it for a matrix already in Smith form (the
+quotient of every cyclic and diagonal lattice).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 
 _LN2 = math.log(2)
 
@@ -262,12 +263,18 @@ def snf_with_transforms(mat) -> tuple[list[list[int]], list[list[int]]]:
     """(D, U): D diagonal with the invariant factors of mat as a divisibility
     chain, U unimodular, and row i of U·mat d_i times an integer row (zero
     past the rank), so v -> (U·v mod d_i) maps Z^m onto Z^m / mat·Z^n.
+    A square diagonal mat with positive entries in a divisibility chain is
+    its own Smith form and gives (mat, I) at once, as the dense path would.
     Dense: intended for small matrices."""
     A = [[int(v) for v in row] for row in mat]
     m, n = len(A), len(A[0]) if A else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
     U = [[int(i == j) for j in range(m)] for i in range(m)]
+    diag = [A[i][i] for i in range(min(m, n))]
+    if (m == n and all(d > 0 for d in diag) and sum(map(bool, chain(*A))) == m
+            and all(b % a == 0 for a, b in zip(diag, diag[1:]))):
+        return A, U  # already a Smith form, which the moves below would keep
     _diagonalize(A, U)
     diag = [A[i][i] for i in range(min(m, n))]
     _repair_chain(diag, U)

@@ -5,8 +5,9 @@ Gamma of the growth experiments and their orthogonal lattices.  It is
 its canonical Hermite basis, so equal lattices are equal values.  Also
 here: the quotient A = Z^n/Gamma with its projection map (rows of a Smith
 row transform), exact shortest-vector norms (Lagrange in rank <= 2,
-bounded enumeration in rank 3-4), coordinate orders and unit directions
-(float tuples), and the converging families Gamma_{s,j} = (k)^perp + j*k.
+bounded enumeration in rank 3-4), coordinate orders (read off the row
+transform) and unit directions (float tuples), and the converging
+families Gamma_{s,j} = (k)^perp + j*k.
 
 No inverse is needed here: the enumeration box reads R^2·adj(G)_ii / det(G)
 off the Gram matrix G, and adj(G)_ii is the principal minor of G without
@@ -259,12 +260,12 @@ def min_norm(gamma: Subgroup) -> float:
 
 
 def coordinate_order(group: FinAbGroup, i: int) -> int:
-    """Order of the image of the i-th standard basis vector in A."""
+    """Order of the image of the i-th standard basis vector in A, read off
+    column i of the projection rows: the lcm of d_r / gcd(U_ri, d_r)."""
     if not 0 <= i < group.nvars:
         raise ValueError("coordinate index out of range")
-    e = [0] * group.nvars
-    e[i] = 1
-    return group.order_of(group.project(e))
+    rows = zip(group._U, group.invariant_factors)
+    return math.lcm(*(d // math.gcd(row[i], d) for row, d in rows))
 
 
 def perp(k: Sequence[int]) -> Subgroup:

@@ -344,15 +344,25 @@ def mahler_lawton(f: LaurentPoly,
 
     The schedule must have strictly increasing orthogonal defect <k> (the
     shortest nonzero vector of k's orthogonal lattice); the limit over
-    <k> -> infinity is the multivariate measure.  The reported error_bound
-    is the largest pairwise gap among the last three schedule values: a
+    <k> -> infinity is the multivariate measure.  The default schedule is
+    `default_lawton_schedule` without the rungs whose specialization has a
+    degree past the floor of Jensen's bound (6·deg^2·u > JENSEN_TOL, u =
+    2^-53, see _aberth_roots), and NonconvergenceError is raised at once
+    when none is left.  The reported error_bound is the largest pairwise gap among the last three schedule values: a
     convergence heuristic, not a bound on the distance to the limit.  One
     value gives inf, or 0 in one variable, where every value is m(f).
     """
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")
     if schedule is None:
-        schedule = default_lawton_schedule(f.nvars)
+        degrees = {k: img.max_exponents()[0] - img.min_exponents()[0]
+                   for k in default_lawton_schedule(f.nvars) for img in [f.tau(k)]}
+        schedule = [k for k, deg in degrees.items() if 6 * deg * deg * 2.0 ** -53 <= JENSEN_TOL]
+        if not schedule:
+            raise NonconvergenceError(
+                f"every rung of the default Lawton ladder specializes to degree "
+                f"{min(degrees.values())} or more, past the floor of Jensen's bound; "
+                "pass a schedule")
     schedule = [tuple(int(x) for x in k) for k in schedule]
     if not schedule:
         raise ValueError("empty specialization schedule")

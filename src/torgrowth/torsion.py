@@ -17,7 +17,9 @@ the rest, and each product route handles its own degenerate case by SNF:
   live entry g is left with an end coefficient ±1 (made the leading one by
   t -> 1/t, a unit mod t^N - 1), Z[t]/(g) is Z^D with t acting by the
   companion matrix C, and the torsion is |det(C^N - I)|, or SNF of that
-  D x D matrix when it is 0.  One variable (knots) needs no substitution;
+  D x D matrix when it is 0.  C^N is read off t^N mod g, a product of the
+  squares t^(2^k) mod g, which stay cached for the next sample's N.  One
+  variable (knots) needs no substitution;
 * Fourier, when one live entry f is left and |A_Gamma| >= FOURIER_MIN_ORDER:
   x -> f x on Z[A_Gamma] has determinant prod_chi f(chi), so when f
   vanishes at no character (screened in floating point) the torsion is
@@ -59,7 +61,7 @@ from operator import add
 import numpy as np
 
 from .groupalg import character_exponents, mult_matrix, project_poly
-from .intlinalg import bareiss_det, hnf_rows, int_log, snf_diagonal
+from .intlinalg import eliminate, hnf_rows, int_log, snf_diagonal
 from .lattices import FinAbGroup, Subgroup, direction_of, min_norm, quotient, size_reduce
 from .laurent import LaurentPoly
 from .presmod import PresentedModule, reduce_presentation
@@ -102,40 +104,70 @@ def expand(matrix, gamma) -> list[list[int]]:
     return out
 
 
-def _companion_minus_identity(f: LaurentPoly, ell: int) -> list[list[int]]:
-    """C^ell - I for the companion matrix C of f (leading coefficient ±1) on
-    the basis 1, t, ..., t^(D-1) of Z[t]/(f): column j of C^ell holds
-    t^(ell+j) mod f, from t^ell mod f by square-and-multiply in Z[t]/(f)."""
-    lo, hi = f.min_exponents()[0], f.max_exponents()[0]
-    D, lead = hi - lo, f.coeff((hi,))
-    low = [-lead * f.coeff((lo + r,)) for r in range(D)]  # t^D = sum low[r] t^r mod f
+@lru_cache(maxsize=16)
+def _companion_ring(g: LaurentPoly) -> tuple[int, ...]:
+    """low, of length D = deg g, with t^D = sum low[r] t^r mod g for g of
+    leading coefficient ±1."""
+    lo, hi = g.min_exponents()[0], g.max_exponents()[0]
+    lead = g.coeff((hi,))
+    return tuple(-lead * g.coeff((lo + r,)) for r in range(hi - lo))
 
-    def reduce(a):  # coefficients, lowest first, to those of the residue mod f
-        for k in range(len(a) - 1, D - 1, -1):
-            if x := a[k]:
-                for r, c in enumerate(low, k - D):
-                    a[r] += x * c
-        return a[:D]
 
-    P = reduce([0, 1] + [0] * D)
-    for bit in bin(ell)[3:]:  # t^ell by square-and-multiply
-        sq = [0] * (2 * D)
-        for i, x in enumerate(P):
-            for j, y in enumerate(P, i):
-                sq[j] += x * y
-        P = reduce([0] + sq if bit == "1" else sq)
+def _mul_mod(P, Q, low: tuple[int, ...]) -> tuple[int, ...]:
+    """The residue mod g, of degree below D = len(low), of the product of
+    two polynomials P and Q (coefficients lowest first); a square takes each
+    cross term once."""
+    D, out = len(low), [0] * (len(P) + len(Q) + len(low))
+    for i, x in enumerate(P):
+        if P is Q:
+            out[2 * i] += x * x
+            for j in range(i + 1, len(P)):
+                out[i + j] += 2 * x * P[j]
+        else:
+            for j, y in enumerate(Q, i):
+                out[j] += x * y
+    for k in range(len(out) - 1, D - 1, -1):  # t^k = t^(k-D) sum low[r] t^r
+        if x := out[k]:
+            for r, c in enumerate(low, k - D):
+                out[r] += x * c
+    return tuple(out[:D])
+
+
+@lru_cache(maxsize=64)
+def _square_power(low: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """t^(2^k) mod g for the `_companion_ring` `low` of g: the square of
+    t^(2^(k-1)).  A tuple, so that no caller changes the cached value."""
+    if k == 0:
+        return _mul_mod((0, 1), (1,), low)
+    P = _square_power(low, k - 1)
+    return _mul_mod(P, P, low)
+
+
+def _companion_minus_identity(g: LaurentPoly, ell: int) -> list[list[int]]:
+    """C^ell - I for the companion matrix C of g (leading coefficient ±1) on
+    the basis 1, t, ..., t^(D-1) of Z[t]/(g): column 0 of C^ell is t^ell mod
+    g, the product of the cached squares t^(2^k) mod g at the set bits of
+    ell, and column j + 1 is t times column j."""
+    low = _companion_ring(g)
+    P = None
+    for k, bit in enumerate(bin(ell)[:1:-1]):
+        if bit == "1":
+            S = _square_power(low, k)
+            P = S if P is None else _mul_mod(P, S, low)
     cols = [P]
-    for _ in range(D - 1):
-        cols.append(reduce([0] + cols[-1]))
-    return [[col[r] - (r == j) for j, col in enumerate(cols)] for r in range(D)]
+    for _ in range(len(low) - 1):
+        col = cols[-1]
+        cols.append([a + col[-1] * c for a, c in zip((0, *col), low)])
+    return [[col[r] - (r == j) for j, col in enumerate(cols)] for r in range(len(low))]
 
 
-def _companion_block(f: LaurentPoly, ell: int) -> tuple[int, int]:
-    """(|Tor|, Betti) of Z[t]/(f, t^ell - 1) = coker(C^ell - I) on Z^D, for
-    the companion matrix C of f (leading coefficient ±1)."""
-    P = _companion_minus_identity(f, ell)
-    if det := bareiss_det(P):  # SNF only for the rare singular block
-        return abs(det), 0
+def _companion_block(g: LaurentPoly, ell: int) -> tuple[int, int]:
+    """(|Tor|, Betti) of Z[t]/(g, t^ell - 1) = coker(C^ell - I) on Z^D, for
+    the companion matrix C of g (leading coefficient ±1)."""
+    P = _companion_minus_identity(g, ell)
+    rank, pivot = eliminate(P, len(P))
+    if rank == len(P):  # SNF only for the rare singular block
+        return abs(pivot), 0
     tor, rank = snf(P)
     return tor, len(P) - rank
 
@@ -276,6 +308,7 @@ class GrowthSample:
         return self.log_torsion / self.index
 
     CSV_HEADER = "gamma;index;min_norm;torsion_order;log_torsion;growth_stat;betti;direction"
+    _CSV_KEYS = tuple(CSV_HEADER.split(";"))
 
     def to_json(self) -> dict:
         """The sample's fields and statistics, the torsion order as a decimal string."""
@@ -296,7 +329,7 @@ class GrowthSample:
     @classmethod
     def record_row(cls, rec: dict) -> str:
         """The CSV row of a `to_json` record."""
-        return ";".join(str(rec[k]) for k in cls.CSV_HEADER.split(";"))
+        return ";".join(str(rec[k]) for k in cls._CSV_KEYS)
 
     @classmethod
     def from_csv_row(cls, row: str) -> "GrowthSample":

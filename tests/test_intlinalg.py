@@ -7,6 +7,7 @@ import pytest
 
 from conftest import planted_presentations, random_laurent
 from lemmas import hnf_coordinates
+from torgrowth import intlinalg
 from torgrowth.intlinalg import (
     _int_unit_inverse,
     bareiss_det,
@@ -218,6 +219,66 @@ def test_snf_transforms_repair_divisibility_chain():
             a, b = rng.sample(range(m), 2)
             M[a] = [x - y for x, y in zip(M[a], M[b])]
         check_row_transform(M, *snf_with_transforms(M))
+
+
+def dense_snf_with_transforms(M):
+    """(D, U) by `_diagonalize` and `_repair_chain` alone: the dense path
+    that `snf_with_transforms` skips on a matrix already in Smith form."""
+    A = [list(r) for r in M]
+    U = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+    intlinalg._diagonalize(A, U)
+    diag = [A[i][i] for i in range(min(len(A), len(A[0])))]
+    intlinalg._repair_chain(diag, U)
+    for i, d in enumerate(diag):
+        A[i][i] = d
+    return A, U
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    calls = []
+    diagonalize = intlinalg._diagonalize
+
+    def counting(A, U=None):
+        calls.append(len(A))
+        return diagonalize(A, U)
+
+    monkeypatch.setattr(intlinalg, "_diagonalize", counting)
+    return calls
+
+
+def test_snf_transforms_of_a_smith_form_is_itself(dense_calls):
+    # a square diagonal chain of positive entries takes no row move
+    rng = random.Random(3540)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        d = [rng.choice([1, 1, 2, 3, 5])]
+        for _ in range(n - 1):
+            d.append(d[-1] * rng.choice([1, 1, 2, 3, 4, 7]))
+        M = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        want = dense_snf_with_transforms(M)
+        assert dense_calls == [n]
+        dense_calls.clear()
+        assert snf_with_transforms(M) == want == (M, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert dense_calls == []
+
+
+@pytest.mark.parametrize("M", [
+    [[4, 0], [0, 6]],  # no divisibility chain
+    [[6, 0], [0, 4]],  # a chain out of order
+    [[2, 0], [0, 0]],  # a zero on the diagonal
+    [[0]],
+    [[-3]],  # a negative entry
+    [[2, 0], [0, -4]],
+    [[2, 1], [0, 4]],  # off the diagonal
+    [[2, 0], [0, 4], [0, 0]],  # rectangular
+    [[2, 0, 0], [0, 4, 0]],
+])
+def test_snf_transforms_off_smith_form_take_the_dense_path(M, dense_calls):
+    got = snf_with_transforms(M)
+    assert dense_calls == [len(M)]
+    assert got == dense_snf_with_transforms(M)
+    check_row_transform(M, *got)
 
 
 def test_kernel_basis_spans_kernel():

@@ -250,6 +250,20 @@ class TestCoordinateOrder:
         with pytest.raises(ValueError):
             coordinate_order(quotient(Subgroup.cyclic(3)), 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_read_off_the_transform_equals_the_projection(self, n):
+        # the order of e_i, read off column i of U, against the order of its image
+        rng = random.Random(3550 + n)
+        seen = 0
+        while seen < 40:
+            gamma = Subgroup(n, [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+            if not 1 <= gamma.index() <= 5000:
+                continue
+            A, seen = quotient(gamma), seen + 1
+            for i in range(n):
+                e = [int(i == j) for j in range(n)]
+                assert coordinate_order(A, i) == A.order_of(A.project(e)), (gamma, i)
+
 
 class TestPerp:
     def test_examples(self):

@@ -301,6 +301,26 @@ class TestLawton:
         est = mahler_lawton(1 + sum(variables(3)))
         assert abs(est.value - 7 * 1.2020569031595942 / (2 * math.pi ** 2)) <= 2e-4
 
+    def test_default_ladder_drops_rungs_past_the_jensen_floor(self):
+        # t3^2 doubles every rung's degree: (1, 32, 1024) becomes degree 2048,
+        # past 6·deg^2·u <= JENSEN_TOL; m(P(z^2)) = m(P(z)) keeps the limit
+        x1, x2, x3 = variables(3)
+        est = mahler_lawton(1 + x1 + x2 + x3 ** 2)
+        assert est.method == "lawton"
+        assert est.diagnostics["schedule"] == [list(k) for k in default_lawton_schedule(3)[:3]]
+        assert abs(est.value - 7 * 1.2020569031595942 / (2 * math.pi ** 2)) <= 1e-4
+        for f in (1 + x1 + x2 + x3, 1 + t1 + t2):
+            assert mahler_lawton(f).diagnostics["schedule"] == (
+                [list(k) for k in default_lawton_schedule(f.nvars)])
+
+    def test_default_ladder_with_no_rung_left_raises_at_once(self, monkeypatch):
+        def no_roots(coeffs):
+            raise AssertionError("an Aberth run past the floor")
+
+        monkeypatch.setattr(mahler, "_aberth_roots", no_roots)
+        with pytest.raises(NonconvergenceError, match="degree 2000"):
+            mahler_lawton(1 + t1 ** 2000 + t2)
+
     def test_square_takes_twice_the_value(self):
         # every rung of (1 + t1 + t2)^2 has double roots, which certify only
         # on the square-free factor

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -458,6 +459,94 @@ class TestCompanionRoute:
             for ell in (1, 2, 3, rng.randint(4, 500)):
                 assert torsion._companion_minus_identity(g, ell) == (
                     self._companion_power_by_matmul(g, ell)), (g, ell)
+
+
+class TestCompanionSquareCache:
+    """`_companion_block` multiplies the cached squares t^(2^k) mod g at the
+    set bits of ell: against SNF of C^ell - I by powers of the companion
+    matrix and against the character product over Z/ell, whatever order the
+    ell come in, after the cache is cleared, and from several threads."""
+
+    ELLS = [*range(1, 41), 63, 64, 97, 128, 255]
+
+    @staticmethod
+    def _entries():
+        """(g, the entry the companion route takes): seeded g of degree
+        D = 1..9 with a leading ±1, the same with only a trailing ±1 (t -> 1/t
+        first), and the trefoil's t^2 - t + 1, singular at 6 | ell."""
+        rng = random.Random(3535)
+        out = [(t ** 2 - t + 1,) * 2]
+        for D in range(1, 10):
+            coeffs = [rng.choice([2, -3, 5])] + [rng.randint(-3, 3) for _ in range(D - 1)]
+            coeffs.append(rng.choice([1, -1]))
+            lo = rng.randint(-2, 2)
+            g = LaurentPoly(1, {(lo + i,): c for i, c in enumerate(coeffs)})
+            h = LaurentPoly(1, {(lo - i,): c for i, c in enumerate(coeffs)})
+            out += [(g, g), (h, h.tau((-1,)))]
+        return out
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        want = {}
+        for g, entry in self._entries():
+            for ell in self.ELLS:
+                P = TestCompanionRoute._companion_power_by_matmul(entry, ell)
+                tor, rank = snf(P)
+                prod = character_product(g, Subgroup.cyclic(ell))
+                assert prod == (tor if rank == len(P) else 0), (g, ell)
+                want[entry, ell] = tor, len(P) - rank
+        assert any(b for b in want.values() if b[1]), "no singular block"
+        return want
+
+    def _check(self, expected, ells):
+        for entry in dict.fromkeys(e for e, _ in expected):
+            for ell in ells:
+                assert torsion._companion_block(entry, ell) == expected[entry, ell], (entry, ell)
+
+    def test_any_order_and_after_clearing(self, expected):
+        rng = random.Random(3536)
+        shuffled = rng.sample(self.ELLS, len(self.ELLS))
+        for ells in (self.ELLS, self.ELLS[::-1], shuffled, [x for x in shuffled for _ in (0, 1)]):
+            self._check(expected, ells)
+        torsion._square_power.cache_clear()
+        torsion._companion_ring.cache_clear()
+        self._check(expected, self.ELLS[::-1])
+
+    def test_the_cache_is_bounded_and_immutable(self):
+        low = torsion._companion_ring(t ** 2 - 3 * t + 1)
+        assert low == (-1, 3) and isinstance(torsion._square_power(low, 5), tuple)
+        assert torsion._square_power.cache_info().maxsize <= 64
+        assert torsion._companion_ring.cache_info().maxsize <= 16
+
+    def test_threads_share_the_cache(self, expected):
+        # more threads than cores, switching often, clearing the cache as they go
+        rng = random.Random(3537)
+        orders = [rng.sample(self.ELLS, len(self.ELLS)) for _ in range(4)]
+        failures = []
+
+        def work(ells):
+            try:
+                for i, ell in enumerate(ells):
+                    if i % 7 == 0:
+                        torsion._square_power.cache_clear()
+                    for entry in dict.fromkeys(e for e, _ in expected):
+                        if torsion._companion_block(entry, ell) != expected[entry, ell]:
+                            failures.append((entry, ell))
+            except Exception as exc:  # a worker's error fails the test below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(ells,)) for ells in orders]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert failures == []
 
 
 class TestCyclicQuotientRoute:
