@@ -162,12 +162,6 @@ class FinAbGroup:
         return tuple(sum(u * int(x) for u, x in zip(row, vec)) % d
                      for row, d in zip(self._U, self.invariant_factors))
 
-    def order_of(self, elem: Sequence[int]) -> int:
-        o = 1
-        for x, d in zip(elem, self.invariant_factors):
-            o = math.lcm(o, d // math.gcd(x, d))
-        return o
-
     def __repr__(self) -> str:
         body = " x ".join(f"Z/{d}" for d in self.invariant_factors) or "0"
         return f"FinAbGroup({body})"

@@ -8,9 +8,9 @@ Delta_0 = 1, and the random groups of the identity checks.  Ideals are
 `Subgroup` of both row sets, an intersection comes from `hnf_rows`.
 
 Also here, the small constructions the tests build on and no command
-needs: a group from its invariant factors with its identity and addition,
-coordinates in a Hermite basis and lattice membership, direct sums of
-presentations, and the image of a word under rho.
+needs: a group from its invariant factors with its identity, addition and
+element orders, coordinates in a Hermite basis and lattice membership,
+direct sums of presentations, and the image of a word under rho.
 """
 
 import math
@@ -50,6 +50,14 @@ def add(group: FinAbGroup, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...
             raise ValueError(
                 f"element {tuple(e)} has {len(e)} digits; the group has rank {group.rank}")
     return tuple((x + y) % d for x, y, d in zip(a, b, group.invariant_factors))
+
+
+def order_of(group: FinAbGroup, elem: Sequence[int]) -> int:
+    """The order of a reduced element of the group."""
+    o = 1
+    for x, d in zip(elem, group.invariant_factors):
+        o = math.lcm(o, d // math.gcd(x, d))
+    return o
 
 
 def hnf_coordinates(basis_rows, target) -> list[int] | None:

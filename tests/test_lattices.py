@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lemmas import contains, identity, subgroup_closure
+from lemmas import contains, identity, order_of, subgroup_closure
 from torgrowth.intlinalg import hnf_rows
 from torgrowth.lattices import (
     SearchBudgetExceeded,
@@ -262,7 +262,7 @@ class TestCoordinateOrder:
             A, seen = quotient(gamma), seen + 1
             for i in range(n):
                 e = [int(i == j) for j in range(n)]
-                assert coordinate_order(A, i) == A.order_of(A.project(e)), (gamma, i)
+                assert coordinate_order(A, i) == order_of(A, A.project(e)), (gamma, i)
 
 
 class TestPerp:
@@ -315,7 +315,7 @@ class TestGammaSJ:
             e = [0] * n
             e[0] = 1
             expect = (j * norm2) // math.gcd(k[0], j * norm2)
-            assert A.order_of(A.project(e)) == expect
+            assert order_of(A, A.project(e)) == expect
 
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):

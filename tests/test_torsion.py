@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA, lucas, planted_presentations, random_laurent, random_nonzero_laurent
-from lemmas import from_invariant_factors, koszul_orders
+from lemmas import from_invariant_factors, koszul_orders, order_of
 from torgrowth import intlinalg, torsion
 from torgrowth.groupalg import mult_matrix, project_poly
 from torgrowth.lattices import Subgroup, gamma_sj, quotient
@@ -1075,15 +1075,15 @@ class TestGaloisOrbits:
 
             blocks = torsion._galois_orbits(group)
             assert sorted(np.concatenate([b.ravel() for b in blocks]).tolist()) == list(range(group.order))
-            orders = [group.order_of(elems[b[0, 0]]) for b in blocks]
+            orders = [order_of(group, elems[b[0, 0]]) for b in blocks]
             assert orders == sorted(set(orders)), group
             for m, block in zip(orders, blocks):
                 units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
                 assert block.shape[1] == len(units), (group, m)
                 for row in block.tolist():
-                    assert {group.order_of(elems[c]) for c in row} == {m}
+                    assert {order_of(group, elems[c]) for c in row} == {m}
                     assert {times(k, row[0]) for k in units} == set(row), (group, m, row)
-            cyclic = {frozenset(times(j, c) for j in range(group.order_of(elems[c])))
+            cyclic = {frozenset(times(j, c) for j in range(order_of(group, elems[c])))
                       for c in range(group.order)}
             assert sum(len(b) for b in blocks) == len(cyclic), group
             ranks.add(group.rank)
