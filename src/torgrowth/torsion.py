@@ -133,7 +133,7 @@ def _mul_mod(P, Q, low: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out[:D])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)  # every square of one g for ell < 2^32
 def _square_power(low: tuple[int, ...], k: int) -> tuple[int, ...]:
     """t^(2^k) mod g for the `_companion_ring` `low` of g: the square of
     t^(2^(k-1)).  A tuple, so that no caller changes the cached value."""

@@ -515,7 +515,7 @@ class TestCompanionSquareCache:
     def test_the_cache_is_bounded_and_immutable(self):
         low = torsion._companion_ring(t ** 2 - 3 * t + 1)
         assert low == (-1, 3) and isinstance(torsion._square_power(low, 5), tuple)
-        assert torsion._square_power.cache_info().maxsize <= 64
+        assert torsion._square_power.cache_info().maxsize <= 32
         assert torsion._companion_ring.cache_info().maxsize <= 16
 
     def test_threads_share_the_cache(self, expected):
