@@ -348,9 +348,10 @@ def mahler_lawton(f: LaurentPoly,
     `default_lawton_schedule` without the rungs whose specialization has a
     degree past the floor of Jensen's bound (6·deg^2·u > JENSEN_TOL, u =
     2^-53, see _aberth_roots), and NonconvergenceError is raised at once
-    when none is left.  The reported error_bound is the largest pairwise gap among the last three schedule values: a
-    convergence heuristic, not a bound on the distance to the limit.  One
-    value gives inf, or 0 in one variable, where every value is m(f).
+    when none is left.  The reported error_bound is the largest pairwise
+    gap among the last three schedule values: a convergence heuristic, not
+    a bound on the distance to the limit.  One value gives inf, or 0 in one
+    variable, where every value is m(f).
     """
     if f.is_zero():
         raise ValueError("the Mahler measure of 0 is undefined")

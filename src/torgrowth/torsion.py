@@ -105,19 +105,20 @@ def expand(matrix, gamma) -> list[list[int]]:
 
 
 @lru_cache(maxsize=16)
-def _companion_ring(g: LaurentPoly) -> tuple[int, ...]:
-    """low, of length D = deg g, with t^D = sum low[r] t^r mod g for g of
-    leading coefficient ±1."""
+def _companion_ring(g: LaurentPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(D, low) for g of degree D and leading coefficient ±1:
+    t^D = sum c t^r mod g over the pairs (r, c) of low, c != 0."""
     lo, hi = g.min_exponents()[0], g.max_exponents()[0]
     lead = g.coeff((hi,))
-    return tuple(-lead * g.coeff((lo + r,)) for r in range(hi - lo))
+    return hi - lo, tuple((r, -lead * c) for r in range(hi - lo) if (c := g.coeff((lo + r,))))
 
 
-def _mul_mod(P, Q, low: tuple[int, ...]) -> tuple[int, ...]:
-    """The residue mod g, of degree below D = len(low), of the product of
-    two polynomials P and Q (coefficients lowest first); a square takes each
-    cross term once."""
-    D, out = len(low), [0] * (len(P) + len(Q) + len(low))
+def _mul_mod(P, Q, ring) -> tuple[int, ...]:
+    """The residue mod g, of degree below D, of the product of two
+    polynomials P and Q (coefficients lowest first), for the
+    `_companion_ring` (D, low) of g; a square takes each cross term once."""
+    D, low = ring
+    out = [0] * (len(P) + len(Q) + D)
     for i, x in enumerate(P):
         if P is Q:
             out[2 * i] += x * x
@@ -126,21 +127,21 @@ def _mul_mod(P, Q, low: tuple[int, ...]) -> tuple[int, ...]:
         else:
             for j, y in enumerate(Q, i):
                 out[j] += x * y
-    for k in range(len(out) - 1, D - 1, -1):  # t^k = t^(k-D) sum low[r] t^r
+    for k in range(len(out) - 1, D - 1, -1):  # t^k = t^(k-D) sum c t^r
         if x := out[k]:
-            for r, c in enumerate(low, k - D):
-                out[r] += x * c
+            for r, c in low:
+                out[k - D + r] += x * c
     return tuple(out[:D])
 
 
 @lru_cache(maxsize=32)  # every square of one g for ell < 2^32
-def _square_power(low: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """t^(2^k) mod g for the `_companion_ring` `low` of g: the square of
+def _square_power(ring, k: int) -> tuple[int, ...]:
+    """t^(2^k) mod g for the `_companion_ring` of g: the square of
     t^(2^(k-1)).  A tuple, so that no caller changes the cached value."""
     if k == 0:
-        return _mul_mod((0, 1), (1,), low)
-    P = _square_power(low, k - 1)
-    return _mul_mod(P, P, low)
+        return _mul_mod((0, 1), (1,), ring)
+    P = _square_power(ring, k - 1)
+    return _mul_mod(P, P, ring)
 
 
 def _companion_minus_identity(g: LaurentPoly, ell: int) -> list[list[int]]:
@@ -148,17 +149,20 @@ def _companion_minus_identity(g: LaurentPoly, ell: int) -> list[list[int]]:
     the basis 1, t, ..., t^(D-1) of Z[t]/(g): column 0 of C^ell is t^ell mod
     g, the product of the cached squares t^(2^k) mod g at the set bits of
     ell, and column j + 1 is t times column j."""
-    low = _companion_ring(g)
+    ring = _companion_ring(g)
+    D, low = ring
     P = None
     for k, bit in enumerate(bin(ell)[:1:-1]):
         if bit == "1":
-            S = _square_power(low, k)
-            P = S if P is None else _mul_mod(P, S, low)
+            S = _square_power(ring, k)
+            P = S if P is None else _mul_mod(P, S, ring)
     cols = [P]
-    for _ in range(len(low) - 1):
-        col = cols[-1]
-        cols.append([a + col[-1] * c for a, c in zip((0, *col), low)])
-    return [[col[r] - (r == j) for j, col in enumerate(cols)] for r in range(len(low))]
+    for _ in range(D - 1):
+        x, col = cols[-1][-1], [0, *cols[-1][:-1]]
+        for r, c in low:
+            col[r] += x * c
+        cols.append(col)
+    return [[col[r] - (r == j) for j, col in enumerate(cols)] for r in range(D)]
 
 
 def _companion_block(g: LaurentPoly, ell: int) -> tuple[int, int]:

@@ -513,8 +513,8 @@ class TestCompanionSquareCache:
         self._check(expected, self.ELLS[::-1])
 
     def test_the_cache_is_bounded_and_immutable(self):
-        low = torsion._companion_ring(t ** 2 - 3 * t + 1)
-        assert low == (-1, 3) and isinstance(torsion._square_power(low, 5), tuple)
+        ring = torsion._companion_ring(t ** 2 - 3 * t + 1)
+        assert ring == (2, ((0, -1), (1, 3))) and isinstance(torsion._square_power(ring, 5), tuple)
         assert torsion._square_power.cache_info().maxsize <= 32
         assert torsion._companion_ring.cache_info().maxsize <= 16
 
