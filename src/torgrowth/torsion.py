@@ -116,14 +116,18 @@ def _companion_ring(g: LaurentPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
 def _mul_mod(P, Q, ring) -> tuple[int, ...]:
     """The residue mod g, of degree below D, of the product of two
     polynomials P and Q (coefficients lowest first), for the
-    `_companion_ring` (D, low) of g; a square takes each cross term once."""
+    `_companion_ring` (D, low) of g; a square takes each cross term once,
+    and a zero coefficient of P takes none."""
     D, low = ring
-    out = [0] * (len(P) + len(Q) + D)
+    out = [0] * max(len(P) + len(Q) - 1, D)
     for i, x in enumerate(P):
+        if not x:
+            continue
         if P is Q:
             out[2 * i] += x * x
+            x2 = 2 * x
             for j in range(i + 1, len(P)):
-                out[i + j] += 2 * x * P[j]
+                out[i + j] += x2 * P[j]
         else:
             for j, y in enumerate(Q, i):
                 out[j] += x * y
